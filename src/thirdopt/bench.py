@@ -18,15 +18,12 @@ import numpy as np
 
 from .conditions import check_third_order
 from .cubic import solve_cubic_model, stationarity
-from .escape import OptimizerConfig, minimize, rate_report, sample_direction
+from .escape import DECREASE_TOL, OptimizerConfig, minimize, rate_report, sample_direction
 from .polynomials import Polynomial, corpus, smoothness_bounds
 from .spectral import Subspace
 from .tensors import SymTensor3
 
 ALL_SUITES = ("decrease", "escape", "rate", "sampler", "taylor", "subproblem")
-
-# Step inequalities are asserted with this additive slack.
-DECREASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)

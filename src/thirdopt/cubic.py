@@ -11,12 +11,25 @@ is characterized by
     (H + (reg/2) ||s|| I) s = -g   with   H + (reg/2) ||s|| I  psd,
 
 so the solver reduces H to its eigenbasis and finds the radius r = ||s||
-from the scalar secular equation r = ||(H + (reg r / 2) I)^{-1} g|| by
-safeguarded bisection with Newton refinement.  When g has no component
-on the bottom eigenspace and the secular equation undershoots (the hard
-case), a bottom-eigenvector component tops the step up to the required
-radius.  The stationarity and eigenvalue certificate above makes every
-returned solution checkable independently of the method.
+from the scalar secular equation
+
+    phi(r) = 1 / ||(H + (reg r / 2) I)^{-1} g|| - 1 / r = 0
+
+on r >= r_floor = max(0, -2 lambda_min / reg).  There phi is increasing
+and concave, so Newton's method started below the root climbs to it
+monotonically and quadratically (More and Sorensen, 1983; Cartis, Gould
+and Toint, ARC Part I, Math. Prog. 2011, section 6.1).  The start and a
+bracket come in closed form from one-component bounds on the norm, and
+bisection inside the bracket is only the fallback for a Newton step
+that roundoff pushes out of it.  The iteration runs in the offset
+t = r - r_floor, with shifted eigenvalues formed as the gaps
+(lambda_i - lambda_min) + (reg/2) t, which keep full relative precision
+when the root sits just above the floor (the near-hard case).  When g
+has no component on the bottom eigenspace and the secular equation
+undershoots the floor (the hard case), a bottom-eigenvector component
+tops the step up to the required radius.  The stationarity and
+eigenvalue certificate above makes every returned solution checkable
+independently of the method.
 
 ``stationarity`` packages the progress measure that combines the
 gradient norm with the most negative Hessian eigenvalue; it vanishes
@@ -37,39 +50,92 @@ from .spectral import EigenDecomp, eig_sym
 # treated as zero, which routes the solve through the hard-case branch.
 _HARD_CASE_REL = 1e-12
 
+# The secular iteration stops once |psi(r) - r| <= _SECULAR_RTOL * r, which
+# pins the radius to about that relative accuracy; the evaluation cap only
+# guards against a stall that roundoff could cause.
+_SECULAR_RTOL = 1e-13
+_SECULAR_MAX_EVALS = 100
+
 
 @dataclass(frozen=True)
 class CubicSolution:
     """Global minimizer of the cubic-regularized model.
 
     ``model_value`` is the model at the step (the constant f(x) omitted);
-    ``radius`` is the step norm.
+    ``radius`` is the step norm; ``secular_evals`` counts the evaluations
+    of the secular function it took to find the radius.
     """
 
     step: np.ndarray
     model_value: float
     radius: float
+    secular_evals: int
 
 
-def _secular_root(psi, lo: float, hi0: float) -> float:
-    """Solve psi(r) = r for the decreasing psi on [lo, inf)."""
-    hi = max(hi0, lo + 1.0, 2.0 * lo)
-    for _ in range(200):
-        if psi(hi) <= hi:
+def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
+    """Non-negative root t of (base + half_reg t)(r_floor + t) = g_abs.
+
+    Since psi(t) >= g_abs / (base + half_reg t) for any single gradient
+    component (or for ||g|| against the largest shift), this root is a
+    lower bound for the secular root; against the smallest shift it is an
+    upper bound.  Written in the cancellation-free form of the quadratic
+    formula.
+    """
+    disc = (base - half_reg * r_floor) ** 2 + 4.0 * half_reg * g_abs
+    t = 2.0 * (g_abs - base * r_floor) / (base + half_reg * r_floor + np.sqrt(disc))
+    return np.maximum(t, 0.0)
+
+
+def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
+    """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
+
+    ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
+    with ``g_sq > 0``, whose ``base`` (shifted eigenvalue at the floor)
+    is non-negative.  Newton's method runs on the concave increasing
+    phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
+    iterates stay below the root.  A Newton step that leaves the bracket,
+    or is no shorter than the one before it, is replaced by bisection.
+    Returns the offset and the number of psi evaluations.
+    """
+    active = g_sq > 0.0
+    if not active.any():
+        return 0.0, 0
+    g_sq, base = g_sq[active], base[active]
+    g_abs = np.sqrt(g_sq)
+    g_norm = math.sqrt(float(g_sq.sum()))
+    lo = max(
+        float(_offset_lower_root(g_abs, base, half_reg, r_floor).max()),
+        float(_offset_lower_root(g_norm, base.max(), half_reg, r_floor)),
+    )
+    hi = max(lo, float(_offset_lower_root(g_norm, base.min(), half_reg, r_floor)))
+    t, last_step = lo, math.inf
+    for evals in range(1, _SECULAR_MAX_EVALS + 1):
+        d = base + half_reg * t
+        w = g_sq / d**2
+        psi = math.sqrt(float(w.sum()))
+        r = r_floor + t
+        phi = 1.0 / psi - 1.0 / r
+        if abs(phi) * psi <= _SECULAR_RTOL:
             break
-        hi *= 2.0
-    lo_b, hi_b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        if mid <= lo_b or mid >= hi_b:
-            break
-        if psi(mid) > mid:
-            lo_b = mid
+        if phi < 0.0:
+            lo = t
         else:
-            hi_b = mid
-        if hi_b - lo_b <= 1e-15 * max(1.0, hi_b):
+            hi = t
+        dphi = half_reg * float((w / d).sum()) / psi**3 + 1.0 / r**2
+        t_next = t - phi / dphi
+        step = abs(t_next - t)
+        if lo < t_next < hi and step < last_step:
+            last_step = step
+        else:
+            # Newton left the bracket or stopped shrinking its steps, as it
+            # does while it crawls out of a pole of psi at the floor; the
+            # geometric midpoint halves the bracket's width in log scale.
+            t_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+            last_step = math.inf
+        if t_next == t:
             break
-    return 0.5 * (lo_b + hi_b)
+        t = t_next
+    return t, evals
 
 
 def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
@@ -77,7 +143,8 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
 
     Args:
         grad: gradient vector g.
-        hess: symmetric matrix H.
+        hess: symmetric matrix H, or its :class:`EigenDecomp` when the
+            caller already holds one.
         reg: cubic regularization weight, must be positive.
 
     Returns:
@@ -90,7 +157,7 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
         raise ValueError(f"regularization weight must be positive, got {reg}")
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
-    decomp = eig_sym(hess)
+    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
     lam = decomp.eigenvalues
     if not np.isfinite(lam).all():
         raise ValueError("hessian has non-finite entries")
@@ -99,69 +166,41 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
     g_norm = float(np.linalg.norm(g))
     lam_min = float(lam[-1])
     spectral = decomp.spectral_scale()
+    half_reg = 0.5 * reg
 
-    r_floor = max(0.0, -2.0 * lam_min / reg)
+    # Shifted eigenvalues at the floor radius, lam + (reg/2) r_floor,
+    # formed as gaps so they keep relative precision near zero.
+    if lam_min < 0.0:
+        r_floor = -lam_min / half_reg
+        base = lam - lam_min
+    else:
+        r_floor = 0.0
+        base = lam
     bottom = (lam - lam_min) <= 1e-12 * spectral
     g_bottom = float(np.linalg.norm(g_hat[bottom]))
     hard_candidate = g_bottom <= _HARD_CASE_REL * max(1.0, g_norm)
+    keep = ~bottom if hard_candidate else np.ones_like(bottom)
+    g_sq = np.where(keep, g_hat, 0.0) ** 2
 
-    def shifted(r: float) -> np.ndarray:
-        return lam + 0.5 * reg * r
-
+    t, evals = 0.0, 0
     if g_norm == 0.0 and lam_min >= -1e-15 * spectral:
         s_hat = np.zeros_like(g_hat)
-    elif hard_candidate:
-        # Solve on the complement of the bottom eigenspace only.
-        g_top = np.where(bottom, 0.0, g_hat)
-
-        def psi_top(r: float) -> float:
-            d = shifted(r)
+    else:
+        if hard_candidate:
+            # The floor radius is a root when the gradient, solved on the
+            # complement of the bottom eigenspace, falls short of it.
             with np.errstate(divide="ignore", invalid="ignore"):
-                y = np.where(bottom, 0.0, g_top / d)
-            return float(np.linalg.norm(y))
-
-        d_floor = shifted(r_floor)
+                p = float(np.linalg.norm(np.where(keep, g_hat / base, 0.0)))
+            evals = 1
+        if not hard_candidate or p >= r_floor:
+            t, solve_evals = _secular_offset(g_sq, base, half_reg, r_floor)
+            evals += solve_evals
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_floor = np.where(bottom, 0.0, g_top / d_floor)
-        p = float(np.linalg.norm(y_floor))
-        if p >= r_floor:
-            r = _secular_root(psi_top, r_floor, math.sqrt(2.0 * g_norm / reg) if g_norm else 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s_hat = -np.where(bottom, 0.0, g_top / shifted(r))
-        else:
+            s_hat = np.where(keep, -g_hat / (base + half_reg * t), 0.0)
+        if hard_candidate and p < r_floor:
             # Hard case: sit at the floor radius and fill the deficit
             # along one bottom eigenvector.
-            alpha = math.sqrt(max(r_floor * r_floor - p * p, 0.0))
-            s_hat = -y_floor
-            s_hat[int(np.argmax(bottom))] += alpha
-    else:
-
-        def psi(r: float) -> float:
-            d = shifted(r)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                y = g_hat / d
-            norm = float(np.linalg.norm(y))
-            return norm if math.isfinite(norm) else math.inf
-
-        r = _secular_root(psi, r_floor, math.sqrt(2.0 * g_norm / reg))
-        # Newton polish on phi(r) = psi(r) - r.
-        for _ in range(4):
-            d = shifted(r)
-            if np.any(d <= 0):
-                break
-            y = g_hat / d
-            p = float(np.linalg.norm(y))
-            if p == 0.0:
-                break
-            dp = -0.5 * reg * float(np.sum(g_hat**2 / d**3)) / p
-            denom = dp - 1.0
-            if denom == 0.0:
-                break
-            r_new = r - (p - r) / denom
-            if not math.isfinite(r_new) or r_new <= r_floor:
-                break
-            r = r_new
-        s_hat = -g_hat / shifted(r)
+            s_hat[int(np.argmax(bottom))] += math.sqrt(max(r_floor * r_floor - p * p, 0.0))
 
     step = v @ s_hat
     radius = float(np.linalg.norm(step))
@@ -177,7 +216,7 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
         raise ArithmeticError(
             f"cubic subproblem certificate failed (residual {residual:.3e}, margin {margin:.3e})"
         )
-    return CubicSolution(step=step, model_value=model_value, radius=radius)
+    return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
 
 
 def cubic_step(objective: Objective, x, reg: float) -> np.ndarray:
@@ -206,23 +245,20 @@ class Stationarity:
     eig_part: float
 
 
-def stationarity_parts(grad_norm: float, min_eig: float, reg: float) -> Stationarity:
+def stationarity(objective: Objective, z, reg: float, derivs=None) -> Stationarity:
+    """Second-order progress measure of ``objective`` at ``z``.
+
+    ``derivs`` is an optional ``(DerivativeBundle, EigenDecomp)`` pair of
+    order >= 2 already computed at ``z`` (its Hessian's decomposition);
+    without it both are computed here.
+    """
     if reg <= 0:
         raise ValueError("regularization weight must be positive")
-    grad_part = math.sqrt(grad_norm / reg)
-    eig_part = max(0.0, -2.0 * min_eig / (3.0 * reg))
+    if derivs is None:
+        z = as_point(z, objective.dim)
+        b = objective.bundle(z, 2)
+        derivs = (b, eig_sym(b.hess))
+    b, decomp = derivs
+    grad_part = math.sqrt(float(np.linalg.norm(b.grad)) / reg)
+    eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
     return Stationarity(value=max(grad_part, eig_part), grad_part=grad_part, eig_part=eig_part)
-
-
-def stationarity(objective: Objective, z, reg: float) -> Stationarity:
-    z = as_point(z, objective.dim)
-    b = objective.bundle(z, 2)
-    decomp = eig_sym(b.hess)
-    return stationarity_parts(
-        float(np.linalg.norm(b.grad)), float(decomp.eigenvalues[-1]), reg
-    )
-
-
-def decomposed_stationarity(grad: np.ndarray, decomp: EigenDecomp, reg: float) -> Stationarity:
-    """Variant for callers that already hold the Hessian eigendecomposition."""
-    return stationarity_parts(float(np.linalg.norm(grad)), float(decomp.eigenvalues[-1]), reg)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubic import decomposed_stationarity, solve_cubic_model
+from .cubic import solve_cubic_model, stationarity
 from .polynomials import Objective, as_point
 from .spectral import EigenDecomp, Subspace, eig_sym
 from .tensors import SymTensor3
@@ -101,19 +101,24 @@ class EscapeSubspace:
         return self.subspace.is_empty
 
 
-def escape_subspace_from_eig(
-    decomp: EigenDecomp,
+def escape_subspace(
+    hess,
     third: SymTensor3,
     third_lipschitz: float,
     approx_factor: float,
     proj_norm_floor: float = 1e-10,
 ) -> EscapeSubspace:
-    """Suffix-subspace scan against a precomputed eigendecomposition.
+    """Largest trailing eigensubspace where the third derivative dominates.
 
-    Rotating the tensor into the eigenbasis makes the projected Frobenius
-    norm of every suffix a plain trailing-block norm, so all n candidates
-    cost one rotation plus slicing.
+    ``hess`` is the Hessian matrix, or its :class:`EigenDecomp` when the
+    caller already holds one.  Rotating the tensor into the eigenbasis
+    makes the projected Frobenius norm of every suffix a plain
+    trailing-block norm, so all n candidates cost one rotation plus
+    slicing.  A subspace whose qualifying projected norm is at or below
+    ``proj_norm_floor`` is reported empty: the step length would be
+    proportional to that norm, so such subspaces cannot produce progress.
     """
+    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
@@ -135,24 +140,6 @@ def escape_subspace_from_eig(
                 suffix_index=i,
             )
     return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
-
-
-def escape_subspace(
-    hess,
-    third: SymTensor3,
-    third_lipschitz: float,
-    approx_factor: float,
-    proj_norm_floor: float = 1e-10,
-) -> EscapeSubspace:
-    """Largest trailing eigensubspace where the third derivative dominates.
-
-    A subspace whose qualifying projected norm is at or below
-    ``proj_norm_floor`` is reported empty: the step length would be
-    proportional to that norm, so such subspaces cannot produce progress.
-    """
-    return escape_subspace_from_eig(
-        eig_sym(hess), third, third_lipschitz, approx_factor, proj_norm_floor
-    )
 
 
 class SamplerBudgetError(RuntimeError):
@@ -318,15 +305,22 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     f_x = trace.initial_value
     quiet = 0
 
+    # Derivatives and Hessian decomposition at x, carried over from the
+    # previous iteration's post-cubic point unless an escape step moved x.
+    carried = None
+
     for it in range(config.max_iters):
-        b_x = objective.bundle(x, 2)
-        sol = solve_cubic_model(b_x.grad, b_x.hess, reg)
+        if carried is None:
+            b_x = objective.bundle(x, 2)
+            carried = (b_x, eig_sym(b_x.hess))
+        b_x, decomp_x = carried
+        sol = solve_cubic_model(b_x.grad, decomp_x, reg)
         z = x + sol.step
         b_z = objective.bundle(z, 3)
         decomp = eig_sym(b_z.hess)
         grad_norm = float(np.linalg.norm(b_z.grad))
-        stat = decomposed_stationarity(b_z.grad, decomp, reg)
-        esc = escape_subspace_from_eig(decomp, b_z.third, lip3, q, config.proj_norm_floor)
+        stat = stationarity(objective, z, reg, (b_z, decomp))
+        esc = escape_subspace(decomp, b_z.third, lip3, q, config.proj_norm_floor)
 
         cubic_ok = bool(b_z.value <= f_x - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
         mu_ok = bool(sol.radius >= stat.value - DECREASE_TOL)
@@ -371,9 +365,11 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
                 )
             )
             quiet = 0
+            carried = None
         else:
             x_next, f_next = z, b_z.value
             quiet += 1
+            carried = (b_z, decomp)
 
         x, f_x = x_next, f_next
 

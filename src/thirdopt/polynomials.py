@@ -289,7 +289,7 @@ class Polynomial:
                         t = self._partial(x, (i, j, k))
                         for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
                             third[p] = t
-        return DerivativeBundle(self.value(x), grad, hess, SymTensor3(third))
+        return DerivativeBundle(self.value(x), grad, hess, SymTensor3._trusted(third))
 
     # -- JSON form -------------------------------------------------------------
 

@@ -42,8 +42,19 @@ class SymTensor3:
         self.entries = _symmetrized(array)
 
     @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "SymTensor3":
+        """Wrap an n*n*n float array that is symmetric by construction.
+
+        For producers inside the package only: it skips the averaging
+        over the six permutations, which such input does not need.
+        """
+        tensor = cls.__new__(cls)
+        tensor.entries = entries
+        return tensor
+
+    @classmethod
     def zeros(cls, dim: int) -> "SymTensor3":
-        return cls(np.zeros((dim, dim, dim)))
+        return cls._trusted(np.zeros((dim, dim, dim)))
 
     @classmethod
     def rank_one(cls, v) -> "SymTensor3":
@@ -85,8 +96,12 @@ class SymTensor3:
             raise ValueError(
                 f"matrix of shape {matrix.shape} does not match tensor dim {self.dim}"
             )
-        out = np.einsum("ijk,ip,jq,kr->pqr", self.entries, matrix, matrix, matrix, optimize=True)
-        return SymTensor3(out)
+        # Each tensordot contracts the leading slot and appends the new one
+        # last, so three of them visit (i, j, k) -> (p, q, r) in order.
+        out = self.entries
+        for _ in range(3):
+            out = np.tensordot(out, matrix, axes=(0, 0))
+        return SymTensor3._trusted(out)
 
     def project(self, subspace) -> "SymTensor3":
         """Project onto a subspace: T(P, P, P) with P the orthogonal projector."""

@@ -89,3 +89,53 @@ def cubic_model_grid_min(g, hess, reg, radius=3.0, points=401):
         + reg / 6.0 * norms**3
     )
     return float(model.min())
+
+
+def cubic_model_radius(eigenvalues, g_hat, reg):
+    """Step norm of the global minimizer of the cubic model, by bisection.
+
+    Works from exact spectral data: H = Q diag(eigenvalues) Q' and
+    g_hat = Q'g.  The radius is the root r >= r_floor = max(0, -2
+    lambda_min / reg) of ||g_hat / (eigenvalues + reg r / 2)|| = r, or
+    r_floor itself when that norm already falls short of it (the hard
+    case, possible only when g_hat vanishes on the bottom eigenspace).
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    g_hat = np.asarray(g_hat, dtype=float)
+    r_floor = max(0.0, -2.0 * float(lam.min()) / reg)
+
+    def excess(r):
+        d = lam + 0.5 * reg * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(g_hat == 0.0, 0.0, g_hat / d)
+        if np.any((d <= 0.0) & (g_hat != 0.0)):
+            return math.inf
+        return float(np.linalg.norm(y)) - r
+
+    if excess(r_floor) <= 0.0:
+        return r_floor
+    lo, hi = r_floor, max(1.0, 2.0 * r_floor)
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def triple_loop_transform(entries, matrix):
+    """T(M e_p, M e_q, M e_r) for every output index triple, one at a time."""
+    k = matrix.shape[1]
+    out = np.zeros((k, k, k))
+    for p in range(k):
+        for q in range(k):
+            for r in range(k):
+                a, b, c = matrix[:, p], matrix[:, q], matrix[:, r]
+                out[p, q, r] = float(
+                    (entries * a[:, None, None] * b[None, :, None] * c[None, None, :]).sum()
+                )
+    return out

@@ -2,19 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import thirdopt.escape
 from thirdopt import (
+    EigenDecomp,
+    OptimizerConfig,
     OracleObjective,
     Polynomial,
     corpus,
     cubic_step,
+    eig_sym,
+    minimize,
     smoothness_bounds,
     solve_cubic_model,
     stationarity,
 )
+from thirdopt.bench import confined_monkey_config, quartic_1d_config
 
-from oracles import cubic_model_grid_min, grid_min_2d
+from oracles import cubic_model_grid_min, cubic_model_radius, grid_min_2d
 
 
 def certificate(g, h, reg, sol):
@@ -127,6 +135,104 @@ class TestSolveCubicModel:
                     assert sol.model_value <= model(s) + 1e-9
 
 
+# Bottom-eigenspace gradient components at or below this fraction of ||g||
+# are documented to be treated as zero by the solver; the reference root
+# below is computed for that same model.
+HARD_CASE_REL = 1e-12
+
+# Most secular evaluations any generated instance may take.  Newton from
+# the closed-form lower bound needs 1-6 on generic instances; near-hard
+# instances whose complement solution lands within 1e-12 of the floor
+# radius took at most 15 over 40000 random trials.
+SECULAR_EVAL_CAP = 20
+
+# Bottom-eigenspace gradient component relative to ||g||, or "generic".
+GRADIENT_KINDS = ("generic", 0.0, 1e-13, 1e-11, 1e-8)
+
+
+@st.composite
+def cubic_models(draw):
+    """(decomp, g, reg) at n in {1, 2, 5, 10}, easy, hard and near-hard.
+
+    ||g|| >= 1, so the solver's hard-case threshold is purely relative.
+    With ``floor_ratio`` set, reg is chosen so that the solution on the
+    complement of the bottom eigenspace has norm floor_ratio * r_floor,
+    which puts the root just above the floor in the near-hard cases.
+    """
+    n = draw(st.sampled_from((1, 2, 5, 10)))
+    kind = draw(st.sampled_from(GRADIENT_KINDS if n > 1 else GRADIENT_KINDS[:2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam_scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    g_scale = 10.0 ** draw(st.floats(0.0, 3.0))
+    reg = 10.0 ** draw(st.floats(-3.0, 3.0))
+    floor_ratio = draw(st.none() | st.floats(-12.0, 0.0).map(lambda e: 1.0 + 10.0**e)
+                       | st.floats(-12.0, -0.5).map(lambda e: 1.0 - 10.0**e))
+
+    q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.sort(rng.standard_normal(n))[::-1] * lam_scale
+    if n > 1:  # a simple bottom eigenvalue, so g_hat[-1] is its whole component
+        lam[-1] = lam[-2] - lam_scale * rng.uniform(1e-3, 1.0)
+    g_hat = rng.standard_normal(n)
+    if kind != "generic":
+        g_hat[-1] = 0.0
+    if n > 1 or kind == "generic":
+        g_hat *= g_scale / np.linalg.norm(g_hat)
+    if kind != "generic":
+        g_hat[-1] = kind * np.linalg.norm(g_hat)
+    if floor_ratio is not None and n > 1 and lam[-1] < 0.0:
+        p = np.linalg.norm(g_hat[:-1] / (lam[:-1] - lam[-1]))
+        reg = -2.0 * lam[-1] * floor_ratio / p
+    return EigenDecomp(lam, q_mat), q_mat @ g_hat, reg
+
+
+class TestSecularNewton:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cubic_models())
+    def test_radius_matches_bisection_reference(self, model):
+        decomp, g, reg = model
+        sol = solve_cubic_model(g, decomp, reg)  # raises if the certificate fails
+        g_hat = decomp.eigenvectors.T @ g
+        if abs(g_hat[-1]) <= HARD_CASE_REL * np.linalg.norm(g):
+            g_hat[-1] = 0.0
+        reference = cubic_model_radius(decomp.eigenvalues, g_hat, reg)
+        assert abs(sol.radius - reference) <= 1e-10 * reference
+        assert sol.secular_evals <= SECULAR_EVAL_CAP
+
+    def test_matrix_and_decomposition_inputs_agree(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 4))
+        h = (a + a.T) / 2.0
+        g = rng.standard_normal(4)
+        from_matrix = solve_cubic_model(g, h, 1.5)
+        from_decomp = solve_cubic_model(g, eig_sym(h), 1.5)
+        assert np.array_equal(from_matrix.step, from_decomp.step)
+        assert from_matrix.secular_evals == from_decomp.secular_evals
+
+    def test_mean_evaluations_on_bounded_corpus(self, monkeypatch):
+        evals = []
+        solve = thirdopt.escape.solve_cubic_model
+
+        def counting_solve(*args):
+            sol = solve(*args)
+            evals.append(sol.secular_evals)
+            return sol
+
+        monkeypatch.setattr(thirdopt.escape, "solve_cubic_model", counting_solve)
+        rng = np.random.default_rng(11)
+        runs = [("monkey_saddle_confined", confined_monkey_config()),
+                ("quartic_1d", quartic_1d_config())]
+        for name in ("wine_bottle", "inverted_wine_bottle", "quartic_plus_sixth"):
+            b = smoothness_bounds(corpus(name), radius=2.0)
+            runs.append((name, OptimizerConfig(b.hess_lipschitz, b.third_lipschitz)))
+        for name, cfg in runs:
+            poly = corpus(name)
+            for _ in range(3):
+                d = rng.standard_normal(poly.dim)
+                minimize(poly, d / np.linalg.norm(d) * rng.random(), cfg)
+        assert len(evals) > 100
+        assert np.mean(evals) <= 10.0
+
+
 class TestCubicStep:
     def test_quadratic_moves_toward_minimum(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
@@ -176,6 +282,12 @@ class TestStationarity:
         assert s.value == pytest.approx(1.0)
         assert s.eig_part == pytest.approx(1.0)
         assert s.grad_part == 0.0
+
+    def test_precomputed_derivatives_give_the_same_measure(self):
+        wine = corpus("wine_bottle")
+        z = np.array([0.3, -0.8])
+        b = wine.bundle(z, 3)
+        assert stationarity(wine, z, 4.0, (b, eig_sym(b.hess))) == stationarity(wine, z, 4.0)
 
 
 class TestPureCubicSequence:

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import thirdopt.cubic
+import thirdopt.escape
 from thirdopt import (
     OptimizerConfig,
     Polynomial,
@@ -9,6 +13,7 @@ from thirdopt import (
     Subspace,
     SymTensor3,
     corpus,
+    eig_sym,
     escape_step,
     escape_subspace,
     minimize,
@@ -80,6 +85,18 @@ class TestEscapeSubspace:
         assert esc.suffix_index == 1
         assert esc.subspace.rank == 1
         assert esc.proj_norm == pytest.approx(1.0)
+
+    def test_decomposition_input_matches_matrix_input(self):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((4, 4))
+        hess = (a + a.T) / 2.0
+        tensor = SymTensor3(rng.standard_normal((4, 4, 4)))
+        for factor in (0.5, 2.0, 8.0):
+            from_matrix = escape_subspace(hess, tensor, 1.0, factor)
+            from_decomp = escape_subspace(eig_sym(hess), tensor, 1.0, factor)
+            assert from_decomp.suffix_index == from_matrix.suffix_index
+            assert from_decomp.proj_norm == from_matrix.proj_norm
+            assert np.array_equal(from_decomp.subspace.basis, from_matrix.subspace.basis)
 
 
 class TestSampleDirection:
@@ -263,6 +280,53 @@ class TestMinimize:
             for rec in trace.cubic_records()
         )
         assert hit
+
+    def test_one_derivative_pass_per_point(self, monkeypatch):
+        # The post-cubic point's order-3 bundle and eigendecomposition are
+        # reused for the next cubic step; only an escape step, which lands
+        # on a new point, needs a fresh order-2 bundle and decomposition.
+        eig_calls = []
+
+        def counting_eig_sym(matrix):
+            eig_calls.append(1)
+            return eig_sym(matrix)
+
+        for module in (thirdopt.cubic, thirdopt.escape):
+            monkeypatch.setattr(module, "eig_sym", counting_eig_sym)
+        runs = (
+            (corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config()),
+            (corpus("quartic_1d"), np.zeros(1), quartic_1d_config()),
+            (corpus("wine_bottle"), np.array([1.3, 0.4]),
+             OptimizerConfig(*_wine_constants(), max_iters=40)),
+        )
+        for poly, x0, cfg in runs:
+            counting = _CountingObjective(poly)
+            eig_calls.clear()
+            trace = minimize(counting, x0, cfg)
+            escapes = len(trace.third_records())
+            assert trace.iterations > 1 + escapes
+            assert counting.orders[3] == trace.iterations
+            assert counting.orders[2] <= 1 + escapes
+            assert len(eig_calls) - trace.iterations <= 1 + escapes
+
+
+class _CountingObjective:
+    """Objective wrapper that counts bundle calls by order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.orders = Counter()
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def bundle(self, x, order=3):
+        self.orders[order] += 1
+        return self.inner.bundle(x, order)
 
 
 def _wine_constants():

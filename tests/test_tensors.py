@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thirdopt import Polynomial, Subspace, SymTensor3, corpus
+from thirdopt import OracleObjective, Polynomial, Subspace, SymTensor3, corpus
 
-from oracles import triple_loop_trilinear
+from oracles import triple_loop_transform, triple_loop_trilinear
 
 
 def monkey_third():
@@ -94,6 +96,52 @@ class TestProject:
             lhs = t.project(s).trilinear(u, u, u)
             rhs = t.trilinear(pu, pu, pu)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _max_asymmetry(entries):
+    return max(np.abs(entries - np.transpose(entries, p)).max()
+               for p in itertools.permutations(range(3)))
+
+
+def _mean_of_transposes(array):
+    return sum(np.transpose(array, p) for p in itertools.permutations(range(3))) / 6.0
+
+
+class TestTransform:
+    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    def test_matches_triple_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        t = SymTensor3(rng.standard_normal((n, n, n)))
+        q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, max(1, n // 2))))
+        for matrix in (q_mat, basis @ basis.T):
+            out = t.transform(matrix).entries
+            expected = triple_loop_transform(t.entries, matrix)
+            assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+            assert _max_asymmetry(out) <= 1e-14 * np.abs(out).max()
+
+
+class TestTrustBoundary:
+    def test_constructor_symmetrizes_asymmetric_input(self):
+        rng = np.random.default_rng(29)
+        arr = rng.standard_normal((4, 4, 4))
+        t = SymTensor3(arr)
+        assert_allclose(t.entries, _mean_of_transposes(arr), rtol=0, atol=1e-15)
+        assert _max_asymmetry(t.entries) <= 1e-15
+
+    def test_oracle_objective_symmetrizes_its_third_derivative(self):
+        rng = np.random.default_rng(31)
+        arr = rng.standard_normal((3, 3, 3))
+        obj = OracleObjective(
+            3,
+            value=lambda x: 0.0,
+            grad=lambda x: np.zeros(3),
+            hess=lambda x: np.zeros((3, 3)),
+            third=lambda x: arr,
+        )
+        third = obj.bundle(np.zeros(3), 3).third.entries
+        assert_allclose(third, _mean_of_transposes(arr), rtol=0, atol=1e-15)
+        assert _max_asymmetry(third) <= 1e-15
 
 
 class TestFrobenius:
