@@ -198,11 +198,11 @@ def descent_witness(
         raise ValueError("third_lipschitz must be positive")
     x = as_point(x, objective.dim)
     b = objective.bundle(x, 3)
+    decomp = eig_sym(b.hess)
     lip3 = third_lipschitz
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
         g_norm = float(np.linalg.norm(b.grad))
-        decomp = eig_sym(b.hess)
         l_prime = op_norm_bound if op_norm_bound is not None else max(
             abs(decomp.eigenvalues[0]), abs(decomp.eigenvalues[-1]), b.third.frobenius_norm()
         )
@@ -212,7 +212,6 @@ def descent_witness(
         predicted = 0.5 * eps * g_norm**2
         order = 1
     elif report.verdict is Verdict.SECOND_ORDER_FAIL:
-        decomp = eig_sym(b.hess)
         c = -float(decomp.eigenvalues[-1])
         l_prime = op_norm_bound if op_norm_bound is not None else b.third.frobenius_norm()
         limits = [math.sqrt(3.0 * c / lip3)]
@@ -224,7 +223,6 @@ def descent_witness(
         predicted = c * eps**2 / 4.0
         order = 2
     else:
-        decomp = eig_sym(b.hess)
         kernel = null_space(decomp, report.tolerances.eig)
         rng = np.random.default_rng(seed)
         sample = sample_direction(b.third, kernel, sampler_constant=8.0, rng=rng)

@@ -9,14 +9,23 @@ they provide the same derivative contract.
 
 Derivative conventions: ``grad[i] = df/dx_i``, ``hess[i, j] =
 d2f/dx_i dx_j``, ``third[i, j, k] = d3f/dx_i dx_j dx_k``.
+
+A :class:`Polynomial` computes each derivative order k, and its
+term-wise Lipschitz bound, from one table built on first use: a row per
+term and ordered k-tuple of axes the term survives differentiation
+along, holding the tuple's flat position in the n**k tensor, the
+residual monomial as indices into a table of powers ``x[i] ** e``, and
+``coeff`` times the falling factorial.  ``np.bincount`` adds each
+position's rows in term order.  The powers are scalar (libm ``pow``);
+numpy's vectorized ``power`` uses SIMD kernels that can differ in the
+last bit.  So all permutations of an index sum the same floats in the
+same order, and the third derivative is exactly symmetric.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -71,11 +80,6 @@ class Objective(Protocol):
     def bundle(self, x, order: int = 3) -> DerivativeBundle: ...
 
 
-def _falling(e: int, k: int) -> int:
-    # e * (e-1) * ... * (e-k+1); zero when k > e
-    return math.perm(e, k) if k <= e else 0
-
-
 class Polynomial:
     """Multivariate polynomial in canonical sparse form.
 
@@ -86,7 +90,7 @@ class Polynomial:
     family used for hard quartic instances).
     """
 
-    __slots__ = ("_dim", "_terms", "max_degree")
+    __slots__ = ("_dim", "_terms", "max_degree", "_caps", "_tables")
 
     def __init__(self, dim: int, terms, max_degree: int = DEFAULT_MAX_DEGREE) -> None:
         if not isinstance(dim, int) or dim < 1:
@@ -108,11 +112,13 @@ class Polynomial:
                 raise ValueError("coefficients must be finite")
             if exps in canon:
                 raise ValueError(f"duplicate multi-index {exps}")
-            if coeff != 0.0:
-                canon[exps] = coeff
+            canon[exps] = coeff
         self._dim = dim
-        self._terms = tuple(sorted(canon.items()))
+        self._terms = tuple(sorted((e, c) for e, c in canon.items() if c != 0.0))
         self.max_degree = max_degree
+        # highest exponent of each variable, which sizes the power table
+        self._caps = tuple(max((e[i] for e, _ in self._terms), default=0) for i in range(dim))
+        self._tables: dict[int, tuple] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -223,10 +229,7 @@ class Polynomial:
 
     def value(self, x) -> float:
         x = as_point(x, self._dim)
-        total = 0.0
-        for exps, coeff in self._terms:
-            total += coeff * math.prod(x[i] ** e for i, e in enumerate(exps) if e)
-        return float(total)
+        return float(self._derivative(0, self._powers(x))[0])
 
     def values(self, points) -> np.ndarray:
         """Vectorized evaluation on an (m, dim) array of points."""
@@ -242,26 +245,50 @@ class Polynomial:
             total += mono
         return total
 
-    def _partial(self, x: np.ndarray, axes: tuple[int, ...]) -> float:
-        """Value at x of the partial derivative along the given axis multiset."""
-        counts = Counter(axes)
-        total = 0.0
-        for exps, coeff in self._terms:
-            factor = 1.0
-            for axis, k in counts.items():
-                if exps[axis] < k:
-                    factor = 0.0
-                    break
-                factor *= _falling(exps[axis], k)
-            if factor == 0.0:
-                continue
-            mono = 1.0
-            for i, e in enumerate(exps):
-                e -= counts.get(i, 0)
-                if e:
-                    mono *= x[i] ** e
-            total += coeff * factor * mono
-        return total
+    def _table(self, order: int) -> tuple:
+        """Rows of the order-``order`` derivative: position, residual, multiplier.
+
+        ``residual`` has one power-table index per support axis, in axis
+        order, padded with index 0 (``x[0] ** 0 = 1``).  Order 4 serves
+        only :func:`smoothness_bounds` and is not cached.
+        """
+        if order in self._tables:
+            return self._tables[order]
+        # each term's (axis, exponent) over its support, padded with (0, 0)
+        support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
+        width = max(map(len, support), default=0)
+        padded = np.array([s + [(0, 0)] * (width - len(s)) for s in support], dtype=np.intp)
+        axes, left = padded.reshape(len(support), width, 2).transpose(2, 0, 1)
+        term = np.arange(len(support))
+        pos, factor = np.zeros_like(term), np.ones_like(term)
+        for _ in range(order):
+            # differentiate every row along every support axis it still has
+            row, j = np.nonzero(left)
+            term, factor, left = term[row], factor[row] * left[row, j], left[row]
+            pos = pos[row] * self._dim + axes[term, j]
+            left[np.arange(len(row)), j] -= 1
+        offsets = np.array([k for k, (_, e) in enumerate(self._slots()) if e == 0])
+        table = (
+            pos,
+            (offsets[axes[term]] + left).T.astype(np.int32, order="C"),
+            np.array([c for _, c in self._terms])[term] * factor,
+        )
+        if order <= 3:
+            self._tables[order] = table
+        return table
+
+    def _slots(self) -> list[tuple[int, int]]:
+        """(variable, exponent) of each power-table entry."""
+        return [(i, e) for i, cap in enumerate(self._caps) for e in range(cap + 1)]
+
+    def _powers(self, x: np.ndarray) -> np.ndarray:
+        return np.array([x[i] ** e for i, e in self._slots()])
+
+    def _derivative(self, order: int, powers: np.ndarray) -> np.ndarray:
+        """The order-``order`` derivative, flattened, at the point of ``powers``."""
+        pos, residual, mult = self._table(order)
+        monomials = np.multiply.reduce(powers[residual], axis=0)
+        return np.bincount(pos, mult * monomials, minlength=self._dim**order)
 
     def bundle(self, x, order: int = 3) -> DerivativeBundle:
         """Exact value and derivatives at ``x`` up to ``order`` (0..3).
@@ -272,24 +299,13 @@ class Polynomial:
             raise ValueError(f"order must be in 0..3, got {order}")
         x = as_point(x, self._dim)
         n = self._dim
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        third = np.zeros((n, n, n))
-        if order >= 1:
-            for i in range(n):
-                grad[i] = self._partial(x, (i,))
-        if order >= 2:
-            for i in range(n):
-                for j in range(i, n):
-                    hess[i, j] = hess[j, i] = self._partial(x, (i, j))
-        if order >= 3:
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(j, n):
-                        t = self._partial(x, (i, j, k))
-                        for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                            third[p] = t
-        return DerivativeBundle(self.value(x), grad, hess, SymTensor3._trusted(third))
+        powers = self._powers(x)
+        value, grad, hess, third = (
+            self._derivative(k, powers) if k <= order else np.zeros(n**k) for k in range(4)
+        )
+        return DerivativeBundle(
+            float(value[0]), grad, hess.reshape(n, n), SymTensor3._trusted(third.reshape(n, n, n))
+        )
 
     # -- JSON form -------------------------------------------------------------
 
@@ -306,16 +322,11 @@ class Polynomial:
         dim = data["dim"]
         if not isinstance(dim, int):
             raise ValueError('"dim" must be an integer')
-        seen = set()
         terms = []
         for entry in data["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "exponents" not in entry:
                 raise ValueError('each term must have "coeff" and "exponents"')
-            exps = tuple(entry["exponents"])
-            if exps in seen:
-                raise ValueError(f"duplicate multi-index {exps}")
-            seen.add(exps)
-            terms.append((entry["coeff"], exps))
+            terms.append((entry["coeff"], entry["exponents"]))
         return cls(dim, terms, max_degree)
 
 
@@ -450,31 +461,12 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     on the ball, so the entry bound is the sum of absolute differentiated
     coefficients times radius^(residual degree).
     """
-    entry_bounds: dict[tuple[int, ...], float] = {}
-    for coeff, exps in poly.terms:
-        support = [i for i, e in enumerate(exps) if e > 0]
-        residual = sum(exps) - order
-        if residual < 0:
-            continue
-        for combo in combinations_with_replacement(support, order):
-            counts = Counter(combo)
-            factor = 1.0
-            for axis, k in counts.items():
-                if exps[axis] < k:
-                    factor = 0.0
-                    break
-                factor *= _falling(exps[axis], k)
-            if factor == 0.0:
-                continue
-            entry_bounds[combo] = entry_bounds.get(combo, 0.0) + abs(coeff * factor) * radius**residual
-    total = 0.0
-    for combo, bound in entry_bounds.items():
-        counts = Counter(combo)
-        multiplicity = math.factorial(order)
-        for k in counts.values():
-            multiplicity //= math.factorial(k)
-        total += multiplicity * bound * bound
-    return math.sqrt(total)
+    pos, residual, mult = poly._table(order)
+    degrees = np.array([e for _, e in poly._slots()])[residual].sum(axis=0)
+    radius_powers = np.array([radius**d for d in range(poly.degree + 1)], dtype=float)
+    _, entry = np.unique(pos, return_inverse=True)
+    entry_bounds = np.bincount(entry, np.abs(mult) * radius_powers[degrees])
+    return float(np.linalg.norm(entry_bounds))
 
 
 def smoothness_bounds(

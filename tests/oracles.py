@@ -5,6 +5,8 @@ derivatives come from sympy, contractions from explicit loops, minima
 from brute-force grids, and roots from closed forms.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +33,56 @@ def sympy_bundle(poly, x):
         [[[float(sp.diff(expr, a, b, c).subs(subs)) for c in syms] for b in syms] for a in syms]
     )
     return value, grad, hess, third
+
+
+def term_loop_partial(poly, x, axes):
+    """One derivative entry by a loop over the terms, in the library's float order.
+
+    Per term: the integer falling-factorial multiplier times the coefficient,
+    times the residual monomial multiplied up in axis order from scalar
+    powers, added to the entry in term order.
+    """
+    total = 0.0
+    for coeff, exps in poly.terms:
+        left, factor = list(exps), 1
+        for a in axes:
+            factor *= left[a]
+            left[a] -= 1
+        if factor == 0:
+            continue
+        mono = 1.0
+        for i, e in enumerate(left):
+            if e:
+                mono *= x[i] ** e
+        total += coeff * factor * mono
+    return total
+
+
+def sympy_frobenius_bound(poly, order, radius):
+    """Term-wise bound of sup ||D^order f||_F on a ball, in exact arithmetic.
+
+    For each ordered index tuple, every term's symbolic partial c * x^a is
+    bounded by |c| radius^|a| on the ball; an entry's bound is the sum over
+    terms, and the result is the Frobenius norm of the entry bounds.
+    Partials commute, so entry bounds are memoized by the sorted tuple.
+    """
+    syms = sp.symbols(f"v0:{poly.dim}")
+    r = sp.Rational(radius)
+    monomials = [sp.Rational(c) * sp.prod([s**e for s, e in zip(syms, exps)])
+                 for c, exps in poly.terms]
+
+    @functools.cache
+    def entry_bound(index):
+        bound = sp.Integer(0)
+        for mono in monomials:
+            partial = sp.Poly(sp.diff(mono, *(syms[i] for i in index)), *syms)
+            if not partial.is_zero:
+                bound += abs(partial.LC()) * r**partial.total_degree()
+        return bound
+
+    total = sum(entry_bound(tuple(sorted(index)))**2
+                for index in itertools.product(range(poly.dim), repeat=order))
+    return float(sp.sqrt(total).evalf(30))
 
 
 def triple_loop_trilinear(entries, u, v, w):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from thirdopt import (
@@ -14,13 +16,39 @@ from thirdopt import (
     smoothness_bounds,
 )
 
-from oracles import sympy_bundle
+from oracles import sympy_bundle, sympy_frobenius_bound, term_loop_partial
+
+
+@st.composite
+def sparse_polynomials(draw, max_dim=4):
+    """Up to 8 distinct terms of degree <= 6 in 1..max_dim variables."""
+    n = draw(st.integers(1, max_dim))
+    monomial_axes = st.lists(st.integers(0, n - 1), max_size=6)
+    exps = {tuple(a.count(i) for i in range(n)) for a in draw(st.lists(monomial_axes, max_size=8))}
+    coeffs = st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
+    return Polynomial(n, [(draw(coeffs), e) for e in sorted(exps)])
+
+
+@st.composite
+def polynomials_and_points(draw):
+    p = draw(sparse_polynomials())
+    return p, np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p.dim, max_size=p.dim)))
+
+
+def random_sparse_polynomial(rng, dim):
+    terms = {}
+    for _ in range(int(rng.integers(1, 12))):
+        exps = np.bincount(rng.integers(0, dim, size=int(rng.integers(0, 7))), minlength=dim)
+        terms[tuple(int(e) for e in exps)] = float(rng.standard_normal())
+    return Polynomial(dim, [(c, e) for e, c in terms.items()])
 
 
 class TestConstruction:
     def test_rejects_duplicate_multi_index(self):
         with pytest.raises(ValueError, match="duplicate"):
             Polynomial(2, [(1.0, (1, 0)), (2.0, (1, 0))])
+        with pytest.raises(ValueError, match="duplicate"):
+            Polynomial(2, [(0.0, (1, 0)), (1.0, (1, 0))])
 
     def test_rejects_wrong_exponent_length(self):
         with pytest.raises(ValueError):
@@ -103,6 +131,41 @@ class TestDerivatives:
             t = p.bundle(rng.standard_normal(2), 3).third.entries
             for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
                 assert np.array_equal(t, np.transpose(t, perm))
+        for _ in range(20):
+            dim = int(rng.integers(1, 7))
+            q = random_sparse_polynomial(rng, dim)
+            t = q.bundle(rng.standard_normal(dim), 3).third.entries
+            for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
+                assert np.array_equal(t, np.transpose(t, perm))
+
+    def test_equals_term_loop_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            dim = int(rng.integers(1, 7))
+            p = random_sparse_polynomial(rng, dim)
+            x = rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 2)
+            b = p.bundle(x, 3)
+            assert p.value(x) == b.value == term_loop_partial(p, x, ())
+            for k, slot in ((1, b.grad), (2, b.hess), (3, b.third.entries)):
+                for index in np.ndindex(slot.shape):
+                    assert slot[index] == term_loop_partial(p, x, index), (k, index)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(polynomials_and_points())
+    @example((Polynomial.zero(3), np.array([0.5, -1.0, 0.25])))
+    @example((Polynomial.constant(2, -1.5), np.array([0.3, 0.7])))
+    def test_every_order_matches_sympy(self, case):
+        p, x = case
+        value, grad, hess, third = sympy_bundle(p, x)
+        assert p.value(x) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        for order in range(4):
+            b = p.bundle(x, order)
+            slots = zip((b.value, b.grad, b.hess, b.third.entries), (value, grad, hess, third))
+            for k, (got, want) in enumerate(slots):
+                if k <= order:
+                    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                else:
+                    assert not np.any(got), f"order-{k} slot of an order-{order} bundle"
 
     def test_values_vectorized_matches_scalar(self):
         p = corpus("inverted_wine_bottle")
@@ -184,6 +247,16 @@ class TestSmoothnessBounds:
                              + b.third.trilinear(d, d, d) / 6.0)
                 remainder = abs(p.value(y) - expansion)
                 assert remainder <= lip3 / 24.0 * dist**4 * (1 + 1e-6), name
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sparse_polynomials(), st.floats(0.1, 10.0))
+    @example(Polynomial.zero(2), 1.5)
+    @example(Polynomial.constant(3, 2.0), 0.5)
+    def test_match_termwise_oracle(self, p, radius):
+        sc = smoothness_bounds(p, radius, min_constant=1e-300)
+        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
+            want = max(sympy_frobenius_bound(p, order, radius), 1e-300)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
