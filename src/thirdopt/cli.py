@@ -8,10 +8,6 @@ Subcommands
 Exit codes: 0 success (run: terminal convergence; check: conditions
 hold; bench: all rows pass), 1 usage or runtime error, 2 iteration
 budget exhausted, 3 negative verdict (check) or failing rows (bench).
-
-Traces are one JSON object per line with a fixed field order, so equal
-seeds produce byte-identical files and parsing then re-serializing is
-the identity.
 """
 
 from __future__ import annotations
@@ -24,59 +20,8 @@ import numpy as np
 
 from . import bench
 from .conditions import ConditionTolerances, check_third_order
-from .escape import IterationRecord, OptimizerConfig, Trace, minimize
+from .escape import OptimizerConfig, minimize, write_trace
 from .polynomials import CORPUS_NAMES, Polynomial, corpus, smoothness_bounds
-
-_FLAG_KEYS = ("cubic_decrease", "step_vs_mu", "trigger", "third_decrease")
-
-
-def record_to_obj(rec: IterationRecord) -> dict:
-    return {
-        "iter": rec.iteration,
-        "phase": rec.phase,
-        "f": rec.value,
-        "grad_norm": rec.grad_norm,
-        "mu": rec.stationarity,
-        "c_q": rec.proj_norm,
-        "subspace_dim": rec.subspace_dim,
-        "step_norm": rec.step_norm,
-        "flags": {k: rec.flags.get(k) for k in _FLAG_KEYS},
-    }
-
-
-def record_from_obj(obj: dict) -> IterationRecord:
-    return IterationRecord(
-        iteration=obj["iter"],
-        phase=obj["phase"],
-        value=obj["f"],
-        grad_norm=obj["grad_norm"],
-        stationarity=obj["mu"],
-        proj_norm=obj["c_q"],
-        subspace_dim=obj["subspace_dim"],
-        step_norm=obj["step_norm"],
-        flags=dict(obj["flags"]),
-    )
-
-
-def dump_records(records) -> str:
-    return "".join(
-        json.dumps(record_to_obj(r), separators=(",", ":")) + "\n" for r in records
-    )
-
-
-def write_trace(trace: Trace, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(dump_records(trace.records))
-
-
-def read_records(path: str) -> list:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_obj(json.loads(line)))
-    return records
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -21,10 +21,16 @@ c^4 / (24 * third_lipschitz^3 * approx_factor^4)); the loop asserts both
 inequalities per step and records violations in the trace flags rather
 than aborting, since a violation means the supplied constants are not
 valid bounds on the traversed segment.
+
+This module also owns the trace format: ``IterationRecord`` rows, their
+``FLAG_KEYS`` and the JSONL reader and writer.  A trace file holds one
+JSON object per row with a fixed key order, so equal seeds produce
+byte-identical files and parsing then re-serializing is the identity.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,6 +44,14 @@ from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
 DECREASE_TOL = 1e-9
+# A qualifying subspace whose projected norm is at or below this is
+# reported empty: the escape step length is proportional to that norm.
+PROJ_NORM_FLOOR = 1e-10
+# Consecutive trigger-free iterations needed before a terminal stop.
+QUIET_WINDOW = 3
+# Keys of a trace row's flags, in row and file order.  'trigger' is
+# status; the other three are the per-step decrease assertions.
+FLAG_KEYS = ("cubic_decrease", "step_vs_mu", "trigger", "third_decrease")
 
 
 @dataclass(frozen=True)
@@ -58,9 +72,7 @@ class OptimizerConfig:
     max_iters: int = 100
     seed: int = 0
     tol_mu: float = 1e-6
-    proj_norm_floor: float = 1e-10
     max_sampler_draws: int = 200
-    quiet_window: int = 3
 
     def __post_init__(self):
         positives = (
@@ -69,13 +81,11 @@ class OptimizerConfig:
             ("sampler_constant", self.sampler_constant),
             ("max_iters", self.max_iters),
             ("tol_mu", self.tol_mu),
-            ("proj_norm_floor", self.proj_norm_floor),
             ("max_sampler_draws", self.max_sampler_draws),
-            ("quiet_window", self.quiet_window),
         )
         for name, value in positives:
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def approx_factor(self, dim: int) -> float:
         return self.sampler_constant * dim**1.5
@@ -106,7 +116,6 @@ def escape_subspace(
     third: SymTensor3,
     third_lipschitz: float,
     approx_factor: float,
-    proj_norm_floor: float = 1e-10,
 ) -> EscapeSubspace:
     """Largest trailing eigensubspace where the third derivative dominates.
 
@@ -115,7 +124,7 @@ def escape_subspace(
     makes the projected Frobenius norm of every suffix a plain
     trailing-block norm, so all n candidates cost one rotation plus
     slicing.  A subspace whose qualifying projected norm is at or below
-    ``proj_norm_floor`` is reported empty: the step length would be
+    ``PROJ_NORM_FLOOR`` is reported empty: the step length would be
     proportional to that norm, so such subspaces cannot produce progress.
     """
     decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
@@ -131,7 +140,7 @@ def escape_subspace(
         bound = proj_sq / denom
         if decomp.eigenvalues[i] <= bound:
             proj_norm = math.sqrt(proj_sq)
-            if proj_norm <= proj_norm_floor:
+            if proj_norm <= PROJ_NORM_FLOOR:
                 break
             return EscapeSubspace(
                 subspace=Subspace(n, decomp.eigenvectors[:, i:]),
@@ -220,8 +229,8 @@ class IterationRecord:
 
     ``grad_norm`` and ``stationarity`` always refer to the post-cubic
     point of the iteration, including on 'third' rows, where ``value`` is
-    the objective after the escape step.  Flags hold the per-step
-    decrease assertions (None where not applicable).
+    the objective after the escape step.  ``flags`` maps each of
+    ``FLAG_KEYS`` to its outcome on this row (None where not applicable).
     """
 
     iteration: int
@@ -264,17 +273,43 @@ class Trace:
 
     def all_flags_ok(self) -> bool:
         """True when no per-step decrease assertion failed (trigger is status, not an assertion)."""
-        keys = ("cubic_decrease", "step_vs_mu", "third_decrease")
-        return all(r.flags.get(k) is not False for r in self.records for k in keys)
+        return all(r.flags.get(k) is not False
+                   for r in self.records for k in FLAG_KEYS if k != "trigger")
 
 
-def _flags(cubic_ok=None, mu_ok=None, trigger=None, third_ok=None) -> dict:
-    return {
-        "cubic_decrease": cubic_ok,
-        "step_vs_mu": mu_ok,
-        "trigger": trigger,
-        "third_decrease": third_ok,
-    }
+# Trace-file key of each IterationRecord field, in field (and file) order.
+_JSON_KEYS = dict(iteration="iter", phase="phase", value="f", grad_norm="grad_norm",
+                  stationarity="mu", proj_norm="c_q", subspace_dim="subspace_dim",
+                  step_norm="step_norm", flags="flags")
+
+
+def dump_records(records) -> str:
+    """JSONL text of trace rows, one compact object per line."""
+    lines = []
+    for rec in records:
+        obj = {key: getattr(rec, name) for name, key in _JSON_KEYS.items()}
+        obj["flags"] = {k: rec.flags.get(k) for k in FLAG_KEYS}
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def write_trace(trace: Trace, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(dump_records(trace.records))
+
+
+def read_records(path) -> list:
+    """Parse a JSONL trace file back into rows; inverse of :func:`dump_records`."""
+    with open(path) as fh:
+        objs = [json.loads(line) for line in fh if line.strip()]
+    return [IterationRecord(**{name: obj[key] for name, key in _JSON_KEYS.items()})
+            for obj in objs]
+
+
+def _row(shared: dict, phase: str, value: float, step_norm: float, **flags) -> IterationRecord:
+    """A row of :func:`minimize`; ``shared`` holds the iteration's post-cubic fields."""
+    return IterationRecord(phase=phase, value=value, step_norm=step_norm,
+                           flags=dict.fromkeys(FLAG_KEYS) | flags, **shared)
 
 
 def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
@@ -285,7 +320,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     reaches ``approx_factor * (24 * ||grad(z)|| * L_3)^(1/3)``; otherwise
     the iterate stays at z.  The run stops early once the stationarity
     measure is at most ``tol_mu`` and no trigger has fired for
-    ``quiet_window`` consecutive iterations; a 'terminal' row closes the
+    ``QUIET_WINDOW`` consecutive iterations; a 'terminal' row closes the
     trace.  Identical config and seed reproduce the trace bit for bit.
     """
     n = objective.dim
@@ -320,7 +355,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         decomp = eig_sym(b_z.hess)
         grad_norm = float(np.linalg.norm(b_z.grad))
         stat = stationarity(objective, z, reg, (b_z, decomp))
-        esc = escape_subspace(decomp, b_z.third, lip3, q, config.proj_norm_floor)
+        esc = escape_subspace(decomp, b_z.third, lip3, q)
 
         cubic_ok = bool(b_z.value <= f_x - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
         mu_ok = bool(sol.radius >= stat.value - DECREASE_TOL)
@@ -329,19 +364,10 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
             and esc.proj_norm >= q * (24.0 * grad_norm * lip3) ** (1.0 / 3.0)
         )
 
-        trace.records.append(
-            IterationRecord(
-                iteration=it,
-                phase="cubic",
-                value=b_z.value,
-                grad_norm=grad_norm,
-                stationarity=stat.value,
-                proj_norm=esc.proj_norm,
-                subspace_dim=esc.subspace.rank,
-                step_norm=sol.radius,
-                flags=_flags(cubic_ok=cubic_ok, mu_ok=mu_ok, trigger=trigger),
-            )
-        )
+        shared = dict(iteration=it, grad_norm=grad_norm, stationarity=stat.value,
+                      proj_norm=esc.proj_norm, subspace_dim=esc.subspace.rank)
+        trace.records.append(_row(shared, "cubic", b_z.value, sol.radius,
+                                  cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
 
         if trigger:
             sample = sample_direction(
@@ -351,19 +377,8 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
             f_next = objective.value(x_next)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
             third_ok = bool(f_next <= b_z.value - promised + DECREASE_TOL)
-            trace.records.append(
-                IterationRecord(
-                    iteration=it,
-                    phase="third",
-                    value=f_next,
-                    grad_norm=grad_norm,
-                    stationarity=stat.value,
-                    proj_norm=esc.proj_norm,
-                    subspace_dim=esc.subspace.rank,
-                    step_norm=float(np.linalg.norm(x_next - z)),
-                    flags=_flags(trigger=True, third_ok=third_ok),
-                )
-            )
+            trace.records.append(_row(shared, "third", f_next, float(np.linalg.norm(x_next - z)),
+                                      trigger=True, third_decrease=third_ok))
             quiet = 0
             carried = None
         else:
@@ -373,20 +388,8 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
 
         x, f_x = x_next, f_next
 
-        if stat.value <= config.tol_mu and quiet >= config.quiet_window:
-            trace.records.append(
-                IterationRecord(
-                    iteration=it,
-                    phase="terminal",
-                    value=f_x,
-                    grad_norm=grad_norm,
-                    stationarity=stat.value,
-                    proj_norm=esc.proj_norm,
-                    subspace_dim=esc.subspace.rank,
-                    step_norm=0.0,
-                    flags=_flags(),
-                )
-            )
+        if stat.value <= config.tol_mu and quiet >= QUIET_WINDOW:
+            trace.records.append(_row(shared, "terminal", f_x, 0.0))
             trace.reason = "terminal"
             break
 

@@ -450,8 +450,10 @@ class SmoothnessConstants:
     valid_radius: float
 
     def __post_init__(self):
-        if self.hess_lipschitz <= 0 or self.third_lipschitz <= 0 or self.valid_radius <= 0:
-            raise ValueError("smoothness constants and radius must be positive")
+        for name in ("hess_lipschitz", "third_lipschitz", "valid_radius"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> float:
@@ -466,7 +468,11 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     radius_powers = np.array([radius**d for d in range(poly.degree + 1)], dtype=float)
     _, entry = np.unique(pos, return_inverse=True)
     entry_bounds = np.bincount(entry, np.abs(mult) * radius_powers[degrees])
-    return float(np.linalg.norm(entry_bounds))
+    top = float(entry_bounds.max(initial=0.0))
+    if top == 0.0 or not math.isfinite(top) or 1e-150 <= top <= 1e150:
+        return float(np.linalg.norm(entry_bounds))
+    # Squared entries this small or large would under- or overflow.
+    return top * float(np.linalg.norm(entry_bounds / top))
 
 
 def smoothness_bounds(

@@ -5,7 +5,8 @@ import pytest
 
 from thirdopt import corpus, minimize
 from thirdopt.bench import confined_monkey_config
-from thirdopt.cli import dump_records, main, read_records, write_trace
+from thirdopt.cli import main
+from thirdopt.escape import dump_records, read_records, write_trace
 
 from oracles import confined_monkey_fn, grid_min_2d
 
@@ -70,6 +71,14 @@ class TestRun:
         records = read_records(trace_path)
         thirds = [r for r in records if r.phase == "third"]
         assert thirds and thirds[0].step_norm == pytest.approx(600.0 / (24.0 * 8.0))
+
+    @pytest.mark.parametrize("option", ["--R", "--L", "--B", "--tol-mu"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_exits_one(self, tmp_path, capsys, option, value):
+        code = main(["run", "--problem", "monkey_saddle_confined", "--x0", "0,0",
+                     option, value, "--trace", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_same_seed_traces_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -15,6 +15,7 @@ from thirdopt import (
     smoothness_bounds,
 )
 from thirdopt.bench import confined_monkey_config, xxy_fixed_point_config
+from thirdopt.escape import PROJ_NORM_FLOOR
 
 
 class TestClassifyHessian:
@@ -179,7 +180,7 @@ class TestOptimizerConsistency:
             band = eig_rel * scale
             third_tol = max(
                 np.sqrt(12.0 * cfg.third_lipschitz * q**2 * band) * 1.01,
-                cfg.proj_norm_floor * 1.01,
+                PROJ_NORM_FLOOR * 1.01,
             )
             tols = ConditionTolerances(grad=grad_tol, eig=eig_rel, third=third_tol)
             report = check_third_order(poly, trace.final_point, tols)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -26,6 +29,7 @@ from thirdopt.bench import (
     quartic_1d_config,
     xxy_fixed_point_config,
 )
+from thirdopt.escape import FLAG_KEYS, dump_records
 
 from oracles import confined_monkey_fn, grid_min_2d, quartic_1d_fn
 
@@ -57,7 +61,7 @@ class TestEscapeSubspace:
 
     def test_floor_suppresses_vanishing_norm(self):
         tiny = SymTensor3.rank_one(np.array([1e-5, 0.0]))
-        esc = escape_subspace(np.zeros((2, 2)), tiny, 1.0, 1.0, proj_norm_floor=1e-3)
+        esc = escape_subspace(np.zeros((2, 2)), tiny, 1.0, 1.0)
         assert esc.is_empty
 
     def test_proj_norm_matches_projection_route(self):
@@ -247,6 +251,15 @@ class TestMinimize:
         with pytest.raises(ValueError):
             OptimizerConfig(1.0, 1.0, max_iters=0)
 
+    @pytest.mark.parametrize(
+        "name", ["hess_lipschitz", "third_lipschitz", "sampler_constant", "tol_mu"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite(self, name, bad):
+        values = {"hess_lipschitz": 1.0, "third_lipschitz": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**values)
+
     def test_proper_suffix_escape_in_three_dimensions(self):
         # confined monkey saddle plus a strongly convex third coordinate:
         # the full space is disqualified by the +2 curvature, so the
@@ -357,3 +370,25 @@ class TestRateReport:
         report = rate_report(trace, f_star)
         assert report.satisfied
         assert report.qualifying == (0,)
+
+
+class TestTraceFlags:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return minimize(corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config())
+
+    def test_every_row_carries_the_flag_keys_in_order(self, trace):
+        assert {r.phase for r in trace.records} == {"cubic", "third", "terminal"}
+        for rec in trace.records:
+            assert tuple(rec.flags) == FLAG_KEYS
+        for line in dump_records(trace.records).splitlines():
+            assert tuple(json.loads(line)["flags"]) == FLAG_KEYS
+
+    def test_any_false_decrease_flag_fails_the_trace(self, trace):
+        assert trace.all_flags_ok()
+        for i, rec in enumerate(trace.records):
+            for key in FLAG_KEYS:
+                records = list(trace.records)
+                records[i] = dataclasses.replace(rec, flags={**rec.flags, key: False})
+                broken = dataclasses.replace(trace, records=records)
+                assert broken.all_flags_ok() is (key == "trigger"), (i, key)

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from thirdopt import (
     CORPUS_NAMES,
     OracleObjective,
     Polynomial,
+    SmoothnessConstants,
     corpus,
     finite_difference_check,
     quartic_plus_sixth,
@@ -258,9 +261,37 @@ class TestSmoothnessBounds:
             want = max(sympy_frobenius_bound(p, order, radius), 1e-300)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
+    @pytest.mark.parametrize("coeff, exps", [(9.4e-268, (3,)), (1e200, (4,))],
+                             ids=["underflow", "overflow"])
+    def test_extreme_entry_bounds_match_oracle(self, coeff, exps):
+        # squaring these entry bounds would underflow to 0 or overflow to inf
+        p = Polynomial(1, [(coeff, exps)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = smoothness_bounds(p, 1.0, min_constant=1e-300)
+        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
+            want = max(sympy_frobenius_bound(p, order, 1.0), 1e-300)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(sparse_polynomials(), st.floats(0.1, 10.0), st.integers(-250, 250))
+    def test_match_termwise_oracle_at_extreme_scales(self, p, radius, exponent):
+        scaled = Polynomial(p.dim, [(c * 10.0**exponent, e) for c, e in p.terms])
+        sc = smoothness_bounds(scaled, radius, min_constant=1e-300)
+        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
+            want = max(sympy_frobenius_bound(scaled, order, radius), 1e-300)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
+
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             smoothness_bounds(corpus("monkey_saddle"), radius=0.0)
+
+    @pytest.mark.parametrize("name", ["hess_lipschitz", "third_lipschitz", "valid_radius"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constants_must_be_finite(self, name, bad):
+        values = {"hess_lipschitz": 1.0, "third_lipschitz": 1.0, "valid_radius": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            SmoothnessConstants(**values)
 
 
 class TestCorpus:
