@@ -53,7 +53,7 @@ from .polynomials import (
     quartic_plus_sixth,
     smoothness_bounds,
 )
-from .spectral import EigenDecomp, Subspace, eig_sym, null_space, subspace_at_most
+from .spectral import EigenDecomp, Subspace, eig_sym, null_space
 from .tensors import SymTensor3
 
 __version__ = "0.1.0"
@@ -101,5 +101,4 @@ __all__ = [
     "smoothness_bounds",
     "solve_cubic_model",
     "stationarity",
-    "subspace_at_most",
 ]

@@ -18,12 +18,17 @@ import numpy as np
 
 from .conditions import check_third_order
 from .cubic import solve_cubic_model, stationarity
-from .escape import DECREASE_TOL, OptimizerConfig, minimize, rate_report, sample_direction
+from .escape import (
+    DECREASE_TOL,
+    SAMPLER_CONSTANT,
+    OptimizerConfig,
+    minimize,
+    rate_report,
+    sample_direction,
+)
 from .polynomials import Polynomial, corpus, smoothness_bounds
 from .spectral import Subspace
 from .tensors import SymTensor3
-
-ALL_SUITES = ("decrease", "escape", "rate", "sampler", "taylor", "subproblem")
 
 
 @dataclass(frozen=True)
@@ -251,23 +256,22 @@ def run_rate(seed: int = 0) -> list:
 def run_sampler(seed: int = 0) -> list:
     """Direction-sampler contract on 1000 random dimension-5 tensors.
 
-    Every accepted direction must reach proj_norm / (8 * 5^1.5) of the
-    projected Frobenius norm; the empirical mean number of draws must
-    stay at or below 3 (the acceptance constant of the underlying
-    anti-concentration bound is not pinned down, hence the slack over
-    the ideal expectation of 2).
+    Every accepted direction must reach proj_norm / (B * 5^1.5) of the
+    projected Frobenius norm, B being ``SAMPLER_CONSTANT``; the empirical
+    mean number of draws must stay at or below 3 (the acceptance
+    constant of the underlying anti-concentration bound is not pinned
+    down, hence the slack over the ideal expectation of 2).
     """
     rows = []
     base = np.random.default_rng(seed)
     n = 5
-    b_const = 8.0
     full = Subspace.full(n)
     draws = []
     for case in range(1000):
         rng = np.random.default_rng(base.integers(2**63))
         tensor = random_symmetric_tensor(rng, n)
-        bound = tensor.frobenius_norm() / (b_const * n**1.5)
-        sample = sample_direction(tensor, full, b_const, rng)
+        bound = tensor.frobenius_norm() / (SAMPLER_CONSTANT * n**1.5)
+        sample = sample_direction(tensor, full, SAMPLER_CONSTANT, rng)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
         ok = t >= bound and abs(np.linalg.norm(sample.direction) - 1.0) <= 1e-12
         draws.append(sample.draws)
@@ -355,6 +359,7 @@ _RUNNERS = {
     "taylor": run_taylor,
     "subproblem": run_subproblem,
 }
+ALL_SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0) -> list:

@@ -13,6 +13,7 @@ budget exhausted, 3 negative verdict (check) or failing rows (bench).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -22,6 +23,24 @@ from . import bench
 from .conditions import ConditionTolerances, check_third_order
 from .escape import OptimizerConfig, minimize, write_trace
 from .polynomials import CORPUS_NAMES, Polynomial, corpus, smoothness_bounds
+
+
+def _library_option(parser, flag: str, owner, name: str, help: str) -> None:
+    """Add ``flag`` for parameter ``name`` of ``owner``, which owns its default.
+
+    An unset flag is left out of the parsed args, so ``owner`` applies
+    its own default; the help text reads that default from ``owner``.
+    """
+    default = inspect.signature(owner).parameters[name].default
+    parser.add_argument(flag, dest=name, type=type(default), default=argparse.SUPPRESS,
+                        metavar=flag.lstrip("-").upper().replace("-", "_"),
+                        help=f"{help} (default: {default})")
+
+
+def _given(args, owner) -> dict:
+    """The options the user gave that are parameters of ``owner``."""
+    params = inspect.signature(owner).parameters
+    return {name: value for name, value in vars(args).items() if name in params}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -58,14 +77,8 @@ def _cmd_run(args) -> int:
         lip3 = args.L if args.L is not None else bounds.third_lipschitz
     else:
         reg, lip3 = args.R, args.L
-    config = OptimizerConfig(
-        hess_lipschitz=reg,
-        third_lipschitz=lip3,
-        sampler_constant=args.B,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        tol_mu=args.tol_mu,
-    )
+    config = OptimizerConfig(hess_lipschitz=reg, third_lipschitz=lip3,
+                             **_given(args, OptimizerConfig))
     trace = minimize(poly, x0, config)
     write_trace(trace, args.trace)
     final = ",".join(repr(float(v)) for v in trace.final_point)
@@ -79,18 +92,14 @@ def _cmd_check(args) -> int:
     point = _parse_vector(args.point)
     if point.shape != (poly.dim,):
         raise ValueError(f"point has {point.size} entries but the problem has dimension {poly.dim}")
-    tols = ConditionTolerances(eig=args.tol_eig, third=args.tol_third)
+    tols = ConditionTolerances(**_given(args, ConditionTolerances))
     report = check_third_order(poly, point, tols)
     print(json.dumps(report.to_dict(), separators=(",", ":")))
     return 0 if report.holds else 3
 
 
 def _cmd_bench(args) -> int:
-    if args.suite not in bench.ALL_SUITES:
-        print(f"error: unknown suite {args.suite!r}; known: {', '.join(bench.ALL_SUITES)}",
-              file=sys.stderr)
-        return 1
-    rows = bench.run_suite(args.suite, seed=args.seed)
+    rows = bench.run_suite(args.suite, **_given(args, bench.run_suite))
     bench.write_csv(rows, args.out)
     failed = [r for r in rows if not r.passed]
     print(f"suite={args.suite} cases={len(rows)} failed={len(failed)}")
@@ -112,25 +121,28 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Hessian Lipschitz bound (default: term-wise bound)")
     run.add_argument("--L", type=float, default=None,
                      help="third-derivative Lipschitz bound (default: term-wise bound)")
-    run.add_argument("--B", type=float, default=8.0, help="direction sampler constant")
-    run.add_argument("--max-iters", type=int, default=100)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tol-mu", type=float, default=1e-6)
+    _library_option(run, "--B", OptimizerConfig, "sampler_constant", "direction sampler constant")
+    _library_option(run, "--max-iters", OptimizerConfig, "max_iters", "iteration budget")
+    _library_option(run, "--seed", OptimizerConfig, "seed", "sampler seed")
+    _library_option(run, "--tol-mu", OptimizerConfig, "tol_mu",
+                    "stationarity tolerance of the terminal stop")
     run.add_argument("--trace", required=True, help="output JSONL trace path")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="verify third-order conditions at a point")
     check.add_argument("--problem", required=True)
     check.add_argument("--point", required=True, help="point to check, comma separated")
-    check.add_argument("--tol-eig", type=float, default=1e-8)
-    check.add_argument("--tol-third", type=float, default=1e-8)
+    _library_option(check, "--tol-eig", ConditionTolerances, "eig",
+                    "eigenvalue tolerance, relative to the spectral scale")
+    _library_option(check, "--tol-third", ConditionTolerances, "third",
+                    "null-space third-derivative tolerance")
     check.set_defaults(func=_cmd_check)
 
     bench_p = sub.add_parser("bench", help="run a benchmark suite and write CSV")
     bench_p.add_argument("--suite", required=True,
                          help=f"one of: {', '.join(bench.ALL_SUITES)}")
     bench_p.add_argument("--out", required=True, help="output CSV path")
-    bench_p.add_argument("--seed", type=int, default=0)
+    _library_option(bench_p, "--seed", bench.run_suite, "seed", "suite seed")
     bench_p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -141,7 +153,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .escape import sample_direction
-from .polynomials import Objective, as_point
+from .escape import SAMPLER_CONSTANT, sample_direction
+from .polynomials import Objective, as_point, check_positive
 from .spectral import eig_sym, null_space
 
 CHECKER_NOTE = (
@@ -77,12 +77,19 @@ class ConditionTolerances:
     """Residual tolerances for the three conditions.
 
     ``grad`` and ``third`` are absolute; ``eig`` is relative to the
-    spectral magnitude and doubles as the null-space band.
+    spectral magnitude and doubles as the null-space band.  Each must be
+    finite and non-negative.
     """
 
     grad: float = 1e-8
     eig: float = 1e-8
     third: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("grad", "eig", "third"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} tolerance must be non-negative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,6 @@ def descent_witness(
     x,
     report: ConditionReport,
     third_lipschitz: float,
-    op_norm_bound: Optional[float] = None,
     seed: int = 0,
 ) -> Optional[DescentWitness]:
     """Construct an explicit descent step for a failed condition report.
@@ -184,9 +190,10 @@ def descent_witness(
     eps < min(sqrt(3c/L), 3c/(4L')) for curvature c (decrease c eps^2/4);
     or against a sampled null-space direction with eps < 2c/L for cubic
     form c (decrease c eps^3/12).  L is ``third_lipschitz``; L' bounds
-    the operator norms of the second and third derivatives and defaults
-    to computable upper bounds (the Frobenius norm for the tensor, which
-    is conservative but sound).
+    the operator norms of the second and third derivatives at ``x``
+    (the Frobenius norm for the tensor, which is conservative but
+    sound).  The null-space direction comes from the sampler with its
+    default constant ``SAMPLER_CONSTANT``.
 
     The decrease is verified by evaluating the objective; an
     ArithmeticError therefore means the supplied bounds are not valid.
@@ -194,8 +201,7 @@ def descent_witness(
     """
     if report.holds:
         return None
-    if third_lipschitz <= 0:
-        raise ValueError("third_lipschitz must be positive")
+    check_positive("third_lipschitz", third_lipschitz)
     x = as_point(x, objective.dim)
     b = objective.bundle(x, 3)
     decomp = eig_sym(b.hess)
@@ -203,7 +209,7 @@ def descent_witness(
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
         g_norm = float(np.linalg.norm(b.grad))
-        l_prime = op_norm_bound if op_norm_bound is not None else max(
+        l_prime = max(
             abs(decomp.eigenvalues[0]), abs(decomp.eigenvalues[-1]), b.third.frobenius_norm()
         )
         eps = 0.999 * min(1.0 / g_norm, 0.5 / (2.0 * l_prime / 3.0 + lip3 / 24.0))
@@ -213,7 +219,7 @@ def descent_witness(
         order = 1
     elif report.verdict is Verdict.SECOND_ORDER_FAIL:
         c = -float(decomp.eigenvalues[-1])
-        l_prime = op_norm_bound if op_norm_bound is not None else b.third.frobenius_norm()
+        l_prime = b.third.frobenius_norm()
         limits = [math.sqrt(3.0 * c / lip3)]
         if l_prime > 0:
             limits.append(3.0 * c / (4.0 * l_prime))
@@ -225,7 +231,7 @@ def descent_witness(
     else:
         kernel = null_space(decomp, report.tolerances.eig)
         rng = np.random.default_rng(seed)
-        sample = sample_direction(b.third, kernel, sampler_constant=8.0, rng=rng)
+        sample = sample_direction(b.third, kernel, SAMPLER_CONSTANT, rng)
         c = b.third.trilinear(sample.direction, sample.direction, sample.direction)
         eps = 0.9 * 2.0 * c / lip3
         direction = -sample.direction

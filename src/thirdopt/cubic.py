@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import Objective, as_point
+from .polynomials import Objective, as_point, check_positive
 from .spectral import EigenDecomp, eig_sym
 
 # Bottom-eigenspace gradient components below this relative size are
@@ -153,8 +153,7 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
         to roundoff.
     """
     g = np.asarray(grad, dtype=float)
-    if reg <= 0 or not math.isfinite(reg):
-        raise ValueError(f"regularization weight must be positive, got {reg}")
+    check_positive("reg", reg)
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
@@ -252,8 +251,7 @@ def stationarity(objective: Objective, z, reg: float, derivs=None) -> Stationari
     order >= 2 already computed at ``z`` (its Hessian's decomposition);
     without it both are computed here.
     """
-    if reg <= 0:
-        raise ValueError("regularization weight must be positive")
+    check_positive("reg", reg)
     if derivs is None:
         z = as_point(z, objective.dim)
         b = objective.bundle(z, 2)

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .cubic import solve_cubic_model, stationarity
-from .polynomials import Objective, as_point
+from .polynomials import Objective, as_point, check_positive
 from .spectral import EigenDecomp, Subspace, eig_sym
 from .tensors import SymTensor3
 
@@ -49,6 +49,10 @@ DECREASE_TOL = 1e-9
 PROJ_NORM_FLOOR = 1e-10
 # Consecutive trigger-free iterations needed before a terminal stop.
 QUIET_WINDOW = 3
+# Default of OptimizerConfig.sampler_constant (B in Q = B * n^1.5).
+SAMPLER_CONSTANT = 8.0
+# Gaussian draws sample_direction makes before it raises SamplerBudgetError.
+MAX_SAMPLER_DRAWS = 200
 # Keys of a trace row's flags, in row and file order.  'trigger' is
 # status; the other three are the per-step decrease assertions.
 FLAG_KEYS = ("cubic_decrease", "step_vs_mu", "trigger", "third_decrease")
@@ -68,24 +72,15 @@ class OptimizerConfig:
 
     hess_lipschitz: float
     third_lipschitz: float
-    sampler_constant: float = 8.0
+    sampler_constant: float = SAMPLER_CONSTANT
     max_iters: int = 100
     seed: int = 0
     tol_mu: float = 1e-6
-    max_sampler_draws: int = 200
 
     def __post_init__(self):
-        positives = (
-            ("hess_lipschitz", self.hess_lipschitz),
-            ("third_lipschitz", self.third_lipschitz),
-            ("sampler_constant", self.sampler_constant),
-            ("max_iters", self.max_iters),
-            ("tol_mu", self.tol_mu),
-            ("max_sampler_draws", self.max_sampler_draws),
-        )
-        for name, value in positives:
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("hess_lipschitz", "third_lipschitz", "sampler_constant",
+                     "max_iters", "tol_mu"):
+            check_positive(name, getattr(self, name))
 
     def approx_factor(self, dim: int) -> float:
         return self.sampler_constant * dim**1.5
@@ -131,8 +126,8 @@ def escape_subspace(
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
-    if third_lipschitz <= 0 or approx_factor <= 0:
-        raise ValueError("third_lipschitz and approx_factor must be positive")
+    check_positive("third_lipschitz", third_lipschitz)
+    check_positive("approx_factor", approx_factor)
     rotated_sq = third.transform(decomp.eigenvectors).entries ** 2
     denom = 12.0 * third_lipschitz * approx_factor**2
     for i in range(n):
@@ -178,7 +173,6 @@ def sample_direction(
     subspace: Subspace,
     sampler_constant: float,
     rng: np.random.Generator,
-    max_draws: int = 200,
 ) -> DirectionSample:
     """Draw a unit direction u in the subspace with a large cubic form.
 
@@ -186,8 +180,10 @@ def sample_direction(
     |T(u, u, u)| >= proj_norm / (sampler_constant * n^1.5) with n the
     ambient dimension; the sign is flipped so the contraction comes back
     positive.  The acceptance probability is dimension-independent up to
-    a constant, so a handful of draws suffices in practice.
+    a constant, so a handful of draws suffices in practice; after
+    ``MAX_SAMPLER_DRAWS`` rejections it raises :class:`SamplerBudgetError`.
     """
+    check_positive("sampler_constant", sampler_constant)
     if subspace.is_empty:
         raise ValueError("cannot sample a direction from an empty subspace")
     proj_norm = third.project(subspace).frobenius_norm()
@@ -195,7 +191,7 @@ def sample_direction(
         raise ValueError("projected tensor is zero; no direction can make progress")
     n = third.dim
     threshold = proj_norm / (sampler_constant * n**1.5)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_SAMPLER_DRAWS + 1):
         coeffs = rng.standard_normal(subspace.rank)
         u = subspace.basis @ coeffs
         norm = np.linalg.norm(u)
@@ -205,7 +201,7 @@ def sample_direction(
         t = third.trilinear(u, u, u)
         if abs(t) >= threshold:
             return DirectionSample(direction=u if t > 0 else -u, draws=draw)
-    raise SamplerBudgetError(max_draws, threshold)
+    raise SamplerBudgetError(MAX_SAMPLER_DRAWS, threshold)
 
 
 def escape_step(
@@ -218,6 +214,8 @@ def escape_step(
     """Move against the sampled direction by proj_norm / (L_3 * factor)."""
     if esc.is_empty:
         raise ValueError("escape step requires a non-empty subspace")
+    check_positive("third_lipschitz", third_lipschitz)
+    check_positive("approx_factor", approx_factor)
     z = np.asarray(z, dtype=float)
     step_len = esc.proj_norm / (third_lipschitz * approx_factor)
     return z - step_len * np.asarray(direction, dtype=float)
@@ -370,9 +368,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
                                   cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
 
         if trigger:
-            sample = sample_direction(
-                b_z.third, esc.subspace, config.sampler_constant, rng, config.max_sampler_draws
-            )
+            sample = sample_direction(b_z.third, esc.subspace, config.sampler_constant, rng)
             x_next = escape_step(z, esc, sample.direction, lip3, q)
             f_next = objective.value(x_next)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
@@ -427,6 +423,8 @@ def rate_report(trace: Trace, lower_bound: float) -> RateReport:
     t = trace.iterations
     if t == 0:
         raise ValueError("trace has no iterations")
+    if not math.isfinite(lower_bound):
+        raise ValueError(f"lower_bound must be finite, got {lower_bound}")
     gap = max(trace.initial_value - lower_bound, 0.0)
     reg = trace.config.hess_lipschitz
     lip3 = trace.config.third_lipschitz

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _ORTHO_TOL = 1e-10
+# Largest asymmetry eig_sym accepts, relative to the matrix's Frobenius norm.
+_SYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,17 +40,17 @@ class EigenDecomp:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-def eig_sym(matrix, sym_tol: float = 1e-8) -> EigenDecomp:
+def eig_sym(matrix) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
     Raises ValueError if the input deviates from symmetry by more than
-    ``sym_tol`` relative to its Frobenius norm.
+    ``_SYM_TOL`` relative to its Frobenius norm.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = np.linalg.norm(m - m.T)
-    if asym > sym_tol * max(1.0, np.linalg.norm(m)):
+    if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
     values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
@@ -98,22 +100,8 @@ class Subspace:
         v = np.asarray(v, dtype=float)
         return self.basis @ (self.basis.T @ v)
 
-    def contains(self, v, tol: float = 1e-10) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(self.project_vector(v) - v) <= tol * max(1.0, np.linalg.norm(v)))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim}, rank={self.rank})"
-
-
-def subspace_at_most(decomp: EigenDecomp, tau: float, tol: float = 0.0) -> Subspace:
-    """Span of the eigenvectors whose eigenvalue is at most ``tau + tol``.
-
-    With the descending ordering this is always a trailing block of the
-    eigenvector columns.
-    """
-    keep = decomp.eigenvalues <= tau + tol
-    return Subspace(decomp.dim, decomp.eigenvectors[:, keep])
 
 
 def null_space(decomp: EigenDecomp, tol: float = 1e-8) -> Subspace:

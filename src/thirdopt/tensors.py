@@ -79,12 +79,6 @@ class SymTensor3:
         w = self._check_vector(w)
         return float(np.einsum("ijk,i,j,k->", self.entries, u, v, w))
 
-    def contract(self, u) -> np.ndarray:
-        """Contract the first index with ``u``; returns a symmetric matrix."""
-        u = self._check_vector(u)
-        m = np.einsum("ijk,i->jk", self.entries, u)
-        return (m + m.T) / 2.0
-
     def transform(self, matrix) -> "SymTensor3":
         """Apply one matrix to every slot: entries_pqr = T(M e_p, M e_q, M e_r).
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from thirdopt import corpus, minimize
+from thirdopt import bench, corpus, minimize
 from thirdopt.bench import confined_monkey_config
 from thirdopt.cli import main
 from thirdopt.escape import dump_records, read_records, write_trace
@@ -48,6 +48,12 @@ class TestRun:
                      "--trace", str(tmp_path / "t.jsonl")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unparsable_start_exits_one(self, tmp_path, capsys):
+        code = main(["run", "--problem", "monkey_saddle", "--x0", "0,zero",
+                     "--trace", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert "could not parse vector" in capsys.readouterr().err
 
     def test_unknown_problem_exits_one(self, tmp_path):
         code = main(["run", "--problem", "no_such_thing", "--x0", "0,0",
@@ -110,12 +116,23 @@ class TestCheck:
     def test_point_dimension_mismatch(self):
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1
 
+    @pytest.mark.parametrize("option", ["--tol-eig", "--tol-third"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_one(self, capsys, option, value):
+        code = main(["check", "--problem", "monkey_saddle", "--point", "0,0", option, value])
+        assert code == 1
+        assert "must be non-negative and finite" in capsys.readouterr().err
+
 
 class TestBench:
     def test_unknown_suite_exits_one(self, tmp_path, capsys):
         code = main(["bench", "--suite", "bogus", "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_run_suite_rejects_unknown_name(self):
+        with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+            bench.run_suite("bogus")
 
     def test_escape_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "escape.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,12 @@ class TestCheckThirdOrder:
         assert set(d) == {"grad_norm", "min_eig", "null_dim", "third_residual",
                           "verdict", "tolerances", "note"}
 
+    @pytest.mark.parametrize("name", ["grad", "eig", "third"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8])
+    def test_tolerances_must_be_finite_and_non_negative(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} tolerance"):
+            ConditionTolerances(**{name: bad})
+
 
 class TestDescentWitness:
     def test_none_when_conditions_hold(self):
@@ -149,7 +157,7 @@ class TestDescentWitness:
         report = check_third_order(hump, np.zeros(1))
         assert report.verdict is Verdict.SECOND_ORDER_FAIL
         with pytest.raises(ArithmeticError):
-            descent_witness(hump, np.zeros(1), report, third_lipschitz=1e-9, op_norm_bound=1e-9)
+            descent_witness(hump, np.zeros(1), report, third_lipschitz=1e-9)
         # with the true constant (fourth derivative 24) the witness works
         w = descent_witness(hump, np.zeros(1), report, third_lipschitz=24.0)
         decrease = hump.value(np.zeros(1)) - hump.value(w.step * w.direction)

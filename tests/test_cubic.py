@@ -98,6 +98,10 @@ class TestSolveCubicModel:
         with pytest.raises(ValueError):
             solve_cubic_model(np.array([np.inf, 0.0]), np.eye(2), 1.0)
 
+    def test_rejects_non_finite_hessian(self):
+        with pytest.raises(ValueError, match="hessian has non-finite entries"):
+            solve_cubic_model(np.zeros(2), np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0)
+
     def test_dimension_five_engineered_spectra(self):
         # structured spectra that stress every branch: repeated bottom
         # eigenvalues, bottom-orthogonal gradients (hard case), and

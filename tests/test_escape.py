@@ -15,7 +15,10 @@ from thirdopt import (
     SamplerBudgetError,
     Subspace,
     SymTensor3,
+    Trace,
+    check_third_order,
     corpus,
+    descent_witness,
     eig_sym,
     escape_step,
     escape_subspace,
@@ -23,13 +26,14 @@ from thirdopt import (
     rate_report,
     sample_direction,
     smoothness_bounds,
+    stationarity,
 )
 from thirdopt.bench import (
     confined_monkey_config,
     quartic_1d_config,
     xxy_fixed_point_config,
 )
-from thirdopt.escape import FLAG_KEYS, dump_records
+from thirdopt.escape import FLAG_KEYS, MAX_SAMPLER_DRAWS, dump_records
 
 from oracles import confined_monkey_fn, grid_min_2d, quartic_1d_fn
 
@@ -90,6 +94,10 @@ class TestEscapeSubspace:
         assert esc.subspace.rank == 1
         assert esc.proj_norm == pytest.approx(1.0)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="does not match matrix dim"):
+            escape_subspace(np.zeros((3, 3)), monkey_third(), 1.0, 1.0)
+
     def test_decomposition_input_matches_matrix_input(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((4, 4))
@@ -131,8 +139,8 @@ class TestSampleDirection:
         tensor = monkey_third()
         rng = np.random.default_rng(79)
         with pytest.raises(SamplerBudgetError) as err:
-            sample_direction(tensor, Subspace.full(2), 0.01, rng, max_draws=25)
-        assert err.value.draws == 25
+            sample_direction(tensor, Subspace.full(2), 0.01, rng)
+        assert err.value.draws == MAX_SAMPLER_DRAWS
 
     def test_empty_subspace_rejected(self):
         with pytest.raises(ValueError):
@@ -240,8 +248,7 @@ class TestMinimize:
 
     def test_sampler_failure_propagates(self):
         confined = corpus("monkey_saddle_confined")
-        cfg = OptimizerConfig(86.0, 39.2, sampler_constant=0.01,
-                              max_sampler_draws=10, max_iters=5)
+        cfg = OptimizerConfig(86.0, 39.2, sampler_constant=0.01, max_iters=5)
         with pytest.raises(SamplerBudgetError):
             minimize(confined, np.zeros(2), cfg)
 
@@ -348,6 +355,12 @@ def _wine_constants():
 
 
 class TestRateReport:
+    def test_rejects_empty_trace(self):
+        empty = Trace(dim=2, config=OptimizerConfig(1.0, 1.0), approx_factor=1.0,
+                      initial_point=np.zeros(2), initial_value=0.0)
+        with pytest.raises(ValueError, match="no iterations"):
+            rate_report(empty, 0.0)
+
     def test_quadratic_trivially_satisfied(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
         trace = minimize(quad, np.array([1.0, 1.0]), OptimizerConfig(2.0, 1.0, max_iters=20))
@@ -392,3 +405,43 @@ class TestTraceFlags:
                 records[i] = dataclasses.replace(rec, flags={**rec.flags, key: False})
                 broken = dataclasses.replace(trace, records=records)
                 assert broken.all_flags_ok() is (key == "trigger"), (i, key)
+
+
+def _saddle_escape():
+    return escape_subspace(np.zeros((2, 2)), monkey_third(), 1.0, 1.0)
+
+
+def _quadratic_trace():
+    quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
+    return minimize(quad, np.array([1.0, 1.0]), OptimizerConfig(2.0, 1.0, max_iters=2))
+
+
+# Entry points that take a run constant, keyed by "function/parameter"; each
+# call puts the bad value in that parameter.
+CONSTANT_ENTRY_POINTS = {
+    "escape_subspace/third_lipschitz":
+        lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), bad, 1.0),
+    "escape_subspace/approx_factor":
+        lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), 1.0, bad),
+    "sample_direction/sampler_constant":
+        lambda bad: sample_direction(monkey_third(), Subspace.full(2), bad,
+                                     np.random.default_rng(0)),
+    "escape_step/third_lipschitz":
+        lambda bad: escape_step(np.zeros(2), _saddle_escape(), np.array([0.0, 1.0]), bad, 1.0),
+    "escape_step/approx_factor":
+        lambda bad: escape_step(np.zeros(2), _saddle_escape(), np.array([0.0, 1.0]), 1.0, bad),
+    "rate_report/lower_bound": lambda bad: rate_report(_quadratic_trace(), bad),
+    "stationarity/reg": lambda bad: stationarity(corpus("monkey_saddle"), np.zeros(2), bad),
+    "descent_witness/third_lipschitz":
+        lambda bad: descent_witness(corpus("monkey_saddle"), np.zeros(2),
+                                    check_third_order(corpus("monkey_saddle"), np.zeros(2)),
+                                    third_lipschitz=bad),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONSTANT_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_entry_point_rejects_non_finite_constant(entry, bad):
+    parameter = entry.split("/")[1]
+    with pytest.raises(ValueError, match=parameter):
+        CONSTANT_ENTRY_POINTS[entry](bad)

@@ -64,7 +64,19 @@ class TestConstruction:
     def test_rejects_degree_above_cap(self):
         with pytest.raises(ValueError, match="degree"):
             Polynomial(1, [(1.0, (7,))])
-        Polynomial(1, [(1.0, (7,))], max_degree=8)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Polynomial(0, []), "positive integer"),
+        (lambda: Polynomial(1, [(math.inf, (1,))]), "coefficients must be finite"),
+        (lambda: Polynomial.variable(1, 0) ** -1, "non-negative integer powers"),
+        (lambda: Polynomial.from_dict({"dim": 2.0, "terms": []}), '"dim" must be an integer'),
+        (lambda: corpus("monkey_saddle").value([math.nan, 0.0]), "non-finite entries"),
+        (lambda: corpus("monkey_saddle").values(np.zeros(2)), r"expected an \(m, 2\) array"),
+        (lambda: corpus("monkey_saddle").bundle(np.zeros(2), 4), "order must be in 0..3"),
+    ], ids=["dim", "coefficient", "power", "json_dim", "point", "values_shape", "order"])
+    def test_rejects_malformed_input(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_drops_zero_coefficients(self):
         p = Polynomial(2, [(0.0, (1, 0)), (2.0, (0, 1))])
@@ -330,7 +342,7 @@ class TestCorpus:
 
     def test_quartic_plus_sixth_custom_quartic(self):
         custom = Polynomial(3, [(1.0, (4, 0, 0)), (-2.0, (2, 2, 0)), (1.0, (0, 0, 4))])
-        lifted = corpus("quartic_plus_sixth", quartic=custom)
+        lifted = quartic_plus_sixth(custom)
         assert lifted.dim == 3
         assert lifted.degree == 6
         # value at a point splits into the quartic plus the norm term
@@ -342,6 +354,10 @@ class TestCorpus:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             corpus("not_a_function")
+
+    def test_members_are_built_once(self):
+        for name in CORPUS_NAMES:
+            assert corpus(name) is corpus(name)
 
 
 class TestJson:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thirdopt import Subspace, corpus, eig_sym, null_space, subspace_at_most
+from thirdopt import Subspace, corpus, eig_sym, null_space
 
 
 class TestEigSym:
@@ -28,41 +28,14 @@ class TestEigSym:
             assert np.abs(gram - np.eye(6)).max() <= 1e-10
             assert np.all(np.diff(decomp.eigenvalues) <= 1e-14)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            eig_sym(np.zeros((2, 3)))
+
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             eig_sym(m)
-
-
-class TestSubspaceAtMost:
-    def test_middle_threshold(self):
-        decomp = eig_sym(np.diag([3.0, 1.0, -2.0]))
-        s = subspace_at_most(decomp, 1.0)
-        assert s.rank == 2
-        # spans e2 and e3
-        proj = s.projector()
-        assert_allclose(proj, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
-
-    def test_below_bottom_is_empty(self):
-        decomp = eig_sym(np.diag([3.0, 1.0, -2.0]))
-        assert subspace_at_most(decomp, -2.5).is_empty
-
-    def test_at_top_is_full(self):
-        decomp = eig_sym(np.diag([3.0, 1.0, -2.0]))
-        assert subspace_at_most(decomp, 3.0).rank == 3
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(29)
-        a = rng.standard_normal((5, 5))
-        decomp = eig_sym((a + a.T) / 2.0)
-        taus = sorted(rng.standard_normal(4))
-        prev = None
-        for tau in taus:
-            proj = subspace_at_most(decomp, tau).projector()
-            if prev is not None:
-                # containment: P1 P2 = P1 for nested projectors
-                assert_allclose(prev @ proj, prev, atol=1e-10)
-            prev = proj
 
 
 class TestNullSpace:
@@ -97,7 +70,11 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(2, np.eye(3))
 
+    def test_rejects_more_vectors_than_dimensions(self):
+        # a (2, 3) basis fits the ambient dimension but has three columns
+        with pytest.raises(ValueError, match="exceed ambient dim"):
+            Subspace(2, np.ones((2, 3)))
+
     def test_empty_and_full(self):
         assert Subspace.empty(3).is_empty
         assert Subspace.full(3).rank == 3
-        assert Subspace.full(3).contains(np.array([1.0, -2.0, 0.5]))

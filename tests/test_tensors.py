@@ -38,24 +38,14 @@ class TestTrilinear:
             t.trilinear(np.ones(2), np.ones(3), np.ones(3))
 
 
-class TestContract:
-    def test_zero_tensor(self):
-        assert_allclose(SymTensor3.zeros(3).contract(np.ones(3)), np.zeros((3, 3)))
-
-    def test_monkey_saddle(self):
-        m = monkey_third().contract(np.array([0.0, 1.0]))
-        assert_allclose(m, np.array([[-6.0, 0.0], [0.0, 6.0]]), atol=1e-14)
-
-    def test_basis_vector_gives_slice(self):
-        rng = np.random.default_rng(5)
-        t = SymTensor3(rng.standard_normal((4, 4, 4)))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = 1.0
-            assert_allclose(t.contract(e), t.entries[i], atol=1e-14)
-
-
 class TestProject:
+    def test_dimension_mismatch(self):
+        t = monkey_third()
+        with pytest.raises(ValueError, match="does not match tensor dim"):
+            t.transform(np.eye(3))
+        with pytest.raises(ValueError, match="does not match tensor dim"):
+            t.project(Subspace.full(3))
+
     def test_full_space_is_identity(self):
         t = monkey_third()
         assert_allclose(t.project(Subspace.full(2)).entries, t.entries, atol=1e-12)
