@@ -56,14 +56,11 @@ def write_csv(rows, path) -> None:
 def grid_minimum_2d(poly: Polynomial, lo: float, hi: float, points: int) -> float:
     """Brute-force minimum of a 2-D polynomial over a square grid."""
     axis = np.linspace(lo, hi, points)
-    xx, yy = np.meshgrid(axis, axis)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return float(poly.values(pts).min())
+    return float(poly.values(axis, axis).min())
 
 
 def grid_minimum_1d(poly: Polynomial, lo: float, hi: float, points: int) -> float:
-    axis = np.linspace(lo, hi, points).reshape(-1, 1)
-    return float(poly.values(axis).min())
+    return float(poly.values(np.linspace(lo, hi, points)).min())
 
 
 def quartic_descent_target() -> float:
@@ -329,14 +326,21 @@ def run_subproblem(seed: int = 0) -> list:
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     inside = np.linalg.norm(pts, axis=1) <= 3.0
     pts = pts[inside]
+    x0, x1 = pts.T.copy()
+    cubed_norms = np.linalg.norm(pts, axis=1) ** 3
     for case in range(50):
         g = rng.standard_normal(2)
         a = rng.standard_normal((2, 2))
         h = (a + a.T) / 2.0
         reg = float(rng.uniform(0.5, 3.0))
         sol = solve_cubic_model(g, h, reg)
-        model = (pts @ g + 0.5 * np.einsum("pi,ij,pj->p", pts, h, pts)
-                 + reg / 6.0 * np.linalg.norm(pts, axis=1) ** 3)
+        # x'Hx term by term, in the order and rounding of einsum("pi,ij,pj->p")
+        quad = np.zeros(len(pts))
+        quad += x0 * h[0, 0] * x0
+        quad += x0 * h[0, 1] * x1
+        quad += x1 * h[1, 0] * x0
+        quad += x1 * h[1, 1] * x1
+        model = pts @ g + 0.5 * quad + reg / 6.0 * cubed_norms
         grid_min = float(model.min())
         stat_res = float(np.linalg.norm(g + h @ sol.step + 0.5 * reg * sol.radius * sol.step))
         lam_min = float(np.linalg.eigvalsh(h)[0])

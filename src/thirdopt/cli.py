@@ -25,6 +25,17 @@ from .escape import OptimizerConfig, minimize, write_trace
 from .polynomials import CORPUS_NAMES, Polynomial, corpus, smoothness_bounds
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, the documented code, where argparse exits 2.
+
+    Subparsers are built from the parser's own class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _library_option(parser, flag: str, owner, name: str, help: str) -> None:
     """Add ``flag`` for parameter ``name`` of ``owner``, which owns its default.
 
@@ -107,7 +118,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thirdopt",
         description="find and certify third-order local minima of polynomial objectives",
     )

@@ -1,0 +1,29 @@
+"""The six ``thirdopt bench`` CSVs at seed 0, pinned by sha256.
+
+A speed-up or refactor of anything the suites call must leave these bytes
+alone.  The hashes were taken on Python 3.11.7 with numpy 2.4.6 on x86-64;
+another numpy or libm can round differently.  Re-take them only when a
+deliberate output change lands, and record that change in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from thirdopt.cli import main
+
+GOLDEN_SHA256 = {
+    "decrease": "504c62653e82771ad30c8090e523a087319ada32c818db108d117962c06f4436",
+    "escape": "5c6122dc9dc26a2f90fec90766aa6dc4344a57646efb9107be3bb9934deb4d7c",
+    "rate": "2a01b49576b1afd32f32cbd6aae347d39ec799617c5601e297c114107ba64eda",
+    "sampler": "4f6ebcfe2e2bdda739bf423a74e1a3bbc9031768e17221e75aaae6f75b670519",
+    "taylor": "e0a0a03ec5af397478d006b4f50888bdad82c618bb862381fac2bc14cf90cc15",
+    "subproblem": "794d9616bfd2c2aa6689679883490ab2e6eb1637c96c1726b8d5a7005154c8ed",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_SHA256))
+def test_bench_csv_is_byte_identical(tmp_path, capsys, suite):
+    out = tmp_path / f"{suite}.csv"
+    assert main(["bench", "--suite", suite, "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[suite]

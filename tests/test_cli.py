@@ -43,6 +43,25 @@ class TestRun:
                      "--max-iters", "2", "--trace", str(tmp_path / "t.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--problem", "quartic_1d"],
+        ["--problem", "quartic_1d", "--x0", "0", "--max-iters", "1.5"],
+    ], ids=["missing_x0", "fractional_max_iters"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args, "--trace", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: thirdopt run") and "thirdopt run: error:" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: thirdopt")
+
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         code = main(["run", "--problem", "monkey_saddle", "--x0", "0,0,0",
                      "--trace", str(tmp_path / "t.jsonl")])

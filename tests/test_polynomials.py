@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -38,6 +39,24 @@ def polynomials_and_points(draw):
     return p, np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p.dim, max_size=p.dim)))
 
 
+@st.composite
+def grid_cases(draw):
+    """A polynomial in 1..3 variables and one axis per variable.
+
+    Every axis holds 0.0, a negative value and a repeated entry, plus six
+    uniform values: on about 3 % of those, numpy's vectorized ``power``
+    differs in the last bit from scalar ``pow`` for exponents 3 to 6.
+    """
+    p = draw(sparse_polynomials(max_dim=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)
+    axes = []
+    for _ in range(p.dim):
+        values = draw(drawn)
+        axes.append([0.0, *values, *rng.uniform(-3.0, 3.0, 6).tolist(), -0.75, values[0]])
+    return p, axes
+
+
 def random_sparse_polynomial(rng, dim):
     terms = {}
     for _ in range(int(rng.integers(1, 12))):
@@ -71,9 +90,16 @@ class TestConstruction:
         (lambda: Polynomial.variable(1, 0) ** -1, "non-negative integer powers"),
         (lambda: Polynomial.from_dict({"dim": 2.0, "terms": []}), '"dim" must be an integer'),
         (lambda: corpus("monkey_saddle").value([math.nan, 0.0]), "non-finite entries"),
-        (lambda: corpus("monkey_saddle").values(np.zeros(2)), r"expected an \(m, 2\) array"),
+        (lambda: corpus("monkey_saddle").values(np.zeros(2)), "expected 2 axes, got 1"),
+        (lambda: corpus("monkey_saddle").values(np.zeros(2), np.zeros((2, 2))),
+         r"axis 1 must be a non-empty 1-D array, got shape \(2, 2\)"),
+        (lambda: corpus("monkey_saddle").values([0.0, math.nan], np.zeros(2)),
+         "axis 0 has non-finite entries"),
+        (lambda: corpus("monkey_saddle").values(np.zeros(2), []),
+         r"axis 1 must be a non-empty 1-D array, got shape \(0,\)"),
         (lambda: corpus("monkey_saddle").bundle(np.zeros(2), 4), "order must be in 0..3"),
-    ], ids=["dim", "coefficient", "power", "json_dim", "point", "values_shape", "order"])
+    ], ids=["dim", "coefficient", "power", "json_dim", "point", "values_shape", "values_axis_2d",
+            "values_axis_nan", "values_axis_empty", "order"])
     def test_rejects_malformed_input(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -182,13 +208,21 @@ class TestDerivatives:
                 else:
                     assert not np.any(got), f"order-{k} slot of an order-{order} bundle"
 
-    def test_values_vectorized_matches_scalar(self):
+    def test_values_on_a_grid_equal_value_bit_for_bit(self):
         p = corpus("inverted_wine_bottle")
         rng = np.random.default_rng(47)
-        pts = rng.standard_normal((50, 2))
-        vector = p.values(pts)
-        scalar = np.array([p.value(pt) for pt in pts])
-        assert_allclose(vector, scalar, rtol=1e-14, atol=1e-14)
+        axes = (rng.standard_normal(40), np.linspace(-2.0, 2.0, 41))
+        grid = p.values(*axes)
+        assert grid.shape == (40 * 41,)
+        assert grid.tolist() == [p.value(pt) for pt in itertools.product(*axes)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_cases())
+    @example((Polynomial.zero(3), [[0.0, -1.0], [2.0], [0.5, 0.5]]))
+    @example((Polynomial.constant(2, -1.5), [[0.0, -0.3], [0.7, 0.7]]))
+    def test_values_match_value_at_every_grid_point(self, case):
+        p, axes = case
+        assert p.values(*axes).tolist() == [p.value(pt) for pt in itertools.product(*axes)]
 
 
 class TestFiniteDifferenceCheck:

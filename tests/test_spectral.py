@@ -66,8 +66,9 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_rejects_too_many_vectors(self):
-        with pytest.raises(ValueError):
+    def test_rejects_basis_of_wrong_row_count(self):
+        # a (3, 3) basis has rows for three coordinates, not two
+        with pytest.raises(ValueError, match=r"basis of shape \(3, 3\) does not fit ambient dim 2"):
             Subspace(2, np.eye(3))
 
     def test_rejects_more_vectors_than_dimensions(self):
