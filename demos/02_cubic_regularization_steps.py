@@ -7,7 +7,14 @@ degenerate critical point that motivates third-order steps.
 
 import numpy as np
 
-from thirdopt import corpus, cubic_step, solve_cubic_model, stationarity
+from thirdopt import corpus, solve_cubic_model, stationarity
+
+
+def regularized_step(objective, x, reg):
+    """x plus the global minimizer of the cubic-regularized model at x."""
+    b = objective.bundle(x, 2)
+    return x + solve_cubic_model(b.grad, b.hess, reg).step
+
 
 print("Global minimizer of <g,s> + 1/2 s'Hs + (reg/6)||s||^3")
 g = np.array([1.0, 0.5])
@@ -34,10 +41,11 @@ wine = corpus("wine_bottle")
 reg = 40.0
 x = np.array([1.6, 0.9])
 for it in range(8):
-    z = cubic_step(wine, x, reg)
+    z = regularized_step(wine, x, reg)
     step = np.linalg.norm(z - x)
     promised = reg * step**3 / 12.0
-    mu = stationarity(wine, z, reg).value
+    b_z = wine.bundle(z, 2)
+    mu = stationarity(b_z.grad, b_z.hess, reg).value
     print(f"  it {it}: f {wine.value(x):+.6f} -> {wine.value(z):+.6f}"
           f"  promised decrease {promised:.2e}  mu(z) {mu:.2e}")
     x = z
@@ -46,7 +54,7 @@ print("  radius converges to the gutter circle:", np.linalg.norm(x))
 print()
 print("The stall: confined monkey saddle at the origin")
 confined = corpus("monkey_saddle_confined")
-z = cubic_step(confined, np.zeros(2), reg)
+z = regularized_step(confined, np.zeros(2), reg)
 print("  gradient and hessian vanish, so the model is minimized by s = 0")
 print("  cubic step from (0,0):", z, " (does not move, forever)")
 print("  -> escaping needs the third derivative; see demo 03.")

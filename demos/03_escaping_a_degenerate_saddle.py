@@ -8,8 +8,15 @@ a descent direction in it, and reaches the global minimum.
 
 import numpy as np
 
-from thirdopt import corpus, cubic_step, minimize
+from thirdopt import corpus, minimize, solve_cubic_model
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
+
+
+def regularized_step(objective, x, reg):
+    """x plus the global minimizer of the cubic-regularized model at x."""
+    b = objective.bundle(x, 2)
+    return x + solve_cubic_model(b.grad, b.hess, reg).step
+
 
 confined = corpus("monkey_saddle_confined")
 cfg = confined_monkey_config(max_iters=50)
@@ -21,7 +28,7 @@ print()
 print("Cubic-only baseline from (0,0): 20 steps")
 x = np.zeros(2)
 for _ in range(20):
-    x = cubic_step(confined, x, cfg.hess_lipschitz)
+    x = regularized_step(confined, x, cfg.hess_lipschitz)
 print("  still at", x, " -> a second-order method is stuck forever")
 
 print()

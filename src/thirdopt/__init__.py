@@ -22,7 +22,6 @@ from .conditions import (
 from .cubic import (
     CubicSolution,
     Stationarity,
-    cubic_step,
     solve_cubic_model,
     stationarity,
 )
@@ -34,7 +33,6 @@ from .escape import (
     RateReport,
     SamplerBudgetError,
     Trace,
-    escape_step,
     escape_subspace,
     minimize,
     rate_report,
@@ -87,10 +85,8 @@ __all__ = [
     "check_third_order",
     "classify_hessian",
     "corpus",
-    "cubic_step",
     "descent_witness",
     "eig_sym",
-    "escape_step",
     "escape_subspace",
     "finite_difference_check",
     "minimize",

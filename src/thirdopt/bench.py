@@ -146,7 +146,8 @@ def run_decrease(seed: int = 0) -> list:
             z = x + sol.step
             inside = bool(np.linalg.norm(z) <= 5.0)
             f_x, f_z = poly.value(x), poly.value(z)
-            mu = stationarity(poly, z, reg).value
+            b_z = poly.bundle(z, 2)
+            mu = stationarity(b_z.grad, b_z.hess, reg).value
             dec_margin = f_x - reg * sol.radius**3 / 12.0 - f_z
             mu_margin = sol.radius - mu
             ok = inside and dec_margin >= -DECREASE_TOL and mu_margin >= -DECREASE_TOL

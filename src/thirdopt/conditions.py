@@ -50,17 +50,17 @@ class Verdict(Enum):
     HOLDS = "ThirdOrderNecessaryHolds"
 
 
-def classify_hessian(hess, tol: Optional[float] = None) -> HessianClass:
+def classify_hessian(hess) -> HessianClass:
     """Classify a critical point by the eigenvalue signs of its Hessian.
 
-    Eigenvalues with |lambda| <= tol count as zero; the default band is
-    1e-8 relative to the extreme eigenvalue magnitudes.  Any mix of signs
-    is a strict saddle; same-signed spectra with zeros are degenerate,
-    which is the case second-order methods cannot resolve.
+    Eigenvalues with |lambda| <= tol count as zero, where the band tol is
+    the default ``ConditionTolerances().eig`` relative to the extreme
+    eigenvalue magnitudes.  Any mix of signs is a strict saddle;
+    same-signed spectra with zeros are degenerate, which is the case
+    second-order methods cannot resolve.
     """
     decomp = eig_sym(hess)
-    if tol is None:
-        tol = 1e-8 * decomp.spectral_scale()
+    tol = ConditionTolerances().eig * decomp.spectral_scale()
     lam = decomp.eigenvalues
     pos = np.any(lam > tol)
     neg = np.any(lam < -tol)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import Objective, as_point, check_positive
+from .polynomials import check_positive
 from .spectral import EigenDecomp, eig_sym
 
 # Bottom-eigenspace gradient components below this relative size are
@@ -218,18 +218,6 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
     return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
 
 
-def cubic_step(objective: Objective, x, reg: float) -> np.ndarray:
-    """One cubic-regularized step from ``x``; returns the new point.
-
-    At a point with zero gradient and positive-semidefinite Hessian the
-    model is minimized by the zero step, so the iterate does not move;
-    escaping such points requires third-order information.
-    """
-    x = as_point(x, objective.dim)
-    b = objective.bundle(x, 2)
-    return x + solve_cubic_model(b.grad, b.hess, reg).step
-
-
 @dataclass(frozen=True)
 class Stationarity:
     """Second-order progress measure at a point.
@@ -244,19 +232,19 @@ class Stationarity:
     eig_part: float
 
 
-def stationarity(objective: Objective, z, reg: float, derivs=None) -> Stationarity:
-    """Second-order progress measure of ``objective`` at ``z``.
+def stationarity(grad, hess, reg: float) -> Stationarity:
+    """Second-order progress measure from the gradient and Hessian at a point.
 
-    ``derivs`` is an optional ``(DerivativeBundle, EigenDecomp)`` pair of
-    order >= 2 already computed at ``z`` (its Hessian's decomposition);
-    without it both are computed here.
+    ``hess`` is the Hessian matrix, or its :class:`EigenDecomp` when the
+    caller already holds one.
     """
     check_positive("reg", reg)
-    if derivs is None:
-        z = as_point(z, objective.dim)
-        b = objective.bundle(z, 2)
-        derivs = (b, eig_sym(b.hess))
-    b, decomp = derivs
-    grad_part = math.sqrt(float(np.linalg.norm(b.grad)) / reg)
+    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
+    g = np.asarray(grad, dtype=float)
+    if g.shape != (decomp.dim,):
+        raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
+    if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
+        raise ValueError("gradient or hessian has non-finite entries")
+    grad_part = math.sqrt(float(np.linalg.norm(g)) / reg)
     eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
     return Stationarity(value=max(grad_part, eig_part), grad_part=grad_part, eig_part=eig_part)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -204,23 +204,6 @@ def sample_direction(
     raise SamplerBudgetError(MAX_SAMPLER_DRAWS, threshold)
 
 
-def escape_step(
-    z,
-    esc: EscapeSubspace,
-    direction,
-    third_lipschitz: float,
-    approx_factor: float,
-) -> np.ndarray:
-    """Move against the sampled direction by proj_norm / (L_3 * factor)."""
-    if esc.is_empty:
-        raise ValueError("escape step requires a non-empty subspace")
-    check_positive("third_lipschitz", third_lipschitz)
-    check_positive("approx_factor", approx_factor)
-    z = np.asarray(z, dtype=float)
-    step_len = esc.proj_norm / (third_lipschitz * approx_factor)
-    return z - step_len * np.asarray(direction, dtype=float)
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """One trace row; phase is 'cubic', 'third', or 'terminal'.
@@ -242,19 +225,23 @@ class IterationRecord:
     flags: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
-    """Full record of one optimizer run."""
+    """Full record of one optimizer run.
+
+    ``reason`` is 'terminal' when the quiet-window stop fired and
+    'budget' when ``max_iters`` ran out.
+    """
 
     dim: int
     config: OptimizerConfig
     approx_factor: float
     initial_point: np.ndarray
     initial_value: float
-    records: list = field(default_factory=list)
-    final_point: Optional[np.ndarray] = None
-    final_value: float = math.nan
-    reason: str = "budget"
+    records: tuple
+    final_point: np.ndarray
+    final_value: float
+    reason: str
 
     @property
     def iterations(self) -> int:
@@ -296,12 +283,12 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(dump_records(trace.records))
 
 
-def read_records(path) -> list:
+def read_records(path) -> tuple:
     """Parse a JSONL trace file back into rows; inverse of :func:`dump_records`."""
     with open(path) as fh:
         objs = [json.loads(line) for line in fh if line.strip()]
-    return [IterationRecord(**{name: obj[key] for name, key in _JSON_KEYS.items()})
-            for obj in objs]
+    return tuple(IterationRecord(**{name: obj[key] for name, key in _JSON_KEYS.items()})
+                 for obj in objs)
 
 
 def _row(shared: dict, phase: str, value: float, step_norm: float, **flags) -> IterationRecord:
@@ -328,14 +315,10 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     reg = config.hess_lipschitz
     lip3 = config.third_lipschitz
 
-    trace = Trace(
-        dim=n,
-        config=config,
-        approx_factor=q,
-        initial_point=x.copy(),
-        initial_value=objective.value(x),
-    )
-    f_x = trace.initial_value
+    initial_point, initial_value = x.copy(), objective.value(x)
+    f_x = initial_value
+    records = []
+    reason = "budget"
     quiet = 0
 
     # Derivatives and Hessian decomposition at x, carried over from the
@@ -352,7 +335,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         b_z = objective.bundle(z, 3)
         decomp = eig_sym(b_z.hess)
         grad_norm = float(np.linalg.norm(b_z.grad))
-        stat = stationarity(objective, z, reg, (b_z, decomp))
+        stat = stationarity(b_z.grad, decomp, reg)
         esc = escape_subspace(decomp, b_z.third, lip3, q)
 
         cubic_ok = bool(b_z.value <= f_x - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
@@ -364,17 +347,17 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
 
         shared = dict(iteration=it, grad_norm=grad_norm, stationarity=stat.value,
                       proj_norm=esc.proj_norm, subspace_dim=esc.subspace.rank)
-        trace.records.append(_row(shared, "cubic", b_z.value, sol.radius,
-                                  cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
+        records.append(_row(shared, "cubic", b_z.value, sol.radius,
+                            cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
 
         if trigger:
             sample = sample_direction(b_z.third, esc.subspace, config.sampler_constant, rng)
-            x_next = escape_step(z, esc, sample.direction, lip3, q)
+            x_next = z - esc.proj_norm / (lip3 * q) * sample.direction
             f_next = objective.value(x_next)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
             third_ok = bool(f_next <= b_z.value - promised + DECREASE_TOL)
-            trace.records.append(_row(shared, "third", f_next, float(np.linalg.norm(x_next - z)),
-                                      trigger=True, third_decrease=third_ok))
+            records.append(_row(shared, "third", f_next, float(np.linalg.norm(x_next - z)),
+                                trigger=True, third_decrease=third_ok))
             quiet = 0
             carried = None
         else:
@@ -385,13 +368,13 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         x, f_x = x_next, f_next
 
         if stat.value <= config.tol_mu and quiet >= QUIET_WINDOW:
-            trace.records.append(_row(shared, "terminal", f_x, 0.0))
-            trace.reason = "terminal"
+            records.append(_row(shared, "terminal", f_x, 0.0))
+            reason = "terminal"
             break
 
-    trace.final_point = x
-    trace.final_value = f_x
-    return trace
+    return Trace(dim=n, config=config, approx_factor=q, initial_point=initial_point,
+                 initial_value=initial_value, records=tuple(records), final_point=x,
+                 final_value=f_x, reason=reason)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -363,49 +363,48 @@ class Polynomial:
 class OracleObjective:
     """Objective built from user callables with the polynomial contract.
 
-    Derivative callbacks are optional; requesting an order whose callback
-    is missing raises, so silent zero derivatives cannot slip in.
+    Every callback output is checked: ``value`` must return a finite
+    scalar and ``grad``, ``hess`` and ``third`` finite arrays of the exact
+    shapes ``(n,)``, ``(n, n)`` and ``(n, n, n)``, so malformed oracle
+    output fails at the bundle rather than deep inside a solver.
     """
 
     def __init__(
         self,
         dim: int,
         value: Callable[[np.ndarray], float],
-        grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        hess: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        third: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        grad: Callable[[np.ndarray], np.ndarray],
+        hess: Callable[[np.ndarray], np.ndarray],
+        third: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         self._dim = dim
-        self._value = value
-        self._grad = grad
-        self._hess = hess
-        self._third = third
+        self._callbacks = {"value": value, "grad": grad, "hess": hess, "third": third}
 
     @property
     def dim(self) -> int:
         return self._dim
 
+    def _call(self, name: str, x: np.ndarray, order: int) -> np.ndarray:
+        out = np.asarray(self._callbacks[name](x), dtype=float)
+        shape = (self._dim,) * order
+        if out.shape != shape:
+            raise ValueError(f"{name} callback returned shape {out.shape}, expected {shape}")
+        if not np.isfinite(out).all():
+            raise ValueError(f"{name} callback returned non-finite entries")
+        return out
+
     def value(self, x) -> float:
-        return float(self._value(as_point(x, self._dim)))
+        return float(self._call("value", as_point(x, self._dim), 0))
 
     def bundle(self, x, order: int = 3) -> DerivativeBundle:
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"order must be in 0..3, got {order}")
         x = as_point(x, self._dim)
         n = self._dim
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        third = SymTensor3.zeros(n)
-        callbacks = [(1, self._grad), (2, self._hess), (3, self._third)]
-        for k, cb in callbacks:
-            if order >= k and cb is None:
-                raise ValueError(f"order-{k} derivative callback not provided")
-        if order >= 1:
-            grad = np.asarray(self._grad(x), dtype=float).reshape(n)
-        if order >= 2:
-            hess = np.asarray(self._hess(x), dtype=float).reshape(n, n)
-            hess = (hess + hess.T) / 2.0
-        if order >= 3:
-            third = SymTensor3(np.asarray(self._third(x), dtype=float).reshape(n, n, n))
-        return DerivativeBundle(self.value(x), grad, hess, third)
+        grad = self._call("grad", x, 1) if order >= 1 else np.zeros(n)
+        hess = self._call("hess", x, 2) if order >= 2 else np.zeros((n, n))
+        third = SymTensor3(self._call("third", x, 3)) if order >= 3 else SymTensor3.zeros(n)
+        return DerivativeBundle(self.value(x), grad, (hess + hess.T) / 2.0, third)
 
 
 # -- finite-difference verification --------------------------------------
@@ -515,8 +514,8 @@ def smoothness_bounds(
     come out at zero (for example a quadratic's third-order constant) are
     reported as ``min_constant``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    check_positive("radius", radius)
+    check_positive("min_constant", min_constant)
     hess_lip = max(_derivative_frobenius_bound(poly, 3, radius), min_constant)
     third_lip = max(_derivative_frobenius_bound(poly, 4, radius), min_constant)
     return SmoothnessConstants(hess_lip, third_lip, radius)

@@ -12,6 +12,7 @@ projectors exclusively, which are basis-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,6 @@ class EigenDecomp:
     def spectral_scale(self) -> float:
         """max(1, |largest eigenvalue|, |smallest eigenvalue|)."""
         return max(1.0, abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def eig_sym(matrix) -> EigenDecomp:
@@ -96,20 +94,20 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def project_vector(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return self.basis @ (self.basis.T @ v)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim}, rank={self.rank})"
 
 
-def null_space(decomp: EigenDecomp, tol: float = 1e-8) -> Subspace:
+def null_space(decomp: EigenDecomp, tol: float) -> Subspace:
     """Numerical kernel: eigenvectors with |eigenvalue| below a relative band.
 
     The band is ``tol * max(1, |extreme eigenvalues|)``; the exact
     condition "u'Mu = 0" has to be relaxed this way in floating point.
+    ``tol`` must be finite and non-negative: an infinite band would call
+    every eigenvector null, and a NaN band none.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     band = tol * decomp.spectral_scale()
     keep = np.abs(decomp.eigenvalues) <= band
     return Subspace(decomp.dim, decomp.eigenvectors[:, keep])

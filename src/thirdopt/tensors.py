@@ -56,12 +56,6 @@ class SymTensor3:
     def zeros(cls, dim: int) -> "SymTensor3":
         return cls._trusted(np.zeros((dim, dim, dim)))
 
-    @classmethod
-    def rank_one(cls, v) -> "SymTensor3":
-        """The symmetric outer cube ``v (x) v (x) v``."""
-        v = np.asarray(v, dtype=float)
-        return cls(np.einsum("i,j,k->ijk", v, v, v))
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import sympy as sp
 
+from thirdopt import SymTensor3
+
 
 def sympy_bundle(poly, x):
     """Symbolic value/grad/hess/third of a Polynomial at x, via sympy."""
@@ -83,6 +85,12 @@ def sympy_frobenius_bound(poly, order, radius):
     total = sum(entry_bound(tuple(sorted(index)))**2
                 for index in itertools.product(range(poly.dim), repeat=order))
     return float(sp.sqrt(total).evalf(30))
+
+
+def rank_one(v):
+    """The symmetric outer cube v (x) v (x) v, from an explicit outer product."""
+    v = np.asarray(v, dtype=float)
+    return SymTensor3(v[:, None, None] * v[None, :, None] * v[None, None, :])
 
 
 def triple_loop_trilinear(entries, u, v, w):

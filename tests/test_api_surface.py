@@ -1,7 +1,9 @@
-"""The public names and every optional parameter behind them, pinned.
+"""The public names, the public members of each public class and every
+optional parameter behind them, pinned.
 
 Each optional parameter or config field is a setting that tests and
-benchmarks must cover, so adding one has to come with an edit here.
+benchmarks must cover, and each public member is API that callers may
+come to rely on, so adding either has to come with an edit here.
 """
 
 import dataclasses
@@ -17,10 +19,46 @@ PUBLIC_NAMES = [
     "FdResiduals", "HessianClass", "IterationRecord", "Objective", "OptimizerConfig",
     "OracleObjective", "Polynomial", "RateReport", "SamplerBudgetError", "SmoothnessConstants",
     "Stationarity", "Subspace", "SymTensor3", "Trace", "Verdict", "check_third_order",
-    "classify_hessian", "corpus", "cubic_step", "descent_witness", "eig_sym", "escape_step",
-    "escape_subspace", "finite_difference_check", "minimize", "null_space", "quartic_plus_sixth",
-    "rate_report", "sample_direction", "smoothness_bounds", "solve_cubic_model", "stationarity",
+    "classify_hessian", "corpus", "descent_witness", "eig_sym", "escape_subspace",
+    "finite_difference_check", "minimize", "null_space", "quartic_plus_sixth", "rate_report",
+    "sample_direction", "smoothness_bounds", "solve_cubic_model", "stationarity",
 ]
+
+# Public members of each public class: the public names its class body
+# defines (methods, properties, enum members, defaulted fields) plus its
+# dataclass fields.
+PUBLIC_MEMBERS = {
+    "ConditionReport": ("grad_norm", "holds", "min_eig", "null_dim", "third_residual", "to_dict",
+                        "tolerances", "verdict"),
+    "ConditionTolerances": ("eig", "grad", "third"),
+    "CubicSolution": ("model_value", "radius", "secular_evals", "step"),
+    "DerivativeBundle": ("grad", "hess", "third", "value"),
+    "DescentWitness": ("direction", "order", "predicted_decrease", "step"),
+    "DirectionSample": ("direction", "draws"),
+    "EigenDecomp": ("dim", "eigenvalues", "eigenvectors", "spectral_scale"),
+    "EscapeSubspace": ("curvature_bound", "is_empty", "proj_norm", "subspace", "suffix_index"),
+    "FdResiduals": ("grad", "hess", "third", "worst"),
+    "HessianClass": ("DEGENERATE", "LOCAL_MAX", "LOCAL_MIN", "STRICT_SADDLE"),
+    "IterationRecord": ("flags", "grad_norm", "iteration", "phase", "proj_norm", "stationarity",
+                        "step_norm", "subspace_dim", "value"),
+    "Objective": ("bundle", "dim", "value"),
+    "OptimizerConfig": ("approx_factor", "hess_lipschitz", "max_iters", "sampler_constant",
+                        "seed", "third_lipschitz", "tol_mu"),
+    "OracleObjective": ("bundle", "dim", "value"),
+    "Polynomial": ("bundle", "constant", "degree", "dim", "from_dict", "terms", "to_dict",
+                   "value", "values", "variable", "zero"),
+    "RateReport": ("mu_bound", "qualifying", "satisfied", "static_proj_bound"),
+    "SamplerBudgetError": (),
+    "SmoothnessConstants": ("hess_lipschitz", "third_lipschitz", "valid_radius"),
+    "Stationarity": ("eig_part", "grad_part", "value"),
+    "Subspace": ("basis", "dim", "empty", "full", "is_empty", "projector", "rank"),
+    "SymTensor3": ("dim", "entries", "frobenius_norm", "project", "transform", "trilinear",
+                   "zeros"),
+    "Trace": ("all_flags_ok", "approx_factor", "config", "cubic_records", "dim", "final_point",
+              "final_value", "initial_point", "initial_value", "iterations", "reason", "records",
+              "third_records", "values"),
+    "Verdict": ("FIRST_ORDER_FAIL", "HOLDS", "SECOND_ORDER_FAIL", "THIRD_ORDER_FAIL"),
+}
 
 # Public callables (functions, constructors, methods) that take optional
 # parameters; every other public callable takes none.
@@ -28,17 +66,12 @@ OPTIONAL_PARAMETERS = {
     "ConditionTolerances": ("grad", "eig", "third"),
     "Objective.bundle": ("order",),
     "OptimizerConfig": ("sampler_constant", "max_iters", "seed", "tol_mu"),
-    "OracleObjective": ("grad", "hess", "third"),
     "OracleObjective.bundle": ("order",),
     "Polynomial.bundle": ("order",),
-    "Trace": ("records", "final_point", "final_value", "reason"),
     "bench.run_suite": ("seed",),
     "check_third_order": ("tols",),
-    "classify_hessian": ("tol",),
     "descent_witness": ("seed",),
-    "null_space": ("tol",),
     "smoothness_bounds": ("min_constant",),
-    "stationarity": ("derivs",),
 }
 
 
@@ -62,8 +95,21 @@ def _public_callables():
                     yield f"{name}.{attr}", member
 
 
+def _members(cls) -> tuple:
+    names = {attr for attr in vars(cls) if not attr.startswith("_")}
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return tuple(sorted(names))
+
+
 def test_public_names():
     assert thirdopt.__all__ == PUBLIC_NAMES
+
+
+def test_public_members():
+    classes = {name: getattr(thirdopt, name) for name in thirdopt.__all__}
+    found = {name: _members(cls) for name, cls in classes.items() if inspect.isclass(cls)}
+    assert found == PUBLIC_MEMBERS
 
 
 def test_config_fields():

@@ -36,9 +36,11 @@ class TestClassifyHessian:
         assert classify_hessian(np.zeros((3, 3))) is HessianClass.DEGENERATE
 
     def test_tolerance_band(self):
-        m = np.diag([1.0, 1e-12])
-        assert classify_hessian(m, tol=1e-9) is HessianClass.DEGENERATE
-        assert classify_hessian(m, tol=1e-15) is HessianClass.LOCAL_MIN
+        # the zero band is 1e-8 relative to max(1, |extreme eigenvalues|)
+        assert classify_hessian(np.diag([1.0, 1e-12])) is HessianClass.DEGENERATE
+        assert classify_hessian(np.diag([1.0, 1e-6])) is HessianClass.LOCAL_MIN
+        assert classify_hessian(np.diag([1e4, 1e-5])) is HessianClass.DEGENERATE
+        assert classify_hessian(np.diag([1e4, 1e-3])) is HessianClass.LOCAL_MIN
 
 
 class TestCheckThirdOrder:

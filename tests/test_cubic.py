@@ -10,10 +10,8 @@ import thirdopt.escape
 from thirdopt import (
     EigenDecomp,
     OptimizerConfig,
-    OracleObjective,
     Polynomial,
     corpus,
-    cubic_step,
     eig_sym,
     minimize,
     smoothness_bounds,
@@ -23,6 +21,18 @@ from thirdopt import (
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
 
 from oracles import cubic_model_grid_min, cubic_model_radius, grid_min_2d
+
+
+def regularized_step(objective, x, reg):
+    """x plus the global minimizer of the cubic-regularized model at x."""
+    b = objective.bundle(x, 2)
+    return x + solve_cubic_model(b.grad, b.hess, reg).step
+
+
+def point_stationarity(objective, x, reg):
+    """The stationarity measure from the order-2 bundle at x."""
+    b = objective.bundle(x, 2)
+    return stationarity(b.grad, b.hess, reg)
 
 
 def certificate(g, h, reg, sol):
@@ -241,7 +251,7 @@ class TestCubicStep:
     def test_quadratic_moves_toward_minimum(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
         x = np.array([1.0, 1.0])
-        z = cubic_step(quad, x, 50.0)
+        z = regularized_step(quad, x, 50.0)
         assert np.linalg.norm(z) < np.linalg.norm(x)
         assert quad.value(z) < quad.value(x)
 
@@ -249,26 +259,26 @@ class TestCubicStep:
         # gradient and hessian both vanish, so the model is minimized by
         # the zero step; this is the failure mode third-order steps fix
         confined = corpus("monkey_saddle_confined")
-        z = cubic_step(confined, np.zeros(2), 86.0)
+        z = regularized_step(confined, np.zeros(2), 86.0)
         assert_allclose(z, 0.0)
 
     def test_fixed_point_at_quadratic_minimum(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (2.0, (0, 2))])
-        z = cubic_step(quad, np.zeros(2), 1.0)
+        z = regularized_step(quad, np.zeros(2), 1.0)
         assert_allclose(z, 0.0)
 
 
 class TestStationarity:
     def test_zero_at_second_order_points(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
-        s = stationarity(quad, np.zeros(2), 3.0)
+        s = point_stationarity(quad, np.zeros(2), 3.0)
         assert s.value == 0.0
 
     def test_gradient_part_scale(self):
         # ||grad|| equal to the regularizer gives value 1
         reg = 2.5
         linear = Polynomial(2, [(reg, (1, 0))])
-        s = stationarity(linear, np.zeros(2), reg)
+        s = point_stationarity(linear, np.zeros(2), reg)
         assert s.value == pytest.approx(1.0)
         assert s.grad_part == pytest.approx(1.0)
         assert s.eig_part == 0.0
@@ -276,22 +286,25 @@ class TestStationarity:
     def test_eigenvalue_part_scale(self):
         # lambda_min = -3 reg / 2 gives value 1
         reg = 2.0
-        obj = OracleObjective(
-            1,
-            value=lambda x: -0.75 * reg * x[0] ** 2,
-            grad=lambda x: np.array([-1.5 * reg * x[0]]),
-            hess=lambda x: np.array([[-1.5 * reg]]),
-        )
-        s = stationarity(obj, np.zeros(1), reg)
+        s = stationarity(np.zeros(1), np.array([[-1.5 * reg]]), reg)
         assert s.value == pytest.approx(1.0)
         assert s.eig_part == pytest.approx(1.0)
         assert s.grad_part == 0.0
+
+    @pytest.mark.parametrize("grad, hess", [
+        (np.zeros(3), np.eye(2)),
+        (np.array([math.nan, 0.0]), np.eye(2)),
+        (np.zeros(2), EigenDecomp(np.array([1.0, math.nan]), np.eye(2))),
+    ], ids=["shape", "nan-grad", "nan-eigenvalue"])
+    def test_rejects_malformed_derivatives(self, grad, hess):
+        with pytest.raises(ValueError, match="gradient"):
+            stationarity(grad, hess, 1.0)
 
     def test_precomputed_derivatives_give_the_same_measure(self):
         wine = corpus("wine_bottle")
         z = np.array([0.3, -0.8])
         b = wine.bundle(z, 3)
-        assert stationarity(wine, z, 4.0, (b, eig_sym(b.hess))) == stationarity(wine, z, 4.0)
+        assert stationarity(b.grad, eig_sym(b.hess), 4.0) == stationarity(b.grad, b.hess, 4.0)
 
 
 class TestPureCubicSequence:
@@ -307,8 +320,8 @@ class TestPureCubicSequence:
         mus = []
         t = 30
         for _ in range(t):
-            x = cubic_step(wine, x, reg)
-            mus.append(stationarity(wine, x, reg).value)
+            x = regularized_step(wine, x, reg)
+            mus.append(point_stationarity(wine, x, reg).value)
         bound = (8.0 / 3.0) * (3.0 * f0 / (2.0 * t * reg)) ** (1.0 / 3.0)
         assert min(mus) <= bound
 
@@ -318,7 +331,7 @@ class TestPureCubicSequence:
         reg = smoothness_bounds(wine, radius=3.0).hess_lipschitz
         x = np.array([1.4, -0.9])
         for _ in range(60):
-            x = cubic_step(wine, x, reg)
+            x = regularized_step(wine, x, reg)
         b = wine.bundle(x, 2)
         assert np.linalg.norm(b.grad) < 1e-8
         assert np.linalg.eigvalsh(b.hess)[0] > -1e-8

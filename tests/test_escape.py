@@ -20,12 +20,13 @@ from thirdopt import (
     corpus,
     descent_witness,
     eig_sym,
-    escape_step,
     escape_subspace,
     minimize,
+    null_space,
     rate_report,
     sample_direction,
     smoothness_bounds,
+    solve_cubic_model,
     stationarity,
 )
 from thirdopt.bench import (
@@ -35,7 +36,13 @@ from thirdopt.bench import (
 )
 from thirdopt.escape import FLAG_KEYS, MAX_SAMPLER_DRAWS, dump_records
 
-from oracles import confined_monkey_fn, grid_min_2d, quartic_1d_fn
+from oracles import confined_monkey_fn, grid_min_2d, quartic_1d_fn, rank_one
+
+
+def regularized_step(objective, x, reg):
+    """x plus the global minimizer of the cubic-regularized model at x."""
+    b = objective.bundle(x, 2)
+    return x + solve_cubic_model(b.grad, b.hess, reg).step
 
 
 def monkey_third(confined=False):
@@ -59,12 +66,12 @@ class TestEscapeSubspace:
         assert esc.suffix_index is None
 
     def test_large_curvature_disqualifies(self):
-        tiny = SymTensor3.rank_one(np.array([1e-3, 0.0]))
+        tiny = rank_one(np.array([1e-3, 0.0]))
         esc = escape_subspace(np.diag([5.0, 5.0]), tiny, 1.0, 1.0)
         assert esc.is_empty
 
     def test_floor_suppresses_vanishing_norm(self):
-        tiny = SymTensor3.rank_one(np.array([1e-5, 0.0]))
+        tiny = rank_one(np.array([1e-5, 0.0]))
         esc = escape_subspace(np.zeros((2, 2)), tiny, 1.0, 1.0)
         assert esc.is_empty
 
@@ -88,7 +95,7 @@ class TestEscapeSubspace:
         # hessian diag(5, 0): full space needs proj_norm^2 >= 60 L Q^2;
         # give the tensor mass only on e2 so just the trailing suffix works
         hess = np.diag([5.0, 0.0])
-        tensor = SymTensor3.rank_one(np.array([0.0, 1.0]))
+        tensor = rank_one(np.array([0.0, 1.0]))
         esc = escape_subspace(hess, tensor, 1.0, 1.0)
         assert esc.suffix_index == 1
         assert esc.subspace.rank == 1
@@ -114,7 +121,7 @@ class TestEscapeSubspace:
 class TestSampleDirection:
     def test_rank_one_span_returns_signed_axis(self):
         v = np.array([0.6, 0.8])
-        tensor = SymTensor3.rank_one(v)
+        tensor = rank_one(v)
         span = Subspace(2, v.reshape(2, 1))
         rng = np.random.default_rng(71)
         sample = sample_direction(tensor, span, 8.0, rng)
@@ -148,39 +155,36 @@ class TestSampleDirection:
 
     def test_zero_projection_rejected(self):
         span_e1 = Subspace(2, np.array([[1.0], [0.0]]))
-        tensor = SymTensor3.rank_one(np.array([0.0, 1.0]))
+        tensor = rank_one(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             sample_direction(tensor, span_e1, 8.0, np.random.default_rng(0))
 
 
 class TestEscapeStep:
+    """Every 'third' row moved proj_norm / (third_lipschitz * approx_factor)."""
+
+    @staticmethod
+    def check_step_lengths(trace):
+        thirds = trace.third_records()
+        assert thirds
+        for rec in thirds:
+            expected = rec.proj_norm / (trace.config.third_lipschitz * trace.approx_factor)
+            assert rec.step_norm == pytest.approx(expected, rel=1e-12, abs=0.0)
+        return thirds[0]
+
     def test_confined_monkey_origin_descends(self):
-        confined = corpus("monkey_saddle_confined")
-        b = confined.bundle(np.zeros(2), 3)
-        lip3 = 39.2
-        q = 8.0 * 2**1.5
-        esc = escape_subspace(b.hess, b.third, lip3, q)
-        rng = np.random.default_rng(83)
-        sample = sample_direction(b.third, esc.subspace, 8.0, rng)
-        x_new = escape_step(np.zeros(2), esc, sample.direction, lip3, q)
-        assert np.linalg.norm(x_new) == pytest.approx(esc.proj_norm / (lip3 * q), abs=1e-12)
-        assert confined.value(x_new) < 0.0
+        trace = minimize(corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config())
+        first = self.check_step_lengths(trace)
+        assert first.iteration == 0
+        assert first.value < 0.0
 
     def test_quartic_1d_escapes_right(self):
-        quartic = corpus("quartic_1d")
-        b = quartic.bundle(np.zeros(1), 3)
-        q = 8.0
-        esc = escape_subspace(b.hess, b.third, 24.0, q)
-        assert esc.proj_norm == pytest.approx(600.0)
-        sample = sample_direction(b.third, esc.subspace, 8.0, np.random.default_rng(5))
-        x_new = escape_step(np.zeros(1), esc, sample.direction, 24.0, q)
-        assert x_new[0] == pytest.approx(600.0 / (24.0 * 8.0))
-        assert quartic.value(x_new) < 0.0
-
-    def test_requires_non_empty(self):
-        esc = escape_subspace(np.diag([1.0, 1.0]), SymTensor3.zeros(2), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            escape_step(np.zeros(2), esc, np.array([1.0, 0.0]), 1.0, 1.0)
+        trace = minimize(corpus("quartic_1d"), np.zeros(1), quartic_1d_config())
+        first = self.check_step_lengths(trace)
+        assert first.proj_norm == pytest.approx(600.0)
+        assert first.step_norm == pytest.approx(600.0 / (24.0 * 8.0))
+        assert first.value < 0.0
+        assert trace.final_point[0] > 0.0
 
 
 class TestMinimize:
@@ -196,11 +200,9 @@ class TestMinimize:
         confined = corpus("monkey_saddle_confined")
         cfg = confined_monkey_config()
         # cubic-only baseline never leaves the origin
-        from thirdopt import cubic_step
-
         x = np.zeros(2)
         for _ in range(30):
-            x = cubic_step(confined, x, cfg.hess_lipschitz)
+            x = regularized_step(confined, x, cfg.hess_lipschitz)
         assert np.linalg.norm(x) <= 1e-12
         # the full loop takes a third-order step and reaches the bottom
         trace = minimize(confined, np.zeros(2), cfg)
@@ -357,7 +359,8 @@ def _wine_constants():
 class TestRateReport:
     def test_rejects_empty_trace(self):
         empty = Trace(dim=2, config=OptimizerConfig(1.0, 1.0), approx_factor=1.0,
-                      initial_point=np.zeros(2), initial_value=0.0)
+                      initial_point=np.zeros(2), initial_value=0.0, records=(),
+                      final_point=np.zeros(2), final_value=0.0, reason="budget")
         with pytest.raises(ValueError, match="no iterations"):
             rate_report(empty, 0.0)
 
@@ -407,10 +410,6 @@ class TestTraceFlags:
                 assert broken.all_flags_ok() is (key == "trigger"), (i, key)
 
 
-def _saddle_escape():
-    return escape_subspace(np.zeros((2, 2)), monkey_third(), 1.0, 1.0)
-
-
 def _quadratic_trace():
     quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
     return minimize(quad, np.array([1.0, 1.0]), OptimizerConfig(2.0, 1.0, max_iters=2))
@@ -426,12 +425,13 @@ CONSTANT_ENTRY_POINTS = {
     "sample_direction/sampler_constant":
         lambda bad: sample_direction(monkey_third(), Subspace.full(2), bad,
                                      np.random.default_rng(0)),
-    "escape_step/third_lipschitz":
-        lambda bad: escape_step(np.zeros(2), _saddle_escape(), np.array([0.0, 1.0]), bad, 1.0),
-    "escape_step/approx_factor":
-        lambda bad: escape_step(np.zeros(2), _saddle_escape(), np.array([0.0, 1.0]), 1.0, bad),
     "rate_report/lower_bound": lambda bad: rate_report(_quadratic_trace(), bad),
-    "stationarity/reg": lambda bad: stationarity(corpus("monkey_saddle"), np.zeros(2), bad),
+    "stationarity/reg": lambda bad: stationarity(np.zeros(2), np.zeros((2, 2)), bad),
+    "null_space/tol": lambda bad: null_space(eig_sym(np.diag([1.0, -1.0])), bad),
+    "smoothness_bounds/radius":
+        lambda bad: smoothness_bounds(corpus("monkey_saddle_confined"), bad),
+    "smoothness_bounds/min_constant":
+        lambda bad: smoothness_bounds(corpus("monkey_saddle_confined"), 1.0, min_constant=bad),
     "descent_witness/third_lipschitz":
         lambda bad: descent_witness(corpus("monkey_saddle"), np.zeros(2),
                                     check_third_order(corpus("monkey_saddle"), np.zeros(2)),

@@ -430,8 +430,27 @@ class TestOracleObjective:
         res = finite_difference_check(obj, np.array([0.3, 0.4]), 1e-4)
         assert res.worst() < 1e-6
 
-    def test_missing_callback_raises(self):
-        obj = OracleObjective(2, value=lambda x: 0.0)
-        assert obj.bundle(np.zeros(2), 0).value == 0.0
-        with pytest.raises(ValueError, match="order-1"):
-            obj.bundle(np.zeros(2), 1)
+    @pytest.mark.parametrize("callback, output", [
+        ("value", lambda x: math.nan),
+        ("value", lambda x: np.ones(2)),
+        ("grad", lambda x: np.full((1, 2), math.inf)),
+        ("grad", lambda x: np.zeros(3)),
+        ("hess", lambda x: np.zeros(4)),
+        ("hess", lambda x: np.full((2, 2), math.nan)),
+        ("third", lambda x: np.zeros(8)),
+        ("third", lambda x: np.full((2, 2, 2), -math.inf)),
+    ], ids=["value-nan", "value-shape", "grad-shape-inf", "grad-shape", "hess-shape",
+            "hess-nan", "third-shape", "third-inf"])
+    def test_rejects_malformed_output(self, callback, output):
+        callbacks = dict(value=lambda x: float(x @ x), grad=lambda x: 2 * x,
+                         hess=lambda x: 2 * np.eye(2), third=lambda x: np.zeros((2, 2, 2)))
+        obj = OracleObjective(2, **(callbacks | {callback: output}))
+        with pytest.raises(ValueError, match=f"^{callback} callback"):
+            obj.bundle(np.zeros(2), 3)
+
+    @pytest.mark.parametrize("order", [-1, 4])
+    def test_rejects_order_outside_0_to_3(self, order):
+        obj = OracleObjective(2, lambda x: 0.0, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)),
+                              lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="order"):
+            obj.bundle(np.zeros(2), order)

@@ -23,7 +23,8 @@ class TestEigSym:
             m = (a + a.T) / 2.0
             decomp = eig_sym(m)
             scale = max(1.0, np.linalg.norm(m))
-            assert np.linalg.norm(m - decomp.reconstruct()) <= 1e-10 * scale
+            v = decomp.eigenvectors
+            assert np.linalg.norm(m - (v * decomp.eigenvalues) @ v.T) <= 1e-10 * scale
             gram = decomp.eigenvectors.T @ decomp.eigenvectors
             assert np.abs(gram - np.eye(6)).max() <= 1e-10
             assert np.all(np.diff(decomp.eigenvalues) <= 1e-14)
@@ -42,15 +43,19 @@ class TestNullSpace:
     def test_degenerate_corpus_hessian(self):
         hess = corpus("xxy_plus_yy").bundle(np.zeros(2), 2).hess
         assert_allclose(hess, np.array([[0.0, 0.0], [0.0, 2.0]]))
-        kernel = null_space(eig_sym(hess))
+        kernel = null_space(eig_sym(hess), 1e-8)
         assert kernel.rank == 1
         assert_allclose(np.abs(kernel.basis[:, 0]), [1.0, 0.0], atol=1e-14)
 
     def test_definite_matrix_has_empty_kernel(self):
-        assert null_space(eig_sym(np.diag([2.0, 1.0]))).is_empty
+        assert null_space(eig_sym(np.diag([2.0, 1.0])), 1e-8).is_empty
 
     def test_zero_matrix_has_full_kernel(self):
-        assert null_space(eig_sym(np.zeros((4, 4)))).rank == 4
+        assert null_space(eig_sym(np.zeros((4, 4))), 1e-8).rank == 4
+
+    def test_rejects_negative_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            null_space(eig_sym(np.diag([1.0, -1.0])), -1e-8)
 
 
 class TestSubspace:
