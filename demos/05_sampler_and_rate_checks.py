@@ -17,9 +17,9 @@ draws = []
 worst_ratio = np.inf
 for _ in range(300):
     tensor = SymTensor3(rng.standard_normal((n, n, n)))
-    sample = sample_direction(tensor, Subspace.full(n), 8.0, rng)
-    t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
     bound = tensor.frobenius_norm() / (8.0 * n**1.5)
+    sample = sample_direction(tensor, Subspace.full(n), bound, rng)
+    t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
     draws.append(sample.draws)
     worst_ratio = min(worst_ratio, t / bound)
 print(f"  mean draws {np.mean(draws):.3f}  max draws {max(draws)}")
@@ -29,7 +29,7 @@ print()
 print("Guaranteed fraction on the monkey-saddle tensor (ambient dim 2):")
 tensor = corpus("monkey_saddle").bundle(np.zeros(2), 3).third
 bound = tensor.frobenius_norm() / (8.0 * 2**1.5)
-sample = sample_direction(tensor, Subspace.full(2), 8.0, np.random.default_rng(7))
+sample = sample_direction(tensor, Subspace.full(2), bound, np.random.default_rng(7))
 t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
 print(f"  bound {bound:.4f}, sampled contraction {t:.4f}, draws {sample.draws}")
 

@@ -135,7 +135,7 @@ def check_third_order(
     grad_norm = float(np.linalg.norm(b.grad))
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
-    third_residual = b.third.project(kernel).frobenius_norm() if not kernel.is_empty else 0.0
+    third_residual = b.third.project(kernel).frobenius_norm()
 
     if grad_norm > tols.grad:
         verdict = Verdict.FIRST_ORDER_FAIL
@@ -192,17 +192,18 @@ def descent_witness(
     form c (decrease c eps^3/12).  L is ``third_lipschitz``; L' bounds
     the operator norms of the second and third derivatives at ``x``
     (the Frobenius norm for the tensor, which is conservative but
-    sound).  The null-space direction comes from the sampler with its
-    default constant ``SAMPLER_CONSTANT``.
+    sound).  The null-space direction comes from the sampler at threshold
+    ||T projected on the null space||_F / (SAMPLER_CONSTANT * n^1.5).
 
-    The decrease is verified by evaluating the objective; an
+    The decrease is verified by evaluating the objective at the step; an
     ArithmeticError therefore means the supplied bounds are not valid.
     Returns None when the report already holds.
     """
     if report.holds:
         return None
     check_positive("third_lipschitz", third_lipschitz)
-    x = as_point(x, objective.dim)
+    n = objective.dim
+    x = as_point(x, n)
     b = objective.bundle(x, 3)
     decomp = eig_sym(b.hess)
     lip3 = third_lipschitz
@@ -230,8 +231,8 @@ def descent_witness(
         order = 2
     else:
         kernel = null_space(decomp, report.tolerances.eig)
-        rng = np.random.default_rng(seed)
-        sample = sample_direction(b.third, kernel, SAMPLER_CONSTANT, rng)
+        threshold = b.third.project(kernel).frobenius_norm() / (SAMPLER_CONSTANT * n**1.5)
+        sample = sample_direction(b.third, kernel, threshold, np.random.default_rng(seed))
         c = b.third.trilinear(sample.direction, sample.direction, sample.direction)
         eps = 0.9 * 2.0 * c / lip3
         direction = -sample.direction
@@ -239,7 +240,7 @@ def descent_witness(
         predicted = c * eps**3 / 12.0
         order = 3
 
-    actual = objective.value(x) - objective.value(x + step * direction)
+    actual = b.value - objective.value(x + step * direction)
     if actual < 0.99 * predicted:
         raise ArithmeticError(
             f"witness decrease {actual:.3e} fell short of predicted {predicted:.3e}; "

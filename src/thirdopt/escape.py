@@ -10,10 +10,11 @@ span{v_i, ..., v_n} of the descending eigenbasis, the first index with
 
 where c is the Frobenius norm of the third derivative projected on that
 suffix, wins.  If that norm also clears the trigger threshold
-``approx_factor * (24 * ||grad|| * third_lipschitz)^(1/3)``, a direction
-u in the subspace with a guaranteed fraction of the projected norm is
-found by Gaussian rejection sampling and the iterate moves by
-``- (c / (third_lipschitz * approx_factor)) * u``.
+``approx_factor * (24 * ||grad|| * third_lipschitz)^(1/3)``, Gaussian
+rejection sampling finds a unit u in the subspace with
+|T(u, u, u)| >= c / approx_factor and the iterate moves by
+``- (c / (third_lipschitz * approx_factor)) * u``: one c sets the
+sampler's threshold, the step length and the promised decrease.
 
 With valid Lipschitz constants each accepted step decreases f by an
 explicit amount (cubic: reg * ||s||^3 / 12, escape:
@@ -171,26 +172,22 @@ class DirectionSample:
 def sample_direction(
     third: SymTensor3,
     subspace: Subspace,
-    sampler_constant: float,
+    threshold: float,
     rng: np.random.Generator,
 ) -> DirectionSample:
-    """Draw a unit direction u in the subspace with a large cubic form.
+    """Draw a unit direction u in the subspace with |T(u, u, u)| >= threshold.
 
-    Gaussian directions are rejected until
-    |T(u, u, u)| >= proj_norm / (sampler_constant * n^1.5) with n the
-    ambient dimension; the sign is flipped so the contraction comes back
-    positive.  The acceptance probability is dimension-independent up to
-    a constant, so a handful of draws suffices in practice; after
-    ``MAX_SAMPLER_DRAWS`` rejections it raises :class:`SamplerBudgetError`.
+    Gaussian directions are rejected until the cubic form reaches the
+    threshold; the sign is flipped so the contraction comes back
+    positive.  An escape step passes c / (sampler_constant * n^1.5), c
+    being the projected norm that also sets its step length; there the
+    acceptance probability is dimension-independent up to a constant.
+    After ``MAX_SAMPLER_DRAWS`` rejections, certain when the tensor
+    vanishes on the subspace, it raises :class:`SamplerBudgetError`.
     """
-    check_positive("sampler_constant", sampler_constant)
+    check_positive("threshold", threshold)
     if subspace.is_empty:
         raise ValueError("cannot sample a direction from an empty subspace")
-    proj_norm = third.project(subspace).frobenius_norm()
-    if proj_norm <= 0.0:
-        raise ValueError("projected tensor is zero; no direction can make progress")
-    n = third.dim
-    threshold = proj_norm / (sampler_constant * n**1.5)
     for draw in range(1, MAX_SAMPLER_DRAWS + 1):
         coeffs = rng.standard_normal(subspace.rank)
         u = subspace.basis @ coeffs
@@ -230,7 +227,7 @@ class Trace:
     """Full record of one optimizer run.
 
     ``reason`` is 'terminal' when the quiet-window stop fired and
-    'budget' when ``max_iters`` ran out.
+    'budget' when ``max_iters`` ran out.  Both points are read-only copies.
     """
 
     dim: int
@@ -242,6 +239,12 @@ class Trace:
     final_point: np.ndarray
     final_value: float
     reason: str
+
+    def __post_init__(self):
+        for name in ("initial_point", "final_point"):
+            point = np.array(getattr(self, name), dtype=float)
+            point.flags.writeable = False
+            object.__setattr__(self, name, point)
 
     @property
     def iterations(self) -> int:
@@ -309,27 +312,22 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     trace.  Identical config and seed reproduce the trace bit for bit.
     """
     n = objective.dim
-    x = as_point(x0, n)
+    x0 = x = as_point(x0, n)
     rng = np.random.default_rng(config.seed)
     q = config.approx_factor(n)
     reg = config.hess_lipschitz
     lip3 = config.third_lipschitz
 
-    initial_point, initial_value = x.copy(), objective.value(x)
-    f_x = initial_value
+    # Derivatives and Hessian decomposition at x: one order-2 pass at x0
+    # and after each escape step, else the post-cubic point's, carried.
+    b_x = objective.bundle(x, 2)
+    decomp_x = eig_sym(b_x.hess)
+    initial_value = b_x.value
     records = []
     reason = "budget"
     quiet = 0
 
-    # Derivatives and Hessian decomposition at x, carried over from the
-    # previous iteration's post-cubic point unless an escape step moved x.
-    carried = None
-
     for it in range(config.max_iters):
-        if carried is None:
-            b_x = objective.bundle(x, 2)
-            carried = (b_x, eig_sym(b_x.hess))
-        b_x, decomp_x = carried
         sol = solve_cubic_model(b_x.grad, decomp_x, reg)
         z = x + sol.step
         b_z = objective.bundle(z, 3)
@@ -338,7 +336,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         stat = stationarity(b_z.grad, decomp, reg)
         esc = escape_subspace(decomp, b_z.third, lip3, q)
 
-        cubic_ok = bool(b_z.value <= f_x - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
+        cubic_ok = bool(b_z.value <= b_x.value - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
         mu_ok = bool(sol.radius >= stat.value - DECREASE_TOL)
         trigger = bool(
             (not esc.is_empty)
@@ -351,30 +349,27 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
                             cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
 
         if trigger:
-            sample = sample_direction(b_z.third, esc.subspace, config.sampler_constant, rng)
-            x_next = z - esc.proj_norm / (lip3 * q) * sample.direction
-            f_next = objective.value(x_next)
+            sample = sample_direction(b_z.third, esc.subspace, esc.proj_norm / q, rng)
+            x = z - esc.proj_norm / (lip3 * q) * sample.direction
+            b_x = objective.bundle(x, 2)
+            decomp_x = eig_sym(b_x.hess)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
-            third_ok = bool(f_next <= b_z.value - promised + DECREASE_TOL)
-            records.append(_row(shared, "third", f_next, float(np.linalg.norm(x_next - z)),
+            third_ok = bool(b_x.value <= b_z.value - promised + DECREASE_TOL)
+            records.append(_row(shared, "third", b_x.value, float(np.linalg.norm(x - z)),
                                 trigger=True, third_decrease=third_ok))
             quiet = 0
-            carried = None
         else:
-            x_next, f_next = z, b_z.value
+            x, b_x, decomp_x = z, b_z, decomp
             quiet += 1
-            carried = (b_z, decomp)
-
-        x, f_x = x_next, f_next
 
         if stat.value <= config.tol_mu and quiet >= QUIET_WINDOW:
-            records.append(_row(shared, "terminal", f_x, 0.0))
+            records.append(_row(shared, "terminal", b_x.value, 0.0))
             reason = "terminal"
             break
 
-    return Trace(dim=n, config=config, approx_factor=q, initial_point=initial_point,
+    return Trace(dim=n, config=config, approx_factor=q, initial_point=x0,
                  initial_value=initial_value, records=tuple(records), final_point=x,
-                 final_value=f_x, reason=reason)
+                 final_value=b_x.value, reason=reason)
 
 
 @dataclass(frozen=True)

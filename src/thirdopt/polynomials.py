@@ -43,6 +43,8 @@ from .tensors import SymTensor3
 # Highest total degree of a term; admits the ||x||^6 family used for hard
 # quartic instances.
 MAX_DEGREE = 6
+# Floor of the bounds smoothness_bounds reports, which the optimizer divides by.
+MIN_CONSTANT = 1e-6
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -447,9 +449,9 @@ def finite_difference_check(objective: Objective, x, h: float) -> FdResiduals:
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        fd_grad[i] = (objective.value(x + e) - objective.value(x - e)) / (2 * h)
         bp = objective.bundle(x + e, 2)
         bm = objective.bundle(x - e, 2)
+        fd_grad[i] = (bp.value - bm.value) / (2 * h)
         fd_hess[:, i] = (bp.grad - bm.grad) / (2 * h)
         fd_third[:, :, i] = (bp.hess - bm.hess) / (2 * h)
 
@@ -502,9 +504,7 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     return top * float(np.linalg.norm(entry_bounds / top))
 
 
-def smoothness_bounds(
-    poly: Polynomial, radius: float, min_constant: float = 1e-6
-) -> SmoothnessConstants:
+def smoothness_bounds(poly: Polynomial, radius: float) -> SmoothnessConstants:
     """Valid (conservative) Lipschitz bounds on the ball of given radius.
 
     The Hessian Lipschitz constant is bounded by the sup of the third
@@ -512,12 +512,11 @@ def smoothness_bounds(
     sup of the fourth derivative's Frobenius norm, both term-wise.  For
     degree <= 4 polynomials the latter is a global constant.  Bounds that
     come out at zero (for example a quadratic's third-order constant) are
-    reported as ``min_constant``.
+    reported as ``MIN_CONSTANT``.
     """
     check_positive("radius", radius)
-    check_positive("min_constant", min_constant)
-    hess_lip = max(_derivative_frobenius_bound(poly, 3, radius), min_constant)
-    third_lip = max(_derivative_frobenius_bound(poly, 4, radius), min_constant)
+    hess_lip = max(_derivative_frobenius_bound(poly, 3, radius), MIN_CONSTANT)
+    third_lip = max(_derivative_frobenius_bound(poly, 4, radius), MIN_CONSTANT)
     return SmoothnessConstants(hess_lip, third_lip, radius)
 
 

@@ -71,7 +71,6 @@ OPTIONAL_PARAMETERS = {
     "bench.run_suite": ("seed",),
     "check_third_order": ("tols",),
     "descent_witness": ("seed",),
-    "smoothness_bounds": ("min_constant",),
 }
 
 

@@ -124,7 +124,7 @@ class TestSampleDirection:
         tensor = rank_one(v)
         span = Subspace(2, v.reshape(2, 1))
         rng = np.random.default_rng(71)
-        sample = sample_direction(tensor, span, 8.0, rng)
+        sample = sample_direction(tensor, span, tensor.frobenius_norm() / (8.0 * 2**1.5), rng)
         assert sample.draws == 1
         assert_allclose(np.abs(sample.direction), v, atol=1e-12)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
@@ -135,29 +135,31 @@ class TestSampleDirection:
         rng = np.random.default_rng(73)
         bound = 12.0 / (8.0 * 2**1.5)
         for _ in range(50):
-            s = sample_direction(tensor, Subspace.full(2), 8.0, rng)
+            s = sample_direction(tensor, Subspace.full(2), bound, rng)
             t = tensor.trilinear(s.direction, s.direction, s.direction)
             assert t >= bound
             assert np.linalg.norm(s.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_error_when_threshold_unreachable(self):
-        # sampler_constant far below 1 demands more than the best unit
-        # direction can deliver, so every draw is rejected
+        # the largest unit cubic form of the monkey saddle's third
+        # derivative is 6, so a threshold of 7 rejects every draw
         tensor = monkey_third()
         rng = np.random.default_rng(79)
         with pytest.raises(SamplerBudgetError) as err:
-            sample_direction(tensor, Subspace.full(2), 0.01, rng)
+            sample_direction(tensor, Subspace.full(2), 7.0, rng)
         assert err.value.draws == MAX_SAMPLER_DRAWS
+        assert err.value.threshold == 7.0
 
     def test_empty_subspace_rejected(self):
         with pytest.raises(ValueError):
-            sample_direction(monkey_third(), Subspace.empty(2), 8.0, np.random.default_rng(0))
+            sample_direction(monkey_third(), Subspace.empty(2), 1.0, np.random.default_rng(0))
 
     def test_zero_projection_rejected(self):
+        # no threshold is met on a subspace the tensor vanishes on
         span_e1 = Subspace(2, np.array([[1.0], [0.0]]))
         tensor = rank_one(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            sample_direction(tensor, span_e1, 8.0, np.random.default_rng(0))
+        with pytest.raises(SamplerBudgetError):
+            sample_direction(tensor, span_e1, 1e-300, np.random.default_rng(0))
 
 
 class TestEscapeStep:
@@ -242,6 +244,17 @@ class TestMinimize:
             assert a == b
         assert np.array_equal(t1.final_point, t2.final_point)
 
+    def test_trace_points_are_read_only(self):
+        x0 = np.zeros(2)
+        trace = minimize(corpus("monkey_saddle_confined"), x0, confined_monkey_config())
+        final = trace.final_point.copy()
+        for point in (trace.initial_point, trace.final_point):
+            with pytest.raises(ValueError, match="read-only"):
+                point[0] = 99.0
+        x0[0] = 99.0  # the trace holds its own copy of the start
+        assert trace.initial_point[0] == 0.0
+        assert np.array_equal(trace.final_point, final)
+
     def test_budget_exhaustion_reported(self):
         quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
         trace = minimize(quad, np.array([1.0, 1.0]), OptimizerConfig(1.0, 1.0, max_iters=2))
@@ -305,8 +318,9 @@ class TestMinimize:
 
     def test_one_derivative_pass_per_point(self, monkeypatch):
         # The post-cubic point's order-3 bundle and eigendecomposition are
-        # reused for the next cubic step; only an escape step, which lands
-        # on a new point, needs a fresh order-2 bundle and decomposition.
+        # reused for the next cubic step; only x0 and the landing point of
+        # each escape step get an order-2 bundle and a decomposition, and
+        # every objective value comes from a bundle.
         eig_calls = []
 
         def counting_eig_sym(matrix):
@@ -328,22 +342,45 @@ class TestMinimize:
             escapes = len(trace.third_records())
             assert trace.iterations > 1 + escapes
             assert counting.orders[3] == trace.iterations
-            assert counting.orders[2] <= 1 + escapes
-            assert len(eig_calls) - trace.iterations <= 1 + escapes
+            assert counting.orders[2] == 1 + escapes
+            assert counting.values == 0
+            assert len(eig_calls) - trace.iterations == 1 + escapes
+
+    def test_sampler_threshold_is_the_step_norm_over_q(self, monkeypatch):
+        # the escape step's c sets the sampler threshold, the step length
+        # and the promised decrease alike
+        thresholds = []
+
+        def recording_sampler(third, subspace, threshold, rng):
+            thresholds.append(threshold)
+            return sample_direction(third, subspace, threshold, rng)
+
+        monkeypatch.setattr(thirdopt.escape, "sample_direction", recording_sampler)
+        for poly, x0, cfg in (
+            (corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config()),
+            (corpus("quartic_1d"), np.zeros(1), quartic_1d_config()),
+        ):
+            thresholds.clear()
+            trace = minimize(poly, x0, cfg)
+            thirds = trace.third_records()
+            assert thirds
+            assert thresholds == [rec.proj_norm / trace.approx_factor for rec in thirds]
 
 
 class _CountingObjective:
-    """Objective wrapper that counts bundle calls by order."""
+    """Objective wrapper that counts bundle calls by order, and value calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.orders = Counter()
+        self.values = 0
 
     @property
     def dim(self):
         return self.inner.dim
 
     def value(self, x):
+        self.values += 1
         return self.inner.value(x)
 
     def bundle(self, x, order=3):
@@ -422,7 +459,7 @@ CONSTANT_ENTRY_POINTS = {
         lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), bad, 1.0),
     "escape_subspace/approx_factor":
         lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), 1.0, bad),
-    "sample_direction/sampler_constant":
+    "sample_direction/threshold":
         lambda bad: sample_direction(monkey_third(), Subspace.full(2), bad,
                                      np.random.default_rng(0)),
     "rate_report/lower_bound": lambda bad: rate_report(_quadratic_trace(), bad),
@@ -430,8 +467,6 @@ CONSTANT_ENTRY_POINTS = {
     "null_space/tol": lambda bad: null_space(eig_sym(np.diag([1.0, -1.0])), bad),
     "smoothness_bounds/radius":
         lambda bad: smoothness_bounds(corpus("monkey_saddle_confined"), bad),
-    "smoothness_bounds/min_constant":
-        lambda bad: smoothness_bounds(corpus("monkey_saddle_confined"), 1.0, min_constant=bad),
     "descent_witness/third_lipschitz":
         lambda bad: descent_witness(corpus("monkey_saddle"), np.zeros(2),
                                     check_third_order(corpus("monkey_saddle"), np.zeros(2)),

@@ -19,6 +19,7 @@ from thirdopt import (
     quartic_plus_sixth,
     smoothness_bounds,
 )
+from thirdopt.polynomials import _derivative_frobenius_bound
 
 from oracles import sympy_bundle, sympy_frobenius_bound, term_loop_partial
 
@@ -302,9 +303,9 @@ class TestSmoothnessBounds:
     @example(Polynomial.zero(2), 1.5)
     @example(Polynomial.constant(3, 2.0), 0.5)
     def test_match_termwise_oracle(self, p, radius):
-        sc = smoothness_bounds(p, radius, min_constant=1e-300)
-        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
-            want = max(sympy_frobenius_bound(p, order, radius), 1e-300)
+        for order in (3, 4):
+            got = _derivative_frobenius_bound(p, order, radius)
+            want = sympy_frobenius_bound(p, order, radius)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     @pytest.mark.parametrize("coeff, exps", [(9.4e-268, (3,)), (1e200, (4,))],
@@ -312,20 +313,20 @@ class TestSmoothnessBounds:
     def test_extreme_entry_bounds_match_oracle(self, coeff, exps):
         # squaring these entry bounds would underflow to 0 or overflow to inf
         p = Polynomial(1, [(coeff, exps)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sc = smoothness_bounds(p, 1.0, min_constant=1e-300)
-        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
-            want = max(sympy_frobenius_bound(p, order, 1.0), 1e-300)
+        for order in (3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _derivative_frobenius_bound(p, order, 1.0)
+            want = sympy_frobenius_bound(p, order, 1.0)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(sparse_polynomials(), st.floats(0.1, 10.0), st.integers(-250, 250))
     def test_match_termwise_oracle_at_extreme_scales(self, p, radius, exponent):
         scaled = Polynomial(p.dim, [(c * 10.0**exponent, e) for c, e in p.terms])
-        sc = smoothness_bounds(scaled, radius, min_constant=1e-300)
-        for got, order in ((sc.hess_lipschitz, 3), (sc.third_lipschitz, 4)):
-            want = max(sympy_frobenius_bound(scaled, order, radius), 1e-300)
+        for order in (3, 4):
+            got = _derivative_frobenius_bound(scaled, order, radius)
+            want = sympy_frobenius_bound(scaled, order, radius)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     def test_radius_must_be_positive(self):
