@@ -72,9 +72,13 @@ def quartic_descent_target() -> float:
 
 def unit_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Uniform points in the unit ball (rejection-free radial sampling)."""
-    directions = rng.standard_normal((count, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = rng.random(count) ** (1.0 / dim)
+    return ball_points(rng.standard_normal((count, dim)), rng.random(count))
+
+
+def ball_points(gaussians: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Map rows of Gaussian draws and one uniform draw per row into the unit ball."""
+    directions = gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
+    radii = uniforms ** (1.0 / gaussians.shape[1])
     return directions * radii[:, None]
 
 
@@ -296,25 +300,57 @@ def run_taylor(seed: int) -> list:
     for name in members:
         poly = corpus(name)
         lip3 = smoothness_bounds(poly, radius=1.0).third_lipschitz
-        worst = 0.0
-        count = 0
-        while count < 1000:
-            x = unit_ball_points(rng, poly.dim, 1)[0]
-            y = unit_ball_points(rng, poly.dim, 1)[0]
-            d = y - x
-            dist = float(np.linalg.norm(d))
-            if dist < 0.05:
-                continue
-            count += 1
-            b = poly.bundle(x, 3)
-            expansion = (b.value + b.grad @ d + 0.5 * d @ b.hess @ d
-                         + b.third.trilinear(d, d, d) / 6.0)
-            remainder = abs(poly.value(y) - expansion)
-            ratio = remainder / (lip3 / 24.0 * dist**4)
-            worst = max(worst, ratio)
+        x, y, d, dist = _taylor_pairs(rng, poly.dim, 1000)
+        expansion = taylor_expansion(*poly.bundle_many(x, 3), d)
+        remainder = np.abs(poly.bundle_many(y, 0)[0] - expansion)
+        # dist**4 by scalar pow: numpy's array power can differ in the last bit
+        ratio = remainder / (lip3 / 24.0 * np.array([r**4 for r in dist.tolist()]))
+        # the first largest ratio, or 0.0 when none is positive, as a running max
+        worst = max([0.0, *ratio])
         rows.append(BenchRow("taylor", name, worst <= 1.0 + 1e-6,
                              (("worst_ratio", worst), ("third_lipschitz", lip3))))
     return rows
+
+
+def _taylor_pairs(rng: np.random.Generator, dim: int, count: int) -> tuple:
+    """``count`` pairs of unit-ball points at least 0.05 apart: x, y, y - x, ||y - x||.
+
+    Each pair is drawn as two ``unit_ball_points(rng, dim, 1)`` calls would
+    draw it, and a pair too close is redrawn.  Draws come in chunks of the
+    pairs still missing, so the stream stops where the pair-by-pair loop
+    stops.
+    """
+    pairs = []
+    missing = count
+    while missing:
+        draws = [(rng.standard_normal(dim), rng.random(), rng.standard_normal(dim), rng.random())
+                 for _ in range(missing)]
+        gx, ux, gy, uy = (np.array(column) for column in zip(*draws))
+        x = ball_points(gx, ux)
+        y = ball_points(gy, uy)
+        d = y - x
+        # norm(v) of one vector is sqrt(v @ v), a BLAS dot; norm(axis=1) rounds differently
+        dist = np.sqrt(np.vecdot(d, d))
+        keep = dist >= 0.05
+        pairs.append((x[keep], y[keep], d[keep], dist[keep]))
+        missing -= int(keep.sum())
+    return tuple(np.concatenate(part) for part in zip(*pairs))
+
+
+def taylor_expansion(value, grad, hess, third, d) -> np.ndarray:
+    """Order-3 Taylor expansion at each of N points along the rows of ``d``.
+
+    Row i equals ``value[i] + grad[i] @ d[i] + 0.5 * d[i] @ hess[i] @ d[i]
+    + SymTensor3(third[i]).trilinear(d[i], d[i], d[i]) / 6.0`` bit for bit.
+    That needs C-contiguous stacks, on which ``vecdot`` and stacked
+    ``matmul`` take the same BLAS kernels as the per-point ``@``; given a
+    transposed Hessian stack, ``matmul`` falls back to a plain loop that
+    rounds differently.
+    """
+    half_d = (0.5 * d)[:, None, :]
+    quadratic = np.vecdot(np.matmul(half_d, hess)[:, 0, :], d)
+    cubic = np.einsum("pijk,pi,pj,pk->p", third, d, d, d)
+    return value + np.vecdot(grad, d) + quadratic + cubic / 6.0
 
 
 def run_subproblem(seed: int) -> list:

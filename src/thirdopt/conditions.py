@@ -193,7 +193,8 @@ def descent_witness(
     the operator norms of the second and third derivatives at ``x``
     (the Frobenius norm for the tensor, which is conservative but
     sound).  The null-space direction comes from the sampler at threshold
-    ||T projected on the null space||_F / (SAMPLER_CONSTANT * n^1.5).
+    ``report.third_residual`` / (SAMPLER_CONSTANT * n^1.5), that residual
+    being ||T projected on the null space||_F.
 
     The decrease is verified by evaluating the objective at the step; an
     ArithmeticError therefore means the supplied bounds are not valid.
@@ -231,7 +232,7 @@ def descent_witness(
         order = 2
     else:
         kernel = null_space(decomp, report.tolerances.eig)
-        threshold = b.third.project(kernel).frobenius_norm() / (SAMPLER_CONSTANT * n**1.5)
+        threshold = report.third_residual / (SAMPLER_CONSTANT * n**1.5)
         sample = sample_direction(b.third, kernel, threshold, np.random.default_rng(seed))
         c = b.third.trilinear(sample.direction, sample.direction, sample.direction)
         eps = 0.9 * 2.0 * c / lip3

@@ -20,6 +20,10 @@ position's rows in term order.  The powers are scalar (libm ``pow``);
 numpy's vectorized ``power`` uses SIMD kernels that can differ in the
 last bit.  So all permutations of an index sum the same floats in the
 same order, and the third derivative is exactly symmetric.
+:meth:`Polynomial.bundle` reads the tables at one point and
+:meth:`Polynomial.bundle_many` at each row of an ``(N, n)`` stack, through
+the same engine and float order, so row i of a stack equals the bundle
+at that row bit for bit.
 
 The order-0 table is the one evaluator of f.  :meth:`Polynomial.value`
 reads it at a point, and :meth:`Polynomial.values` reads it on the grid
@@ -55,6 +59,12 @@ def as_point(x, dim: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite entries")
     return x
+
+
+def check_order(order: int) -> None:
+    """Reject a derivative order outside 0..3."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be in 0..3, got {order}")
 
 
 def check_positive(name: str, value: float) -> None:
@@ -103,7 +113,7 @@ class Polynomial:
     at or below ``MAX_DEGREE``.
     """
 
-    __slots__ = ("_dim", "_terms", "_caps", "_tables")
+    __slots__ = ("_dim", "_terms", "_slots", "_tables")
 
     def __init__(self, dim: int, terms) -> None:
         if not isinstance(dim, int) or dim < 1:
@@ -128,8 +138,10 @@ class Polynomial:
             canon[exps] = coeff
         self._dim = dim
         self._terms = tuple(sorted((e, c) for e, c in canon.items() if c != 0.0))
-        # highest exponent of each variable, which sizes the power table
-        self._caps = tuple(max((e[i] for e, _ in self._terms), default=0) for i in range(dim))
+        # (variable, exponent) of each power-table entry, up to the variable's
+        # highest exponent
+        caps = [max((e[i] for e, _ in self._terms), default=0) for i in range(dim)]
+        self._slots = tuple((i, e) for i, cap in enumerate(caps) for e in range(cap + 1))
         self._tables: dict[int, tuple] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -262,7 +274,7 @@ class Polynomial:
                 raise ValueError(f"axis {i} has non-finite entries")
             grid.append(axis.tolist())
         _, residual, mult = self._table(0)
-        slots = self._slots()
+        slots = self._slots
         # each power the table reads, shaped to broadcast along its own axis;
         # x ** 0 = 1 only pads the residual, and multiplying by it is exact
         powers = {}
@@ -300,7 +312,7 @@ class Polynomial:
             term, factor, left = term[row], factor[row] * left[row, j], left[row]
             pos = pos[row] * self._dim + axes[term, j]
             left[np.arange(len(row)), j] -= 1
-        offsets = np.array([k for k, (_, e) in enumerate(self._slots()) if e == 0])
+        offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
         table = (
             pos,
             (offsets[axes[term]] + left).T.astype(np.int32, order="C"),
@@ -309,35 +321,74 @@ class Polynomial:
         self._tables[order] = table
         return table
 
-    def _slots(self) -> list[tuple[int, int]]:
-        """(variable, exponent) of each power-table entry."""
-        return [(i, e) for i, cap in enumerate(self._caps) for e in range(cap + 1)]
-
     def _powers(self, x: np.ndarray) -> np.ndarray:
-        return np.array([x[i] ** e for i, e in self._slots()])
+        """Scalar ``x[..., i] ** e`` for each power-table slot, point-major.
+
+        ``x`` is one point ``(n,)`` or a stack ``(N, n)``; the result is
+        ``(slots,)`` or ``(N, slots)``, C-contiguous.
+        """
+        rows = x.tolist() if x.ndim == 2 else [x.tolist()]
+        powers = np.array([[row[i] ** e for i, e in self._slots] for row in rows])
+        powers = powers.reshape(len(rows), len(self._slots))
+        return powers if x.ndim == 2 else powers[0]
 
     def _derivative(self, order: int, powers: np.ndarray) -> np.ndarray:
-        """The order-``order`` derivative, flattened, at the point of ``powers``."""
+        """The order-``order`` derivative, flattened, at the point or points of ``powers``.
+
+        Each row's residual powers are multiplied in table order, then by
+        the row's multiplier.  For a stack, point p's rows go to bins
+        offset by ``p * n**order``, so every position of every point still
+        adds its rows in table order, and each point's result equals the
+        single-point one bit for bit.
+        """
         pos, residual, mult = self._table(order)
-        monomials = np.multiply.reduce(powers[residual], axis=0)
-        return np.bincount(pos, mult * monomials, minlength=self._dim**order)
+        terms = mult * np.multiply.reduce(powers[..., residual], axis=-2)
+        size = self._dim**order
+        if powers.ndim == 1:
+            return np.bincount(pos, terms, minlength=size)
+        count = len(powers)
+        bins = (pos + size * np.arange(count)[:, None]).ravel()
+        return np.bincount(bins, terms.ravel(), minlength=count * size).reshape(count, size)
 
     def bundle(self, x, order: int = 3) -> DerivativeBundle:
         """Exact value and derivatives at ``x`` up to ``order`` (0..3).
 
         Derivative slots above the requested order are zero arrays.
         """
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be in 0..3, got {order}")
-        x = as_point(x, self._dim)
+        check_order(order)
         n = self._dim
-        powers = self._powers(x)
-        value, grad, hess, third = (
-            self._derivative(k, powers) if k <= order else np.zeros(n**k) for k in range(4)
-        )
+        value, grad, hess, third = self._derivatives(as_point(x, n), order)
         return DerivativeBundle(
             float(value[0]), grad, hess.reshape(n, n), SymTensor3._trusted(third.reshape(n, n, n))
         )
+
+    def bundle_many(self, points, order: int) -> tuple:
+        """Values and derivatives up to ``order`` (0..3) at each row of ``points``.
+
+        ``points`` is an ``(N, n)`` array of finite entries.  Returns the
+        C-contiguous arrays ``(N,)``, ``(N, n)``, ``(N, n, n)`` and
+        ``(N, n, n, n)``, zero above ``order``; row i equals
+        :meth:`bundle` at ``points[i]`` bit for bit.
+        """
+        check_order(order)
+        n = self._dim
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points of shape {points.shape} are not rows of dimension {n}")
+        if not np.isfinite(points).all():
+            raise ValueError("points have non-finite entries")
+        count = len(points)
+        value, grad, hess, third = self._derivatives(points, order)
+        return (value.reshape(count), grad, hess.reshape(count, n, n),
+                third.reshape(count, n, n, n))
+
+    def _derivatives(self, x: np.ndarray, order: int) -> list:
+        """Orders 0..3, flattened, at a point or a stack; zero above ``order``."""
+        powers = self._powers(x)
+        return [
+            self._derivative(k, powers) if k <= order else np.zeros(x.shape[:-1] + (self._dim**k,))
+            for k in range(4)
+        ]
 
     # -- JSON form -------------------------------------------------------------
 
@@ -399,8 +450,7 @@ class OracleObjective:
         return float(self._call("value", as_point(x, self._dim), 0))
 
     def bundle(self, x, order: int = 3) -> DerivativeBundle:
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be in 0..3, got {order}")
+        check_order(order)
         x = as_point(x, self._dim)
         n = self._dim
         grad = self._call("grad", x, 1) if order >= 1 else np.zeros(n)
@@ -493,7 +543,7 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     coefficients times radius^(residual degree).
     """
     pos, residual, mult = poly._table(order)
-    degrees = np.array([e for _, e in poly._slots()])[residual].sum(axis=0)
+    degrees = np.array([e for _, e in poly._slots])[residual].sum(axis=0)
     radius_powers = np.array([radius**d for d in range(poly.degree + 1)], dtype=float)
     _, entry = np.unique(pos, return_inverse=True)
     entry_bounds = np.bincount(entry, np.abs(mult) * radius_powers[degrees])

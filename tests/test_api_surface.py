@@ -45,8 +45,8 @@ PUBLIC_MEMBERS = {
     "OptimizerConfig": ("approx_factor", "hess_lipschitz", "max_iters", "sampler_constant",
                         "seed", "third_lipschitz", "tol_mu"),
     "OracleObjective": ("bundle", "dim", "value"),
-    "Polynomial": ("bundle", "constant", "degree", "dim", "from_dict", "terms", "to_dict",
-                   "value", "values", "variable", "zero"),
+    "Polynomial": ("bundle", "bundle_many", "constant", "degree", "dim", "from_dict", "terms",
+                   "to_dict", "value", "values", "variable", "zero"),
     "RateReport": ("mu_bound", "qualifying", "satisfied", "static_proj_bound"),
     "SamplerBudgetError": (),
     "SmoothnessConstants": ("hess_lipschitz", "third_lipschitz", "valid_radius"),

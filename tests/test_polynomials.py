@@ -58,6 +58,24 @@ def grid_cases(draw):
     return p, axes
 
 
+@st.composite
+def point_stacks(draw):
+    """A polynomial in 1..4 variables and a stack of points to evaluate it at.
+
+    The stack holds drawn rows, a row of zeros, a row with one zero
+    coordinate, a repeat of the first row and six uniform rows.
+    """
+    p = draw(sparse_polynomials())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = st.lists(st.floats(-3.0, 3.0), min_size=p.dim, max_size=p.dim)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    partial_zero = rng.uniform(-3.0, 3.0, p.dim)
+    partial_zero[0] = 0.0
+    points = np.vstack([rows, np.zeros(p.dim), partial_zero, rows[0],
+                        rng.uniform(-3.0, 3.0, (6, p.dim))])
+    return p, points
+
+
 def random_sparse_polynomial(rng, dim):
     terms = {}
     for _ in range(int(rng.integers(1, 12))):
@@ -224,6 +242,34 @@ class TestDerivatives:
     def test_values_match_value_at_every_grid_point(self, case):
         p, axes = case
         assert p.values(*axes).tolist() == [p.value(pt) for pt in itertools.product(*axes)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(point_stacks())
+    @example((Polynomial.zero(3), np.array([[0.0, -1.0, 2.0], [0.0, -1.0, 2.0]])))
+    @example((Polynomial.constant(2, -1.5), np.array([[0.0, 0.7]])))
+    def test_bundle_many_rows_equal_bundle_bit_for_bit(self, case):
+        p, points = case
+        n, count = p.dim, len(points)
+        for order in range(4):
+            stacked = p.bundle_many(points, order)
+            shapes = [(count,) + (n,) * k for k in range(4)]
+            assert [a.shape for a in stacked] == shapes
+            assert all(a.flags.c_contiguous for a in stacked)
+            for i, x in enumerate(points):
+                b = p.bundle(x, order)
+                single = (np.float64(b.value), b.grad, b.hess, b.third.entries)
+                for got, want in zip(stacked, single):
+                    assert got[i].tobytes() == want.tobytes(), (order, i)
+
+    def test_bundle_many_rejects_malformed_points(self):
+        p = corpus("monkey_saddle")
+        for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match="rows of dimension 2"):
+                p.bundle_many(bad, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            p.bundle_many(np.array([[0.0, np.nan]]), 3)
+        with pytest.raises(ValueError, match="order"):
+            p.bundle_many(np.zeros((1, 2)), 4)
 
 
 class TestFiniteDifferenceCheck:
