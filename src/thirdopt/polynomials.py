@@ -25,12 +25,9 @@ same order, and the third derivative is exactly symmetric.
 the same engine and float order, so row i of a stack equals the bundle
 at that row bit for bit.
 
-The order-0 table is the one evaluator of f.  :meth:`Polynomial.value`
-reads it at a point, and :meth:`Polynomial.values` reads it on the grid
-of one 1-D axis per variable, flattened in C order
-(``np.meshgrid(*axes, indexing="ij")`` raveled).  The grid form takes
-each power once per axis value with the same scalar ``pow`` and follows
-the same float order, so it matches :meth:`Polynomial.value` bit for bit.
+The order-0 table is the one evaluator of f: :meth:`Polynomial.value`
+reads it at a point and :meth:`Polynomial.bundle_many` at each row of a
+stack.
 """
 
 from __future__ import annotations
@@ -250,45 +247,6 @@ class Polynomial:
     def value(self, x) -> float:
         x = as_point(x, self._dim)
         return float(self._derivative(0, self._powers(x))[0])
-
-    def values(self, *axes) -> np.ndarray:
-        """Values on the grid of one 1-D axis per variable, flattened in C order.
-
-        Entry k is the value at the k-th point of ``itertools.product(*axes)``,
-        the order of ``np.meshgrid(*axes, indexing="ij")`` raveled, and equals
-        :meth:`value` there bit for bit.  It reads the same order-0 table in the
-        same float order: each row's residual powers are multiplied in table
-        order, then by the row's multiplier, and the rows are added to a zeroed
-        grid one by one.  A power is computed once per axis value, with scalar
-        ``pow``; numpy's vectorized ``power`` can differ in the last bit.  No
-        array of points, nor any power grid, is built.
-        """
-        if len(axes) != self._dim:
-            raise ValueError(f"expected {self._dim} axes, got {len(axes)}")
-        grid = []
-        for i, axis in enumerate(axes):
-            axis = np.asarray(axis, dtype=float)
-            if axis.ndim != 1 or axis.size == 0:
-                raise ValueError(f"axis {i} must be a non-empty 1-D array, got shape {axis.shape}")
-            if not np.isfinite(axis).all():
-                raise ValueError(f"axis {i} has non-finite entries")
-            grid.append(axis.tolist())
-        _, residual, mult = self._table(0)
-        slots = self._slots
-        # each power the table reads, shaped to broadcast along its own axis;
-        # x ** 0 = 1 only pads the residual, and multiplying by it is exact
-        powers = {}
-        for s in set(residual.ravel().tolist()):
-            i, e = slots[s]
-            if e:
-                shape = [-1 if j == i else 1 for j in range(self._dim)]
-                powers[s] = np.array([v**e for v in grid[i]]).reshape(shape)
-        total = np.zeros([len(axis) for axis in grid])
-        for r, row in enumerate(residual.T.tolist()):
-            factors = [powers[s] for s in row if s in powers]
-            monomial = functools.reduce(np.multiply, factors) if factors else 1.0
-            total += mult[r] * monomial
-        return total.ravel()
 
     def _table(self, order: int) -> tuple:
         """Rows of the order-``order`` derivative: position, residual, multiplier.

@@ -46,7 +46,7 @@ PUBLIC_MEMBERS = {
                         "seed", "third_lipschitz", "tol_mu"),
     "OracleObjective": ("bundle", "dim", "value"),
     "Polynomial": ("bundle", "bundle_many", "constant", "degree", "dim", "from_dict", "terms",
-                   "to_dict", "value", "values", "variable", "zero"),
+                   "to_dict", "value", "variable", "zero"),
     "RateReport": ("mu_bound", "qualifying", "satisfied", "static_proj_bound"),
     "SamplerBudgetError": (),
     "SmoothnessConstants": ("hess_lipschitz", "third_lipschitz", "valid_radius"),

@@ -1,4 +1,4 @@
-"""The six ``thirdopt bench`` CSVs at seed 0, and ``taylor`` at two more seeds, pinned by sha256.
+"""The six ``thirdopt bench`` CSVs at seed 0, and three of them at two more seeds, pinned by sha256.
 
 A speed-up or refactor of anything the suites call must leave these bytes
 alone.  The hashes were taken on Python 3.11.7 with numpy 2.4.6 on x86-64;
@@ -42,3 +42,22 @@ def test_taylor_csv_is_byte_identical_at_more_seeds(tmp_path, capsys, seed):
     out = tmp_path / f"taylor{seed}.csv"
     assert main(["bench", "--suite", "taylor", "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TAYLOR_SHA256[seed]
+
+
+# The escape and rate suites take their lower bounds f* from grid minima,
+# which evaluate exactly only the points a screen keeps.  The rate CSV comes
+# out the same at seeds 0, 4 and 6: its rows read only f* and quantities the
+# seeded draws leave alone.
+GRID_MINIMUM_SHA256 = {
+    ("escape", 4): "158cc7d8cf066749405ec13d2cc235b7cc7a088d9ea0806f4ad27fc870852f8c",
+    ("escape", 6): "82ee77dacefac251db120fa404089ff059a97481151b224af21f5680fa33a5b4",
+    ("rate", 4): "2a01b49576b1afd32f32cbd6aae347d39ec799617c5601e297c114107ba64eda",
+    ("rate", 6): "2a01b49576b1afd32f32cbd6aae347d39ec799617c5601e297c114107ba64eda",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(GRID_MINIMUM_SHA256))
+def test_grid_minimum_csvs_are_byte_identical_at_more_seeds(tmp_path, capsys, suite, seed):
+    out = tmp_path / f"{suite}{seed}.csv"
+    assert main(["bench", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_MINIMUM_SHA256[suite, seed]
