@@ -1,11 +1,11 @@
 """Verification of third-order optimality conditions at a point.
 
 A point passes when, within tolerances, the gradient vanishes, the
-Hessian is positive semidefinite, and the third derivative projected on
-the Hessian's numerical null space is zero.  The projection test is used
-for the last condition because a nonzero projection is equivalent to the
-existence of a null direction u with a nonzero cubic form T(u, u, u),
-while maximizing the cubic form directly is intractable.
+Hessian is positive semidefinite, and the third derivative restricted to
+the Hessian's numerical null space is zero.  The restriction is tested
+because a nonzero one is equivalent to the existence of a null direction
+u with a nonzero cubic form T(u, u, u), while maximizing the cubic form
+directly is intractable.
 
 The checker certifies these three residual conditions at the reported
 tolerances; it does not (and cannot, by any finite procedure) certify
@@ -19,7 +19,7 @@ negative verdict into an executable certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .escape import SAMPLER_CONSTANT, sample_direction
 from .polynomials import Objective, as_point, check_positive
-from .spectral import eig_sym, null_space
+from .spectral import _zero_band, eig_sym, null_space
 
 CHECKER_NOTE = (
     "certifies the gradient, curvature, and null-space third-derivative "
@@ -60,7 +60,7 @@ def classify_hessian(hess) -> HessianClass:
     second-order methods cannot resolve.
     """
     decomp = eig_sym(hess)
-    tol = ConditionTolerances().eig * decomp.spectral_scale()
+    tol = _zero_band(decomp, ConditionTolerances().eig)
     lam = decomp.eigenvalues
     pos = np.any(lam > tol)
     neg = np.any(lam < -tol)
@@ -100,6 +100,8 @@ class ConditionReport:
     third_residual: float
     verdict: Verdict
     tolerances: ConditionTolerances
+    # (objective, read-only point, bundle, EigenDecomp, kernel), for descent_witness
+    _model: tuple = field(compare=False, repr=False)
 
     @property
     def holds(self) -> bool:
@@ -127,19 +129,21 @@ def check_third_order(
     """Test the three conditions at ``x``; verdict is the first failure.
 
     All residual fields are populated regardless of which condition
-    fails, so reports are comparable across points.
+    fails, so reports are comparable across points.  The third-derivative
+    residual is ||T(V, V, V)||_F for the kernel's eigenvector columns V.
     """
-    x = as_point(x, objective.dim)
-    b = objective.bundle(x, 3)
+    point = as_point(x, objective.dim).copy()
+    point.flags.writeable = False
+    b = objective.bundle(point, 3)
     decomp = eig_sym(b.hess)
     grad_norm = float(np.linalg.norm(b.grad))
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
-    third_residual = b.third.project(kernel).frobenius_norm()
+    third_residual = b.third.transform(kernel.basis).frobenius_norm()
 
     if grad_norm > tols.grad:
         verdict = Verdict.FIRST_ORDER_FAIL
-    elif min_eig < -tols.eig * decomp.spectral_scale():
+    elif min_eig < -_zero_band(decomp, tols.eig):
         verdict = Verdict.SECOND_ORDER_FAIL
     elif third_residual > tols.third:
         verdict = Verdict.THIRD_ORDER_FAIL
@@ -152,6 +156,7 @@ def check_third_order(
         third_residual=third_residual,
         verdict=verdict,
         tolerances=tols,
+        _model=(objective, point, b, decomp, kernel),
     )
 
 
@@ -194,19 +199,21 @@ def descent_witness(
     (the Frobenius norm for the tensor, which is conservative but
     sound).  The null-space direction comes from the sampler at threshold
     ``report.third_residual`` / (SAMPLER_CONSTANT * n^1.5), that residual
-    being ||T projected on the null space||_F.
+    being ||T restricted to the null space||_F.
 
-    The decrease is verified by evaluating the objective at the step; an
-    ArithmeticError therefore means the supplied bounds are not valid.
-    Returns None when the report already holds.
+    ``report`` must come from this ``objective`` object at this ``x``
+    (ValueError otherwise): the witness reuses its derivatives and
+    eigendecomposition.  The decrease is verified by evaluating the
+    objective at the step; an ArithmeticError therefore means the supplied
+    bounds are not valid.  Returns None when the report already holds.
     """
+    owner, point, b, decomp, kernel = report._model
+    if objective is not owner or not np.array_equal(x, point):
+        raise ValueError("report was built for another objective or point")
     if report.holds:
         return None
     check_positive("third_lipschitz", third_lipschitz)
     n = objective.dim
-    x = as_point(x, n)
-    b = objective.bundle(x, 3)
-    decomp = eig_sym(b.hess)
     lip3 = third_lipschitz
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
@@ -231,7 +238,6 @@ def descent_witness(
         predicted = c * eps**2 / 4.0
         order = 2
     else:
-        kernel = null_space(decomp, report.tolerances.eig)
         threshold = report.third_residual / (SAMPLER_CONSTANT * n**1.5)
         sample = sample_direction(b.third, kernel, threshold, np.random.default_rng(seed))
         c = b.third.trilinear(sample.direction, sample.direction, sample.direction)
@@ -241,7 +247,7 @@ def descent_witness(
         predicted = c * eps**3 / 12.0
         order = 3
 
-    actual = b.value - objective.value(x + step * direction)
+    actual = b.value - objective.value(point + step * direction)
     if actual < 0.99 * predicted:
         raise ArithmeticError(
             f"witness decrease {actual:.3e} fell short of predicted {predicted:.3e}; "

@@ -6,8 +6,8 @@ this package relies on that convention when it walks suffix subspaces
 directions).
 
 Repeated eigenvalues make individual eigenvectors non-unique, so callers
-must only rely on the spanned subspaces.  Downstream code works with
-projectors exclusively, which are basis-independent.
+must only rely on the spanned subspaces, such as through the Frobenius
+norm of a tensor rotated into a span's eigenvector columns.
 """
 
 from __future__ import annotations
@@ -91,11 +91,13 @@ class Subspace:
     def is_empty(self) -> bool:
         return self.basis.shape[1] == 0
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim}, rank={self.rank})"
+
+
+def _zero_band(decomp: EigenDecomp, tol: float) -> float:
+    """Half-width of the band of eigenvalues that count as zero: tol * spectral scale."""
+    return tol * decomp.spectral_scale()
 
 
 def null_space(decomp: EigenDecomp, tol: float) -> Subspace:
@@ -108,6 +110,5 @@ def null_space(decomp: EigenDecomp, tol: float) -> Subspace:
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
-    band = tol * decomp.spectral_scale()
-    keep = np.abs(decomp.eigenvalues) <= band
+    keep = np.abs(decomp.eigenvalues) <= _zero_band(decomp, tol)
     return Subspace(decomp.dim, decomp.eigenvectors[:, keep])

@@ -4,7 +4,7 @@ Third derivatives of scalar functions are order-3 tensors that are
 symmetric under every permutation of their indices.  This module stores
 them densely (target dimensions are small) and provides the handful of
 multilinear operations the optimizer needs: contraction against vectors,
-orthogonal-subspace projection, and the Frobenius norm.
+a change of basis applied to every slot, and the Frobenius norm.
 
 Exact maximization of ``T(u, u, u)`` over unit vectors is intentionally
 absent; it is intractable in general and the rest of the package only
@@ -76,8 +76,8 @@ class SymTensor3:
     def transform(self, matrix) -> "SymTensor3":
         """Apply one matrix to every slot: entries_pqr = T(M e_p, M e_q, M e_r).
 
-        With an orthonormal ``matrix`` this rewrites the tensor in a new
-        basis; with an orthogonal projector it projects it.
+        With orthonormal columns V it restricts the tensor to their span, in
+        V's coordinates, with the Frobenius norm of T(VV', VV', VV').
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != self.dim:
@@ -90,14 +90,6 @@ class SymTensor3:
         for _ in range(3):
             out = np.tensordot(out, matrix, axes=(0, 0))
         return SymTensor3._trusted(out)
-
-    def project(self, subspace) -> "SymTensor3":
-        """Project onto a subspace: T(P, P, P) with P the orthogonal projector."""
-        if subspace.dim != self.dim:
-            raise ValueError(
-                f"subspace ambient dim {subspace.dim} does not match tensor dim {self.dim}"
-            )
-        return self.transform(subspace.projector())
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))

@@ -187,6 +187,14 @@ def cubic_model_radius(eigenvalues, g_hat, reg):
             hi = mid
 
 
+def projected(entries, basis):
+    """T(P, P, P) for the orthogonal projector P = V V' onto the span of the
+    orthonormal columns V of ``basis``, by one einsum over the n x n projector."""
+    basis = np.asarray(basis, dtype=float)
+    p = basis @ basis.T
+    return np.einsum("ijk,ip,jq,kr->pqr", entries, p, p, p)
+
+
 def triple_loop_transform(entries, matrix):
     """T(M e_p, M e_q, M e_r) for every output index triple, one at a time."""
     k = matrix.shape[1]

@@ -28,8 +28,8 @@ PUBLIC_NAMES = [
 # defines (methods, properties, enum members, defaulted fields) plus its
 # dataclass fields.
 PUBLIC_MEMBERS = {
-    "ConditionReport": ("grad_norm", "holds", "min_eig", "null_dim", "third_residual", "to_dict",
-                        "tolerances", "verdict"),
+    "ConditionReport": ("_model", "grad_norm", "holds", "min_eig", "null_dim", "third_residual",
+                        "to_dict", "tolerances", "verdict"),
     "ConditionTolerances": ("eig", "grad", "third"),
     "CubicSolution": ("model_value", "radius", "secular_evals", "step"),
     "DerivativeBundle": ("grad", "hess", "third", "value"),
@@ -51,9 +51,8 @@ PUBLIC_MEMBERS = {
     "SamplerBudgetError": (),
     "SmoothnessConstants": ("hess_lipschitz", "third_lipschitz", "valid_radius"),
     "Stationarity": ("eig_part", "grad_part", "value"),
-    "Subspace": ("basis", "dim", "empty", "full", "is_empty", "projector", "rank"),
-    "SymTensor3": ("dim", "entries", "frobenius_norm", "project", "transform", "trilinear",
-                   "zeros"),
+    "Subspace": ("basis", "dim", "empty", "full", "is_empty", "rank"),
+    "SymTensor3": ("dim", "entries", "frobenius_norm", "transform", "trilinear", "zeros"),
     "Trace": ("all_flags_ok", "approx_factor", "config", "cubic_records", "dim", "final_point",
               "final_value", "initial_point", "initial_value", "iterations", "reason", "records",
               "third_records", "values"),

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import thirdopt.conditions
 from thirdopt import (
     ConditionTolerances,
     HessianClass,
     OptimizerConfig,
+    OracleObjective,
     Polynomial,
+    SymTensor3,
     Verdict,
     check_third_order,
     classify_hessian,
@@ -18,6 +23,8 @@ from thirdopt import (
 )
 from thirdopt.bench import confined_monkey_config, xxy_fixed_point_config
 from thirdopt.escape import PROJ_NORM_FLOOR
+
+from oracles import projected
 
 
 class TestClassifyHessian:
@@ -103,7 +110,105 @@ class TestCheckThirdOrder:
             ConditionTolerances(**{name: bad})
 
 
+@st.composite
+def null_block_hessians(draw):
+    """A random symmetric tensor and a Hessian Q diag(lam) Q' with a known null block.
+
+    The zero eigenvalues form no block ("empty"), the whole spectrum
+    ("full"), or sit at the top (the rest negative), the bottom (the rest
+    positive) or in the middle of the descending spectrum, and can repeat.
+    Returns the Hessian, the tensor and orthonormal columns spanning the
+    exact null space.
+    """
+    layout = draw(st.sampled_from(["empty", "full", "top", "middle", "bottom"]))
+    n = draw(st.integers({"top": 2, "bottom": 2, "middle": 3}.get(layout, 1), 6))
+    zeros = {"empty": 0, "full": n}.get(layout)
+    if zeros is None:
+        zeros = draw(st.integers(1, n - (2 if layout == "middle" else 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0.5, 5.0, n - zeros)
+    if layout == "top":
+        lam = -lam
+    elif layout == "middle":
+        lam[draw(st.integers(1, n - zeros - 1)):] *= -1.0
+    elif layout == "empty":
+        lam *= rng.choice([-1.0, 1.0], n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    hess = (q * np.concatenate([lam, np.zeros(zeros)])) @ q.T
+    third = SymTensor3(rng.standard_normal((n, n, n)))
+    return hess, third, q[:, n - zeros:]
+
+
+class TestThirdResidual:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(null_block_hessians())
+    def test_matches_projector_oracle(self, case):
+        hess, third, null_basis = case
+        n = hess.shape[0]
+        objective = OracleObjective(n, lambda x: 0.0, lambda x: np.zeros(n),
+                                    lambda x: hess, lambda x: third.entries)
+        report = check_third_order(objective, np.zeros(n))
+        assert report.null_dim == null_basis.shape[1]
+        expected = np.linalg.norm(projected(third.entries, null_basis))
+        assert abs(report.third_residual - expected) <= (
+            1e-12 * expected + 1e-14 * third.frobenius_norm())
+
+
+class _CountingObjective:
+    """Delegates to an objective and counts its ``bundle`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bundles = 0
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def bundle(self, x, order=3):
+        self.bundles += 1
+        return self.inner.bundle(x, order)
+
+
 class TestDescentWitness:
+    @pytest.mark.parametrize("poly, x", [
+        (corpus("monkey_saddle"), np.array([1.0, 1.0])),
+        (Polynomial(2, [(-1.0, (2, 0)), (-1.0, (0, 2))]), np.zeros(2)),
+        (corpus("monkey_saddle"), np.zeros(2)),
+    ], ids=["first_order", "second_order", "third_order"])
+    def test_reuses_the_reports_derivatives(self, monkeypatch, poly, x):
+        eig_calls = []
+        eig_sym = thirdopt.conditions.eig_sym
+        monkeypatch.setattr(thirdopt.conditions, "eig_sym",
+                            lambda m: eig_calls.append(1) or eig_sym(m))
+        objective = _CountingObjective(poly)
+        report = check_third_order(objective, x)
+        assert (objective.bundles, len(eig_calls)) == (1, 1)
+        w = descent_witness(objective, x, report, third_lipschitz=24.0)
+        assert w is not None
+        assert (objective.bundles, len(eig_calls)) == (1, 1)
+
+    def test_rejects_a_report_for_another_objective_or_point(self):
+        monkey = corpus("monkey_saddle")
+        x = np.zeros(2)
+        report = check_third_order(monkey, x)
+        for objective, point in ((monkey, np.array([1.0, 1.0])),
+                                 (corpus("monkey_saddle_confined"), np.zeros(2))):
+            with pytest.raises(ValueError, match="another objective or point"):
+                descent_witness(objective, point, report, third_lipschitz=1.0)
+        # the report keeps its own copy of the point it was built at
+        x[:] = [1.0, 1.0]
+        assert report == check_third_order(monkey, np.zeros(2))
+        with pytest.raises(ValueError, match="another objective or point"):
+            descent_witness(monkey, x, report, third_lipschitz=1.0)
+        fresh = check_third_order(monkey, np.zeros(2))
+        w, w_fresh = (descent_witness(monkey, np.zeros(2), r, third_lipschitz=1.0, seed=3)
+                      for r in (report, fresh))
+        assert np.array_equal(w.direction, w_fresh.direction) and w.step == w_fresh.step
+
     def test_none_when_conditions_hold(self):
         xxy = corpus("xxy_plus_yy")
         report = check_third_order(xxy, np.zeros(2))

@@ -108,7 +108,7 @@ CHECK_SHA256 = {
     ('quartic_1d', 'origin'): '73ab7efe7187e9085ef70807c6097cb4678d1abf3bb4a067d1acda7f27ec786b',
     ('quartic_plus_sixth', 'final'): '3d43ea6d260c30445238416838a6f4222dcb4793ced38c2b6101f0f541019df1',
     ('quartic_plus_sixth', 'origin'): 'cef15d62d2609fb4f224237c7ff5ac18559604e9bb5cbc9b54f104a053a65268',
-    ('wine_bottle', 'final'): 'ead10a3fbe37e948fd1a5bf6ec5e127921999289598da5b512ed4e98a0f4b2d7',
+    ('wine_bottle', 'final'): '4c95abe935d88819b1025e6236d3b137514d65f60fabbe409fc794e532e91243',
     ('wine_bottle', 'origin'): 'fc6f134b47839f6627bb27963e4a4f22c96c9fd9a5e59af7b65188af64a913f9',
     ('xxy_plus_yy', 'final'): '50510212441e9bf9418271119ead5d4410c36bc0b08a43950f8d822b06c3c500',
     ('xxy_plus_yy', 'origin'): '3618f7662779e47ff61aaedfde97b68c13e6af205d83a009fa7cf38331a613f8',

@@ -59,14 +59,6 @@ class TestNullSpace:
 
 
 class TestSubspace:
-    def test_projector_is_idempotent_and_symmetric(self):
-        rng = np.random.default_rng(31)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        for k in range(7):
-            p = Subspace(6, q[:, :k]).projector()
-            assert np.abs(p @ p - p).max() <= 1e-10
-            assert np.abs(p - p.T).max() <= 1e-10
-
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from thirdopt import OracleObjective, Polynomial, Subspace, SymTensor3, corpus
 
-from oracles import rank_one, triple_loop_transform, triple_loop_trilinear
+from oracles import projected, rank_one, triple_loop_transform, triple_loop_trilinear
 
 
 def monkey_third():
@@ -39,29 +39,39 @@ class TestTrilinear:
 
 
 class TestProject:
+    """Restriction to a subspace: ``transform`` by orthonormal basis columns V.
+
+    T(V, V, V) holds T(P, P, P) in V's coordinates, P = V V' being the
+    projector, so both have one Frobenius norm; ``projected`` in the
+    oracles computes T(P, P, P) from P.
+    """
+
     def test_dimension_mismatch(self):
         t = monkey_third()
         with pytest.raises(ValueError, match="does not match tensor dim"):
             t.transform(np.eye(3))
         with pytest.raises(ValueError, match="does not match tensor dim"):
-            t.project(Subspace.full(3))
+            t.transform(np.ones((3, 1)))
 
     def test_full_space_is_identity(self):
         t = monkey_third()
-        assert_allclose(t.project(Subspace.full(2)).entries, t.entries, atol=1e-12)
+        assert_allclose(t.transform(Subspace.full(2).basis).entries, t.entries, atol=1e-12)
 
     def test_empty_space_is_zero(self):
-        t = monkey_third()
-        assert_allclose(t.project(Subspace.empty(2)).entries, 0.0)
+        restricted = monkey_third().transform(Subspace.empty(2).basis)
+        assert restricted.entries.shape == (0, 0, 0)
+        assert restricted.frobenius_norm() == 0.0
 
     def test_monkey_saddle_onto_e2(self):
         # Cross terms all carry an index-1 factor, so only T_222 survives.
         span_e2 = Subspace(2, np.array([[0.0], [1.0]]))
-        proj = monkey_third().project(span_e2)
+        t = monkey_third()
         expected = np.zeros((2, 2, 2))
         expected[1, 1, 1] = 6.0
-        assert_allclose(proj.entries, expected, atol=1e-12)
-        assert proj.frobenius_norm() == pytest.approx(6.0, abs=1e-12)
+        assert_allclose(projected(t.entries, span_e2.basis), expected, atol=1e-12)
+        restricted = t.transform(span_e2.basis)
+        assert_allclose(restricted.entries, [[[6.0]]], atol=1e-12)
+        assert restricted.frobenius_norm() == pytest.approx(6.0, abs=1e-12)
 
     def test_projection_contracts_norm_and_is_idempotent(self):
         rng = np.random.default_rng(11)
@@ -70,20 +80,25 @@ class TestProject:
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             k = int(rng.integers(0, 5))
             s = Subspace(4, q[:, :k])
-            once = t.project(s)
+            once = t.transform(s.basis)
+            via_projector = np.linalg.norm(projected(t.entries, s.basis))
+            assert once.frobenius_norm() == pytest.approx(via_projector, rel=1e-12, abs=1e-14)
             assert once.frobenius_norm() <= t.frobenius_norm() + 1e-12
-            assert_allclose(once.project(s).entries, once.entries, atol=1e-12)
+            # P V = V: restricting T(P, P, P) gives the restriction of T
+            twice = SymTensor3(projected(t.entries, s.basis)).transform(s.basis)
+            assert_allclose(twice.entries, once.entries, atol=1e-12)
 
     def test_projected_contraction_identity(self):
-        # T(P,P,P) applied to u equals T applied to Pu.
+        # T(V, V, V) applied to V'u equals T applied to Pu.
         rng = np.random.default_rng(13)
         t = SymTensor3(rng.standard_normal((3, 3, 3)))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         s = Subspace(3, q[:, :2])
         for _ in range(10):
             u = rng.standard_normal(3)
-            pu = s.basis @ (s.basis.T @ u)
-            lhs = t.project(s).trilinear(u, u, u)
+            coords = s.basis.T @ u
+            pu = s.basis @ coords
+            lhs = t.transform(s.basis).trilinear(coords, coords, coords)
             rhs = t.trilinear(pu, pu, pu)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
