@@ -7,20 +7,20 @@ degenerate critical point that motivates third-order steps.
 
 import numpy as np
 
-from thirdopt import corpus, solve_cubic_model, stationarity
+from thirdopt import corpus, eig_sym, solve_cubic_model, stationarity
 
 
 def regularized_step(objective, x, reg):
     """x plus the global minimizer of the cubic-regularized model at x."""
     b = objective.bundle(x, 2)
-    return x + solve_cubic_model(b.grad, b.hess, reg).step
+    return x + solve_cubic_model(b.grad, eig_sym(b.hess), reg).step
 
 
 print("Global minimizer of <g,s> + 1/2 s'Hs + (reg/6)||s||^3")
 g = np.array([1.0, 0.5])
 hess = np.array([[1.0, 0.2], [0.2, -2.0]])
 reg = 1.5
-sol = solve_cubic_model(g, hess, reg)
+sol = solve_cubic_model(g, eig_sym(hess), reg)
 print("  g =", g, " eigenvalues of H =", np.linalg.eigvalsh(hess))
 print("  step:", sol.step, " radius:", sol.radius, " model value:", sol.model_value)
 residual = np.linalg.norm(g + hess @ sol.step + 0.5 * reg * sol.radius * sol.step)
@@ -30,7 +30,7 @@ print("  psd margin lambda_min + reg*r/2:",
 
 print()
 print("Hard case: gradient orthogonal to the most negative eigenvector")
-sol = solve_cubic_model(np.array([1.0, 0.0]), np.diag([1.0, -2.0]), 1.0)
+sol = solve_cubic_model(np.array([1.0, 0.0]), eig_sym(np.diag([1.0, -2.0])), 1.0)
 print("  step:", sol.step)
 print("  the second component rides the bottom eigenvector out to the")
 print("  floor radius 2|lambda_min|/reg =", sol.radius)
@@ -45,7 +45,7 @@ for it in range(8):
     step = np.linalg.norm(z - x)
     promised = reg * step**3 / 12.0
     b_z = wine.bundle(z, 2)
-    mu = stationarity(b_z.grad, b_z.hess, reg).value
+    mu = stationarity(b_z.grad, eig_sym(b_z.hess), reg)
     print(f"  it {it}: f {wine.value(x):+.6f} -> {wine.value(z):+.6f}"
           f"  promised decrease {promised:.2e}  mu(z) {mu:.2e}")
     x = z

@@ -8,14 +8,14 @@ a descent direction in it, and reaches the global minimum.
 
 import numpy as np
 
-from thirdopt import corpus, minimize, solve_cubic_model
+from thirdopt import corpus, eig_sym, minimize, solve_cubic_model
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
 
 
 def regularized_step(objective, x, reg):
     """x plus the global minimizer of the cubic-regularized model at x."""
     b = objective.bundle(x, 2)
-    return x + solve_cubic_model(b.grad, b.hess, reg).step
+    return x + solve_cubic_model(b.grad, eig_sym(b.hess), reg).step
 
 
 confined = corpus("monkey_saddle_confined")

@@ -13,14 +13,15 @@ from thirdopt import (
     classify_hessian,
     corpus,
     descent_witness,
+    eig_sym,
     smoothness_bounds,
 )
 
 print("Hessian classification at the corpus origins:")
 for name in CORPUS_NAMES:
     poly = corpus(name)
-    hess = poly.bundle(np.zeros(poly.dim), 2).hess
-    print(f"  {name:24s} {classify_hessian(hess).value}")
+    decomp = eig_sym(poly.bundle(np.zeros(poly.dim), 2).hess)
+    print(f"  {name:24s} {classify_hessian(decomp).value}")
 
 print()
 print("Third-order condition reports at the origins:")

@@ -21,7 +21,6 @@ from .conditions import (
 )
 from .cubic import (
     CubicSolution,
-    Stationarity,
     solve_cubic_model,
     stationarity,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "RateReport",
     "SamplerBudgetError",
     "SmoothnessConstants",
-    "Stationarity",
     "Subspace",
     "SymTensor3",
     "Trace",

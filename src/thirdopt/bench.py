@@ -23,12 +23,13 @@ from .escape import (
     DECREASE_TOL,
     SAMPLER_CONSTANT,
     OptimizerConfig,
+    _approx_factor,
     minimize,
     rate_report,
     sample_direction,
 )
 from .polynomials import Polynomial, corpus, smoothness_bounds
-from .spectral import Subspace
+from .spectral import Subspace, eig_sym
 from .tensors import SymTensor3
 
 
@@ -214,11 +215,11 @@ def run_decrease(seed: int) -> list:
         reg = bounds.hess_lipschitz
         for idx, x in enumerate(unit_ball_points(rng, poly.dim, 20)):
             b = poly.bundle(x, 2)
-            sol = solve_cubic_model(b.grad, b.hess, reg)
+            sol = solve_cubic_model(b.grad, eig_sym(b.hess), reg)
             z = x + sol.step
             inside = bool(np.linalg.norm(z) <= 5.0)
             b_z = poly.bundle(z, 2)
-            mu = stationarity(b_z.grad, b_z.hess, reg).value
+            mu = stationarity(b_z.grad, eig_sym(b_z.hess), reg)
             dec_margin = b.value - reg * sol.radius**3 / 12.0 - b_z.value
             mu_margin = sol.radius - mu
             ok = inside and dec_margin >= -DECREASE_TOL and mu_margin >= -DECREASE_TOL
@@ -254,7 +255,7 @@ def run_escape(seed: int) -> list:
     drift = 0.0
     for _ in range(100):
         b = confined.bundle(x, 2)
-        x = x + solve_cubic_model(b.grad, b.hess, cfg.hess_lipschitz).step
+        x = x + solve_cubic_model(b.grad, eig_sym(b.hess), cfg.hess_lipschitz).step
         drift = max(drift, float(np.linalg.norm(x)))
     rows.append(BenchRow("escape", "confined_monkey/cubic_only_stalls", drift <= 1e-12,
                          (("max_drift", drift),)))
@@ -339,7 +340,7 @@ def run_sampler(seed: int) -> list:
     for case in range(1000):
         rng = np.random.default_rng(base.integers(2**63))
         tensor = random_symmetric_tensor(rng, n)
-        bound = tensor.frobenius_norm() / (SAMPLER_CONSTANT * n**1.5)
+        bound = tensor.frobenius_norm() / _approx_factor(SAMPLER_CONSTANT, n)
         sample = sample_direction(tensor, full, bound, rng)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
         ok = t >= bound and abs(np.linalg.norm(sample.direction) - 1.0) <= 1e-12
@@ -437,7 +438,7 @@ def run_subproblem(seed: int) -> list:
         a = rng.standard_normal((2, 2))
         h = (a + a.T) / 2.0
         reg = float(rng.uniform(0.5, 3.0))
-        sol = solve_cubic_model(g, h, reg)
+        sol = solve_cubic_model(g, eig_sym(h), reg)
         # x'Hx term by term, in the order and rounding of einsum("pi,ij,pj->p")
         quad = np.zeros(len(pts))
         quad += x0 * h[0, 0] * x0

@@ -28,8 +28,17 @@ from .polynomials import CORPUS_NAMES, Polynomial, corpus, smoothness_bounds
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, the documented code, where argparse exits 2.
 
-    Subparsers are built from the parser's own class, so they inherit it.
+    ``--x0 V`` and ``--point V`` are read as ``--x0=V`` and ``--point=V``:
+    argparse would take a separate V such as ``-1,0`` for an option.
+    Subparsers are built from the parser's own class, so they inherit both.
     """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined, rest = [], iter(sys.argv[1:] if args is None else args)
+        for arg in rest:
+            value = next(rest, None) if arg in ("--x0", "--point") else None
+            joined.append(arg if value is None else f"{arg}={value}")
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

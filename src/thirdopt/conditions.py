@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .escape import SAMPLER_CONSTANT, sample_direction
+from .escape import SAMPLER_CONSTANT, _approx_factor, sample_direction
 from .polynomials import Objective, as_point, check_positive
-from .spectral import _zero_band, eig_sym, null_space
+from .spectral import EigenDecomp, _zero_band, eig_sym, null_space
 
 CHECKER_NOTE = (
     "certifies the gradient, curvature, and null-space third-derivative "
@@ -50,8 +50,8 @@ class Verdict(Enum):
     HOLDS = "ThirdOrderNecessaryHolds"
 
 
-def classify_hessian(hess) -> HessianClass:
-    """Classify a critical point by the eigenvalue signs of its Hessian.
+def classify_hessian(decomp: EigenDecomp) -> HessianClass:
+    """Classify a critical point by the eigenvalue signs of its Hessian's ``decomp``.
 
     Eigenvalues with |lambda| <= tol count as zero, where the band tol is
     the default ``ConditionTolerances().eig`` relative to the extreme
@@ -59,7 +59,6 @@ def classify_hessian(hess) -> HessianClass:
     same-signed spectra with zeros are degenerate, which is the case
     second-order methods cannot resolve.
     """
-    decomp = eig_sym(hess)
     tol = _zero_band(decomp, ConditionTolerances().eig)
     lam = decomp.eigenvalues
     pos = np.any(lam > tol)
@@ -238,7 +237,7 @@ def descent_witness(
         predicted = c * eps**2 / 4.0
         order = 2
     else:
-        threshold = report.third_residual / (SAMPLER_CONSTANT * n**1.5)
+        threshold = report.third_residual / _approx_factor(SAMPLER_CONSTANT, n)
         sample = sample_direction(b.third, kernel, threshold, np.random.default_rng(seed))
         c = b.third.trilinear(sample.direction, sample.direction, sample.direction)
         eps = 0.9 * 2.0 * c / lip3

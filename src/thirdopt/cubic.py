@@ -31,9 +31,9 @@ tops the step up to the required radius.  The stationarity and
 eigenvalue certificate above makes every returned solution checkable
 independently of the method.
 
-``stationarity`` packages the progress measure that combines the
-gradient norm with the most negative Hessian eigenvalue; it vanishes
-exactly at second-order stationary points.
+``stationarity`` is the progress measure that combines the gradient
+norm with the most negative Hessian eigenvalue; it vanishes exactly at
+second-order stationary points.  Both take the Hessian's EigenDecomp.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import check_positive
-from .spectral import EigenDecomp, eig_sym
+from .spectral import EigenDecomp
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -138,13 +138,12 @@ def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor
     return t, evals
 
 
-def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
+def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
     """Globally minimize <g,s> + 1/2 s'Hs + (reg/6)||s||^3.
 
     Args:
         grad: gradient vector g.
-        hess: symmetric matrix H, or its :class:`EigenDecomp` when the
-            caller already holds one.
+        decomp: eigendecomposition of the symmetric matrix H.
         reg: cubic regularization weight, must be positive.
 
     Returns:
@@ -156,7 +155,6 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
     check_positive("reg", reg)
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
-    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
     lam = decomp.eigenvalues
     if not np.isfinite(lam).all():
         raise ValueError("hessian has non-finite entries")
@@ -218,28 +216,14 @@ def solve_cubic_model(grad, hess, reg: float) -> CubicSolution:
     return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
 
 
-@dataclass(frozen=True)
-class Stationarity:
-    """Second-order progress measure at a point.
+def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:
+    """Second-order progress measure from the gradient and Hessian spectrum at a point.
 
-    ``value`` is the max of a gradient term sqrt(||g||/reg) and a
-    curvature term -(2/(3 reg)) lambda_min clamped at zero; it is zero
-    exactly when the gradient vanishes and the Hessian is psd.
-    """
-
-    value: float
-    grad_part: float
-    eig_part: float
-
-
-def stationarity(grad, hess, reg: float) -> Stationarity:
-    """Second-order progress measure from the gradient and Hessian at a point.
-
-    ``hess`` is the Hessian matrix, or its :class:`EigenDecomp` when the
-    caller already holds one.
+    The max of a gradient term sqrt(||g||/reg) and a curvature term
+    -(2/(3 reg)) lambda_min clamped at zero; it is zero exactly when the
+    gradient vanishes and the Hessian is psd.
     """
     check_positive("reg", reg)
-    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
@@ -247,4 +231,4 @@ def stationarity(grad, hess, reg: float) -> Stationarity:
         raise ValueError("gradient or hessian has non-finite entries")
     grad_part = math.sqrt(float(np.linalg.norm(g)) / reg)
     eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
-    return Stationarity(value=max(grad_part, eig_part), grad_part=grad_part, eig_part=eig_part)
+    return max(grad_part, eig_part)

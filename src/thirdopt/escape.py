@@ -84,7 +84,17 @@ class OptimizerConfig:
             check_positive(name, getattr(self, name))
 
     def approx_factor(self, dim: int) -> float:
-        return self.sampler_constant * dim**1.5
+        return _approx_factor(self.sampler_constant, dim)
+
+
+def _approx_factor(sampler_constant: float, dim: int) -> float:
+    """Q = B * n^1.5: the sampler's and escape step's approximation factor."""
+    return sampler_constant * dim**1.5
+
+
+def _trigger_threshold(q: float, grad_norm: float, third_lipschitz: float) -> float:
+    """Projected norm at which an escape step fires: q * (24 ||grad|| L3)^(1/3)."""
+    return q * (24.0 * grad_norm * third_lipschitz) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -107,23 +117,17 @@ class EscapeSubspace:
         return self.subspace.is_empty
 
 
-def escape_subspace(
-    hess,
-    third: SymTensor3,
-    third_lipschitz: float,
-    approx_factor: float,
-) -> EscapeSubspace:
+def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: float,
+                    approx_factor: float) -> EscapeSubspace:
     """Largest trailing eigensubspace where the third derivative dominates.
 
-    ``hess`` is the Hessian matrix, or its :class:`EigenDecomp` when the
-    caller already holds one.  Rotating the tensor into the eigenbasis
-    makes the projected Frobenius norm of every suffix a plain
-    trailing-block norm, so all n candidates cost one rotation plus
+    ``decomp`` is the Hessian's :class:`EigenDecomp`.  Rotating the tensor
+    into its eigenbasis makes the projected Frobenius norm of every suffix
+    a plain trailing-block norm, so all n candidates cost one rotation plus
     slicing.  A subspace whose qualifying projected norm is at or below
     ``PROJ_NORM_FLOOR`` is reported empty: the step length would be
     proportional to that norm, so such subspaces cannot produce progress.
     """
-    decomp = hess if isinstance(hess, EigenDecomp) else eig_sym(hess)
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
@@ -333,17 +337,15 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         b_z = objective.bundle(z, 3)
         decomp = eig_sym(b_z.hess)
         grad_norm = float(np.linalg.norm(b_z.grad))
-        stat = stationarity(b_z.grad, decomp, reg)
+        mu = stationarity(b_z.grad, decomp, reg)
         esc = escape_subspace(decomp, b_z.third, lip3, q)
 
         cubic_ok = bool(b_z.value <= b_x.value - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
-        mu_ok = bool(sol.radius >= stat.value - DECREASE_TOL)
-        trigger = bool(
-            (not esc.is_empty)
-            and esc.proj_norm >= q * (24.0 * grad_norm * lip3) ** (1.0 / 3.0)
-        )
+        mu_ok = bool(sol.radius >= mu - DECREASE_TOL)
+        trigger = bool((not esc.is_empty)
+                       and esc.proj_norm >= _trigger_threshold(q, grad_norm, lip3))
 
-        shared = dict(iteration=it, grad_norm=grad_norm, stationarity=stat.value,
+        shared = dict(iteration=it, grad_norm=grad_norm, stationarity=mu,
                       proj_norm=esc.proj_norm, subspace_dim=esc.subspace.rank)
         records.append(_row(shared, "cubic", b_z.value, sol.radius,
                             cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
@@ -362,7 +364,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
             x, b_x, decomp_x = z, b_z, decomp
             quiet += 1
 
-        if stat.value <= config.tol_mu and quiet >= QUIET_WINDOW:
+        if mu <= config.tol_mu and quiet >= QUIET_WINDOW:
             records.append(_row(shared, "terminal", b_x.value, 0.0))
             reason = "terminal"
             break
@@ -411,7 +413,7 @@ def rate_report(trace: Trace, lower_bound: float) -> RateReport:
     static_proj = q * (24.0 * lip3**3 * gap / t) ** 0.25
     qualifying = []
     for rec in trace.cubic_records():
-        proj_bound = max(q * (24.0 * rec.grad_norm * lip3) ** (1.0 / 3.0), static_proj)
+        proj_bound = max(_trigger_threshold(q, rec.grad_norm, lip3), static_proj)
         if rec.stationarity <= mu_bound and rec.proj_norm <= proj_bound:
             qualifying.append(rec.iteration)
     return RateReport(

@@ -98,7 +98,7 @@ class Objective(Protocol):
 
     def value(self, x) -> float: ...
 
-    def bundle(self, x, order: int = 3) -> DerivativeBundle: ...
+    def bundle(self, x, order: int) -> DerivativeBundle: ...
 
 
 class Polynomial:
@@ -308,7 +308,7 @@ class Polynomial:
         bins = (pos + size * np.arange(count)[:, None]).ravel()
         return np.bincount(bins, terms.ravel(), minlength=count * size).reshape(count, size)
 
-    def bundle(self, x, order: int = 3) -> DerivativeBundle:
+    def bundle(self, x, order: int) -> DerivativeBundle:
         """Exact value and derivatives at ``x`` up to ``order`` (0..3).
 
         Derivative slots above the requested order are zero arrays.
@@ -407,7 +407,7 @@ class OracleObjective:
     def value(self, x) -> float:
         return float(self._call("value", as_point(x, self._dim), 0))
 
-    def bundle(self, x, order: int = 3) -> DerivativeBundle:
+    def bundle(self, x, order: int) -> DerivativeBundle:
         check_order(order)
         x = as_point(x, self._dim)
         n = self._dim

@@ -1,5 +1,8 @@
 """Symmetric eigendecompositions and orthonormal subspaces.
 
+``eig_sym`` is the one function that turns a Hessian matrix into a
+spectrum; every other consumer takes the resulting :class:`EigenDecomp`.
+
 Eigenvalues are always reported in descending order; every consumer in
 this package relies on that convention when it walks suffix subspaces
 (the spans of trailing eigenvectors, which collect the low-curvature

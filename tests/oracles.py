@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computation paths:
 derivatives come from sympy, contractions from explicit loops, minima
-from brute-force grids, and roots from closed forms.
+from brute-force grids, and roots from closed forms.  The one exception
+is ``regularized_step``, a shared helper that takes the library's cubic step.
 """
 
 import functools
@@ -12,7 +13,13 @@ import math
 import numpy as np
 import sympy as sp
 
-from thirdopt import SymTensor3
+from thirdopt import SymTensor3, eig_sym, solve_cubic_model
+
+
+def regularized_step(objective, x, reg):
+    """x plus the global minimizer of the cubic-regularized model at x."""
+    b = objective.bundle(x, 2)
+    return x + solve_cubic_model(b.grad, eig_sym(b.hess), reg).step
 
 
 def sympy_bundle(poly, x):

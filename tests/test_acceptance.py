@@ -16,6 +16,7 @@ from thirdopt import (
     check_third_order,
     corpus,
     descent_witness,
+    eig_sym,
     minimize,
     rate_report,
     smoothness_bounds,
@@ -31,6 +32,7 @@ from oracles import (
     grid_min_2d,
     quartic_1d_fn,
     quartic_1d_positive_root,
+    regularized_step,
 )
 
 CORPUS = ("monkey_saddle", "monkey_saddle_confined", "xxy_plus_yy",
@@ -46,12 +48,6 @@ def _verdict(num, name, ok, elapsed, budget):
     assert elapsed < budget, f"{name} exceeded the {budget}s budget ({elapsed:.2f}s)"
 
 
-def regularized_step(objective, x, reg):
-    """x plus the global minimizer of the cubic-regularized model at x."""
-    b = objective.bundle(x, 2)
-    return x + solve_cubic_model(b.grad, b.hess, reg).step
-
-
 def _seeded_cubic_steps():
     """140 seeded cubic steps across the corpus with radius-5 bounds."""
     rng = np.random.default_rng(0)
@@ -61,7 +57,7 @@ def _seeded_cubic_steps():
         reg = smoothness_bounds(poly, radius=5.0).hess_lipschitz
         for x in bench.unit_ball_points(rng, poly.dim, 20):
             b = poly.bundle(x, 2)
-            sol = solve_cubic_model(b.grad, b.hess, reg)
+            sol = solve_cubic_model(b.grad, eig_sym(b.hess), reg)
             z = x + sol.step
             steps.append((poly, reg, x, z, sol))
     return steps
@@ -83,7 +79,7 @@ def test_criterion_02_step_vs_stationarity():
     ok = True
     for poly, reg, x, z, sol in _seeded_cubic_steps():
         b = poly.bundle(z, 2)
-        ok &= sol.radius >= stationarity(b.grad, b.hess, reg).value - 1e-9
+        ok &= sol.radius >= stationarity(b.grad, eig_sym(b.hess), reg) - 1e-9
     _verdict(2, "step norm dominates stationarity", ok, time.perf_counter() - start, 10.0)
 
 
@@ -191,7 +187,7 @@ def test_criterion_09_subproblem_grid_equivalence():
         a = rng.standard_normal((2, 2))
         h = (a + a.T) / 2.0
         reg = float(rng.uniform(0.5, 3.0))
-        sol = solve_cubic_model(g, h, reg)
+        sol = solve_cubic_model(g, eig_sym(h), reg)
         ok &= sol.model_value <= cubic_model_grid_min(g, h, reg, radius=3.0, points=401) + 1e-3
         residual = np.linalg.norm(g + h @ sol.step + 0.5 * reg * sol.radius * sol.step)
         ok &= residual <= 1e-8 * max(1.0, float(np.linalg.norm(g)))

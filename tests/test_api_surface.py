@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "DerivativeBundle", "DescentWitness", "DirectionSample", "EigenDecomp", "EscapeSubspace",
     "FdResiduals", "HessianClass", "IterationRecord", "Objective", "OptimizerConfig",
     "OracleObjective", "Polynomial", "RateReport", "SamplerBudgetError", "SmoothnessConstants",
-    "Stationarity", "Subspace", "SymTensor3", "Trace", "Verdict", "check_third_order",
+    "Subspace", "SymTensor3", "Trace", "Verdict", "check_third_order",
     "classify_hessian", "corpus", "descent_witness", "eig_sym", "escape_subspace",
     "finite_difference_check", "minimize", "null_space", "quartic_plus_sixth", "rate_report",
     "sample_direction", "smoothness_bounds", "solve_cubic_model", "stationarity",
@@ -50,7 +50,6 @@ PUBLIC_MEMBERS = {
     "RateReport": ("mu_bound", "qualifying", "satisfied", "static_proj_bound"),
     "SamplerBudgetError": (),
     "SmoothnessConstants": ("hess_lipschitz", "third_lipschitz", "valid_radius"),
-    "Stationarity": ("eig_part", "grad_part", "value"),
     "Subspace": ("basis", "dim", "empty", "full", "is_empty", "rank"),
     "SymTensor3": ("dim", "entries", "frobenius_norm", "transform", "trilinear", "zeros"),
     "Trace": ("all_flags_ok", "approx_factor", "config", "cubic_records", "dim", "final_point",
@@ -63,10 +62,7 @@ PUBLIC_MEMBERS = {
 # parameters; every other public callable takes none.
 OPTIONAL_PARAMETERS = {
     "ConditionTolerances": ("grad", "eig", "third"),
-    "Objective.bundle": ("order",),
     "OptimizerConfig": ("sampler_constant", "max_iters", "seed", "tol_mu"),
-    "OracleObjective.bundle": ("order",),
-    "Polynomial.bundle": ("order",),
     "bench.run_suite": ("seed",),
     "check_third_order": ("tols",),
     "descent_witness": ("seed",),

@@ -113,6 +113,17 @@ class TestRun:
         assert main(args + ["--trace", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_first_entry_parses_like_the_joined_form(self, tmp_path, capsys):
+        # argparse alone reads a separate "-0.5,0" as an option and exits 1
+        runs = []
+        for i, x0 in enumerate((["--x0", "-0.5,0"], ["--x0=-0.5,0"])):
+            trace = tmp_path / f"t{i}.jsonl"
+            code = main(["run", "--problem", "monkey_saddle_confined", *x0,
+                         "--trace", str(trace)])
+            runs.append((code, capsys.readouterr().out, trace.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
 
 class TestCheck:
     def test_monkey_saddle_fails_third(self, capsys):
@@ -131,6 +142,18 @@ class TestCheck:
         code = main(["check", "--problem", "monkey_saddle", "--point", "1,1"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "FirstOrderFail"
+
+    def test_negative_first_entry_parses_like_the_joined_form(self, capsys):
+        spaced = main(["check", "--problem", "monkey_saddle", "--point", "-1,0"])
+        spaced_out = capsys.readouterr().out
+        joined = main(["check", "--problem", "monkey_saddle", "--point=-1,0"])
+        assert (spaced, spaced_out) == (joined, capsys.readouterr().out)
+        assert json.loads(spaced_out)["grad_norm"] == 3.0
+        # a flag without its value is still a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--problem", "monkey_saddle", "--point"])
+        assert exc.value.code == 1
+        assert "--point: expected one argument" in capsys.readouterr().err
 
     def test_point_dimension_mismatch(self):
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1

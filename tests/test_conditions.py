@@ -18,6 +18,7 @@ from thirdopt import (
     classify_hessian,
     corpus,
     descent_witness,
+    eig_sym,
     minimize,
     smoothness_bounds,
 )
@@ -29,25 +30,25 @@ from oracles import projected
 
 class TestClassifyHessian:
     def test_definite_cases(self):
-        assert classify_hessian(np.diag([1.0, 2.0])) is HessianClass.LOCAL_MIN
-        assert classify_hessian(np.diag([-1.0, -2.0])) is HessianClass.LOCAL_MAX
+        assert classify_hessian(eig_sym(np.diag([1.0, 2.0]))) is HessianClass.LOCAL_MIN
+        assert classify_hessian(eig_sym(np.diag([-1.0, -2.0]))) is HessianClass.LOCAL_MAX
 
     def test_strict_saddle(self):
-        assert classify_hessian(np.diag([1.0, -1.0])) is HessianClass.STRICT_SADDLE
+        assert classify_hessian(eig_sym(np.diag([1.0, -1.0]))) is HessianClass.STRICT_SADDLE
 
     def test_degenerate_corpus_hessian(self):
         hess = corpus("xxy_plus_yy").bundle(np.zeros(2), 2).hess
-        assert classify_hessian(hess) is HessianClass.DEGENERATE
+        assert classify_hessian(eig_sym(hess)) is HessianClass.DEGENERATE
 
     def test_zero_matrix_is_degenerate(self):
-        assert classify_hessian(np.zeros((3, 3))) is HessianClass.DEGENERATE
+        assert classify_hessian(eig_sym(np.zeros((3, 3)))) is HessianClass.DEGENERATE
 
     def test_tolerance_band(self):
         # the zero band is 1e-8 relative to max(1, |extreme eigenvalues|)
-        assert classify_hessian(np.diag([1.0, 1e-12])) is HessianClass.DEGENERATE
-        assert classify_hessian(np.diag([1.0, 1e-6])) is HessianClass.LOCAL_MIN
-        assert classify_hessian(np.diag([1e4, 1e-5])) is HessianClass.DEGENERATE
-        assert classify_hessian(np.diag([1e4, 1e-3])) is HessianClass.LOCAL_MIN
+        assert classify_hessian(eig_sym(np.diag([1.0, 1e-12]))) is HessianClass.DEGENERATE
+        assert classify_hessian(eig_sym(np.diag([1.0, 1e-6]))) is HessianClass.LOCAL_MIN
+        assert classify_hessian(eig_sym(np.diag([1e4, 1e-5]))) is HessianClass.DEGENERATE
+        assert classify_hessian(eig_sym(np.diag([1e4, 1e-3]))) is HessianClass.LOCAL_MIN
 
 
 class TestCheckThirdOrder:

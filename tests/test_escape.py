@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import thirdopt.cubic
 import thirdopt.escape
 from thirdopt import (
     OptimizerConfig,
@@ -26,7 +25,6 @@ from thirdopt import (
     rate_report,
     sample_direction,
     smoothness_bounds,
-    solve_cubic_model,
     stationarity,
 )
 from thirdopt.bench import (
@@ -36,13 +34,14 @@ from thirdopt.bench import (
 )
 from thirdopt.escape import FLAG_KEYS, MAX_SAMPLER_DRAWS, dump_records
 
-from oracles import confined_monkey_fn, grid_min_2d, projected, quartic_1d_fn, rank_one
-
-
-def regularized_step(objective, x, reg):
-    """x plus the global minimizer of the cubic-regularized model at x."""
-    b = objective.bundle(x, 2)
-    return x + solve_cubic_model(b.grad, b.hess, reg).step
+from oracles import (
+    confined_monkey_fn,
+    grid_min_2d,
+    projected,
+    quartic_1d_fn,
+    rank_one,
+    regularized_step,
+)
 
 
 def monkey_third(confined=False):
@@ -53,26 +52,26 @@ def monkey_third(confined=False):
 class TestEscapeSubspace:
     def test_monkey_saddle_full_space_qualifies(self):
         # zero hessian: the first suffix (the full space) already passes
-        esc = escape_subspace(np.zeros((2, 2)), monkey_third(), 39.2, 8.0 * 2**1.5)
+        esc = escape_subspace(eig_sym(np.zeros((2, 2))), monkey_third(), 39.2, 8.0 * 2**1.5)
         assert esc.suffix_index == 0
         assert esc.subspace.rank == 2
         assert esc.proj_norm == pytest.approx(12.0, abs=1e-12)
         assert esc.curvature_bound >= 0.0
 
     def test_zero_tensor_gives_empty(self):
-        esc = escape_subspace(np.diag([1.0, -1.0]), SymTensor3.zeros(2), 1.0, 1.0)
+        esc = escape_subspace(eig_sym(np.diag([1.0, -1.0])), SymTensor3.zeros(2), 1.0, 1.0)
         assert esc.is_empty
         assert esc.proj_norm == 0.0
         assert esc.suffix_index is None
 
     def test_large_curvature_disqualifies(self):
         tiny = rank_one(np.array([1e-3, 0.0]))
-        esc = escape_subspace(np.diag([5.0, 5.0]), tiny, 1.0, 1.0)
+        esc = escape_subspace(eig_sym(np.diag([5.0, 5.0])), tiny, 1.0, 1.0)
         assert esc.is_empty
 
     def test_floor_suppresses_vanishing_norm(self):
         tiny = rank_one(np.array([1e-5, 0.0]))
-        esc = escape_subspace(np.zeros((2, 2)), tiny, 1.0, 1.0)
+        esc = escape_subspace(eig_sym(np.zeros((2, 2))), tiny, 1.0, 1.0)
         assert esc.is_empty
 
     def test_proj_norm_matches_projection_route(self):
@@ -82,7 +81,7 @@ class TestEscapeSubspace:
             a = rng.standard_normal((4, 4))
             hess = (a + a.T) / 2.0
             tensor = SymTensor3(rng.standard_normal((4, 4, 4)))
-            esc = escape_subspace(hess, tensor, 1.0, 4.0)
+            esc = escape_subspace(eig_sym(hess), tensor, 1.0, 4.0)
             if esc.is_empty:
                 continue
             via_projector = np.linalg.norm(projected(tensor.entries, esc.subspace.basis))
@@ -96,26 +95,15 @@ class TestEscapeSubspace:
         # give the tensor mass only on e2 so just the trailing suffix works
         hess = np.diag([5.0, 0.0])
         tensor = rank_one(np.array([0.0, 1.0]))
-        esc = escape_subspace(hess, tensor, 1.0, 1.0)
+        esc = escape_subspace(eig_sym(hess), tensor, 1.0, 1.0)
         assert esc.suffix_index == 1
         assert esc.subspace.rank == 1
         assert esc.proj_norm == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match matrix dim"):
-            escape_subspace(np.zeros((3, 3)), monkey_third(), 1.0, 1.0)
+            escape_subspace(eig_sym(np.zeros((3, 3))), monkey_third(), 1.0, 1.0)
 
-    def test_decomposition_input_matches_matrix_input(self):
-        rng = np.random.default_rng(23)
-        a = rng.standard_normal((4, 4))
-        hess = (a + a.T) / 2.0
-        tensor = SymTensor3(rng.standard_normal((4, 4, 4)))
-        for factor in (0.5, 2.0, 8.0):
-            from_matrix = escape_subspace(hess, tensor, 1.0, factor)
-            from_decomp = escape_subspace(eig_sym(hess), tensor, 1.0, factor)
-            assert from_decomp.suffix_index == from_matrix.suffix_index
-            assert from_decomp.proj_norm == from_matrix.proj_norm
-            assert np.array_equal(from_decomp.subspace.basis, from_matrix.subspace.basis)
 
 
 class TestSampleDirection:
@@ -327,8 +315,7 @@ class TestMinimize:
             eig_calls.append(1)
             return eig_sym(matrix)
 
-        for module in (thirdopt.cubic, thirdopt.escape):
-            monkeypatch.setattr(module, "eig_sym", counting_eig_sym)
+        monkeypatch.setattr(thirdopt.escape, "eig_sym", counting_eig_sym)
         runs = (
             (corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config()),
             (corpus("quartic_1d"), np.zeros(1), quartic_1d_config()),
@@ -456,14 +443,14 @@ def _quadratic_trace():
 # call puts the bad value in that parameter.
 CONSTANT_ENTRY_POINTS = {
     "escape_subspace/third_lipschitz":
-        lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), bad, 1.0),
+        lambda bad: escape_subspace(eig_sym(np.zeros((2, 2))), monkey_third(), bad, 1.0),
     "escape_subspace/approx_factor":
-        lambda bad: escape_subspace(np.zeros((2, 2)), monkey_third(), 1.0, bad),
+        lambda bad: escape_subspace(eig_sym(np.zeros((2, 2))), monkey_third(), 1.0, bad),
     "sample_direction/threshold":
         lambda bad: sample_direction(monkey_third(), Subspace.full(2), bad,
                                      np.random.default_rng(0)),
     "rate_report/lower_bound": lambda bad: rate_report(_quadratic_trace(), bad),
-    "stationarity/reg": lambda bad: stationarity(np.zeros(2), np.zeros((2, 2)), bad),
+    "stationarity/reg": lambda bad: stationarity(np.zeros(2), eig_sym(np.zeros((2, 2))), bad),
     "null_space/tol": lambda bad: null_space(eig_sym(np.diag([1.0, -1.0])), bad),
     "smoothness_bounds/radius":
         lambda bad: smoothness_bounds(corpus("monkey_saddle_confined"), bad),

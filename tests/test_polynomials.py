@@ -165,7 +165,7 @@ class TestDerivatives:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            corpus("monkey_saddle").bundle(np.zeros(3))
+            corpus("monkey_saddle").bundle(np.zeros(3), 3)
 
     def test_against_sympy_on_random_polynomials(self):
         rng = np.random.default_rng(41)

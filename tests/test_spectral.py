@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from thirdopt import Subspace, corpus, eig_sym, null_space
+from thirdopt import (
+    Subspace,
+    SymTensor3,
+    classify_hessian,
+    corpus,
+    eig_sym,
+    escape_subspace,
+    null_space,
+    solve_cubic_model,
+    stationarity,
+)
 
 
 class TestEigSym:
@@ -76,3 +86,20 @@ class TestSubspace:
     def test_empty_and_full(self):
         assert Subspace.empty(3).is_empty
         assert Subspace.full(3).rank == 3
+
+
+# Every consumer of a Hessian spectrum, called with a bare (valid, symmetric)
+# matrix where its EigenDecomp belongs.
+SPECTRUM_CONSUMERS = {
+    "classify_hessian": classify_hessian,
+    "escape_subspace": lambda m: escape_subspace(m, SymTensor3.zeros(2), 1.0, 1.0),
+    "solve_cubic_model": lambda m: solve_cubic_model(np.ones(2), m, 1.0),
+    "stationarity": lambda m: stationarity(np.ones(2), m, 1.0),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(SPECTRUM_CONSUMERS))
+def test_bare_matrix_raises_at_the_call(consumer):
+    # eig_sym is the only function that turns a matrix into a spectrum
+    with pytest.raises(AttributeError, match="object has no attribute"):
+        SPECTRUM_CONSUMERS[consumer](np.diag([1.0, -1.0]))
