@@ -125,8 +125,9 @@ def _grid_minimum(poly: Polynomial, dim: int, lo: float, hi: float, points: int)
     else:
         keep = np.arange(points**dim)
     candidates = np.column_stack([axis[i] for i in np.unravel_index(keep, (points,) * dim)])
-    # bundle_many holds Python floats per point, so a large candidate set
-    # (every point, for a constant polynomial) goes in chunks
+    # bundle_many's work arrays grow with the points times the table's rows,
+    # so a large candidate set (every point, for a constant polynomial) goes
+    # in chunks
     least = [poly.bundle_many(candidates[k:k + SCREEN_CHUNK], 0)[0].min()
              for k in range(0, len(candidates), SCREEN_CHUNK)]
     return float(np.min(least))

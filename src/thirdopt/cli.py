@@ -30,8 +30,14 @@ class _Parser(argparse.ArgumentParser):
 
     ``--x0 V`` and ``--point V`` are read as ``--x0=V`` and ``--point=V``:
     argparse would take a separate V such as ``-1,0`` for an option.
-    Subparsers are built from the parser's own class, so they inherit both.
+    Flags must be spelled in full (``allow_abbrev=False``), so a prefix
+    such as ``--poi`` is a usage error whatever follows it, rather than
+    an abbreviation that escapes the join.  Subparsers are built from the
+    parser's own class, so they inherit all three.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         joined, rest = [], iter(sys.argv[1:] if args is None else args)

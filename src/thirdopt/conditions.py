@@ -27,7 +27,7 @@ import numpy as np
 
 from .escape import SAMPLER_CONSTANT, _approx_factor, sample_direction
 from .polynomials import Objective, as_point, check_positive
-from .spectral import EigenDecomp, _zero_band, eig_sym, null_space
+from .spectral import EigenDecomp, _norm, _zero_band, eig_sym, null_space
 
 CHECKER_NOTE = (
     "certifies the gradient, curvature, and null-space third-derivative "
@@ -135,7 +135,7 @@ def check_third_order(
     point.flags.writeable = False
     b = objective.bundle(point, 3)
     decomp = eig_sym(b.hess)
-    grad_norm = float(np.linalg.norm(b.grad))
+    grad_norm = _norm(b.grad)
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
     third_residual = b.third.transform(kernel.basis).frobenius_norm()
@@ -216,7 +216,7 @@ def descent_witness(
     lip3 = third_lipschitz
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
-        g_norm = float(np.linalg.norm(b.grad))
+        g_norm = _norm(b.grad)
         l_prime = max(
             abs(decomp.eigenvalues[0]), abs(decomp.eigenvalues[-1]), b.third.frobenius_norm()
         )

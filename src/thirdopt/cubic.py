@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import check_positive
-from .spectral import EigenDecomp
+from .spectral import EigenDecomp, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -160,24 +160,27 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
         raise ValueError("hessian has non-finite entries")
     v = decomp.eigenvectors
     g_hat = v.T @ g
-    g_norm = float(np.linalg.norm(g))
+    g_norm = _norm(g)
     lam_min = float(lam[-1])
     spectral = decomp.spectral_scale()
     half_reg = 0.5 * reg
 
     # Shifted eigenvalues at the floor radius, lam + (reg/2) r_floor,
     # formed as gaps so they keep relative precision near zero.
+    gap = lam - lam_min
     if lam_min < 0.0:
         r_floor = -lam_min / half_reg
-        base = lam - lam_min
+        base = gap
     else:
         r_floor = 0.0
         base = lam
-    bottom = (lam - lam_min) <= 1e-12 * spectral
-    g_bottom = float(np.linalg.norm(g_hat[bottom]))
+    bottom = gap <= 1e-12 * spectral
+    g_bottom = _norm(g_hat[bottom])
+    # A hard-case candidate solves on the complement of the bottom eigenspace.
     hard_candidate = g_bottom <= _HARD_CASE_REL * max(1.0, g_norm)
-    keep = ~bottom if hard_candidate else np.ones_like(bottom)
-    g_sq = np.where(keep, g_hat, 0.0) ** 2
+    g_sq = g_hat**2
+    if hard_candidate:
+        g_sq[bottom] = 0.0
 
     t, evals = 0.0, 0
     if g_norm == 0.0 and lam_min >= -1e-15 * spectral:
@@ -187,26 +190,28 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
             # The floor radius is a root when the gradient, solved on the
             # complement of the bottom eigenspace, falls short of it.
             with np.errstate(divide="ignore", invalid="ignore"):
-                p = float(np.linalg.norm(np.where(keep, g_hat / base, 0.0)))
+                p = _norm(np.where(bottom, 0.0, g_hat / base))
             evals = 1
         if not hard_candidate or p >= r_floor:
             t, solve_evals = _secular_offset(g_sq, base, half_reg, r_floor)
             evals += solve_evals
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_hat = np.where(keep, -g_hat / (base + half_reg * t), 0.0)
+            s_hat = -g_hat / (base + half_reg * t)
+        if hard_candidate:
+            s_hat[bottom] = 0.0
         if hard_candidate and p < r_floor:
             # Hard case: sit at the floor radius and fill the deficit
             # along one bottom eigenvector.
             s_hat[int(np.argmax(bottom))] += math.sqrt(max(r_floor * r_floor - p * p, 0.0))
 
     step = v @ s_hat
-    radius = float(np.linalg.norm(step))
+    radius = _norm(step)
     hess_s = (v * lam) @ s_hat
     model_value = float(g @ step + 0.5 * step @ hess_s + reg * radius**3 / 6.0)
 
     # Internal sanity certificate; scale-aware so legitimate large-norm
     # inputs do not trip it on roundoff.
-    residual = float(np.linalg.norm(g + hess_s + 0.5 * reg * radius * step))
+    residual = _norm(g + hess_s + 0.5 * reg * radius * step)
     margin = lam_min + 0.5 * reg * radius
     res_scale = max(1.0, g_norm, spectral * max(1.0, radius))
     if residual > 1e-9 * res_scale or margin < -1e-9 * spectral:
@@ -229,6 +234,6 @@ def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
     if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
         raise ValueError("gradient or hessian has non-finite entries")
-    grad_part = math.sqrt(float(np.linalg.norm(g)) / reg)
+    grad_part = math.sqrt(_norm(g) / reg)
     eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
     return max(grad_part, eig_part)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cubic import solve_cubic_model, stationarity
 from .polynomials import Objective, as_point, check_positive
-from .spectral import EigenDecomp, Subspace, eig_sym
+from .spectral import EigenDecomp, Subspace, _norm, eig_sym
 from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
@@ -195,7 +195,7 @@ def sample_direction(
     for draw in range(1, MAX_SAMPLER_DRAWS + 1):
         coeffs = rng.standard_normal(subspace.rank)
         u = subspace.basis @ coeffs
-        norm = np.linalg.norm(u)
+        norm = _norm(u)
         if norm == 0.0:
             continue
         u /= norm
@@ -336,7 +336,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         z = x + sol.step
         b_z = objective.bundle(z, 3)
         decomp = eig_sym(b_z.hess)
-        grad_norm = float(np.linalg.norm(b_z.grad))
+        grad_norm = _norm(b_z.grad)
         mu = stationarity(b_z.grad, decomp, reg)
         esc = escape_subspace(decomp, b_z.third, lip3, q)
 
@@ -357,7 +357,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
             decomp_x = eig_sym(b_x.hess)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
             third_ok = bool(b_x.value <= b_z.value - promised + DECREASE_TOL)
-            records.append(_row(shared, "third", b_x.value, float(np.linalg.norm(x - z)),
+            records.append(_row(shared, "third", b_x.value, _norm(x - z),
                                 trigger=True, third_decrease=third_ok))
             quiet = 0
         else:

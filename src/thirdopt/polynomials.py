@@ -11,7 +11,7 @@ Derivative conventions: ``grad[i] = df/dx_i``, ``hess[i, j] =
 d2f/dx_i dx_j``, ``third[i, j, k] = d3f/dx_i dx_j dx_k``.
 
 A :class:`Polynomial` computes each derivative order k, and its
-term-wise Lipschitz bound, from one table built on first use: a row per
+term-wise Lipschitz bound, from table rows built on first use: a row per
 term and ordered k-tuple of axes the term survives differentiation
 along, holding the tuple's flat position in the n**k tensor, the
 residual monomial as indices into a table of powers ``x[i] ** e``, and
@@ -20,14 +20,17 @@ position's rows in term order.  The powers are scalar (libm ``pow``);
 numpy's vectorized ``power`` uses SIMD kernels that can differ in the
 last bit.  So all permutations of an index sum the same floats in the
 same order, and the third derivative is exactly symmetric.
-:meth:`Polynomial.bundle` reads the tables at one point and
-:meth:`Polynomial.bundle_many` at each row of an ``(N, n)`` stack, through
-the same engine and float order, so row i of a stack equals the bundle
-at that row bit for bit.
 
-The order-0 table is the one evaluator of f: :meth:`Polynomial.value`
-reads it at a point and :meth:`Polynomial.bundle_many` at each row of a
-stack.
+Orders 0..3 share one fused table: order k's rows follow order k-1's,
+with positions offset by 1 + n + ... + n**(k-1), so the rows through
+order k are a prefix of the table and fill a prefix of the flat vector
+(f, grad, hess, third).  :meth:`Polynomial.value` and
+:meth:`Polynomial.bundle` read that prefix at one point with one gather,
+one product and one ``bincount``; :meth:`Polynomial.bundle_many` reads
+each order's slice at every row of an ``(N, n)`` stack.  Each position
+still adds the same rows in the same order on both paths, so row i of a
+stack equals the bundle at that row bit for bit.  Order 4 serves only
+:func:`smoothness_bounds` and is built on its own.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class Polynomial:
     at or below ``MAX_DEGREE``.
     """
 
-    __slots__ = ("_dim", "_terms", "_slots", "_tables")
+    __slots__ = ("_dim", "_terms", "_slots", "_fused", "_order4")
 
     def __init__(self, dim: int, terms) -> None:
         if not isinstance(dim, int) or dim < 1:
@@ -139,7 +142,8 @@ class Polynomial:
         # highest exponent
         caps = [max((e[i] for e, _ in self._terms), default=0) for i in range(dim)]
         self._slots = tuple((i, e) for i, cap in enumerate(caps) for e in range(cap + 1))
-        self._tables: dict[int, tuple] = {}
+        self._fused = None
+        self._order4 = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -246,17 +250,14 @@ class Polynomial:
 
     def value(self, x) -> float:
         x = as_point(x, self._dim)
-        return float(self._derivative(0, self._powers(x))[0])
+        return float(self._at_point(x, 0)[0])
 
-    def _table(self, order: int) -> tuple:
+    def _rows(self, order: int) -> tuple:
         """Rows of the order-``order`` derivative: position, residual, multiplier.
 
         ``residual`` has one power-table index per support axis, in axis
-        order, padded with index 0 (``x[0] ** 0 = 1``).  Order 4 serves
-        only :func:`smoothness_bounds`.
+        order, padded with index 0 (``x[0] ** 0 = 1``).
         """
-        if order in self._tables:
-            return self._tables[order]
         # each term's (axis, exponent) over its support, padded with (0, 0)
         support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
         width = max(map(len, support), default=0)
@@ -271,39 +272,81 @@ class Polynomial:
             pos = pos[row] * self._dim + axes[term, j]
             left[np.arange(len(row)), j] -= 1
         offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
-        table = (
+        return (
             pos,
             (offsets[axes[term]] + left).T.astype(np.int32, order="C"),
             np.array([c for _, c in self._terms])[term] * factor,
         )
-        self._tables[order] = table
-        return table
+
+    def _prefixes(self) -> tuple:
+        """The fused order 0..3 table, as its prefix through each order.
+
+        Entry k is (positions, residual, multipliers, size): the rows of
+        orders 0..k, positions offset into the flat (f, grad, hess, third)
+        vector, and that vector's length through order k.
+        """
+        if self._fused is None:
+            n = self._dim
+            sizes = np.cumsum([n**k for k in range(4)]).tolist()
+            parts = [self._rows(k) for k in range(4)]
+            pos = np.concatenate([p + (sizes[k - 1] if k else 0) for k, (p, _, _) in enumerate(parts)])
+            residual = np.concatenate([r for _, r, _ in parts], axis=1)
+            mult = np.concatenate([m for _, _, m in parts])
+            ends = np.cumsum([len(m) for _, _, m in parts]).tolist()
+            self._fused = tuple((pos[:e], residual[:, :e], mult[:e], size)
+                                for e, size in zip(ends, sizes))
+        return self._fused
+
+    def _table(self, order: int) -> tuple:
+        """Rows of one order: position in the n**order tensor, residual, multiplier.
+
+        Orders 0..3 are slices of the fused table; order 4, which serves
+        only :func:`smoothness_bounds`, is built on first use.
+        """
+        if order == 4:
+            if self._order4 is None:
+                self._order4 = self._rows(4)
+            return self._order4
+        prefixes = self._prefixes()
+        pos, residual, mult, size = prefixes[order]
+        start = len(prefixes[order - 1][2]) if order else 0
+        return pos[start:] - (size - self._dim**order), residual[:, start:], mult[start:]
 
     def _powers(self, x: np.ndarray) -> np.ndarray:
         """Scalar ``x[..., i] ** e`` for each power-table slot, point-major.
 
         ``x`` is one point ``(n,)`` or a stack ``(N, n)``; the result is
-        ``(slots,)`` or ``(N, slots)``, C-contiguous.
+        ``(slots,)`` or ``(N, slots)``, C-contiguous.  A stack's column
+        takes each power once per distinct value, then gathers it back.
         """
-        rows = x.tolist() if x.ndim == 2 else [x.tolist()]
-        powers = np.array([[row[i] ** e for i, e in self._slots] for row in rows])
-        powers = powers.reshape(len(rows), len(self._slots))
-        return powers if x.ndim == 2 else powers[0]
+        if x.ndim == 1:
+            row = x.tolist()
+            return np.array([row[i] ** e for i, e in self._slots], dtype=float)
+        powers = np.empty((len(x), len(self._slots)))
+        for k, (i, e) in enumerate(self._slots):
+            if e == 0:  # the first of variable i's slots
+                values, inverse = np.unique(x[:, i], return_inverse=True)
+                values = values.tolist()
+            powers[:, k] = np.array([v**e for v in values], dtype=float)[inverse]
+        return powers
+
+    def _at_point(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Orders 0..``order`` at one point, flat: f, grad, hess and third in turn."""
+        pos, residual, mult, size = self._prefixes()[order]
+        terms = mult * np.multiply.reduce(self._powers(x)[residual], axis=0)
+        return np.bincount(pos, terms, minlength=size)
 
     def _derivative(self, order: int, powers: np.ndarray) -> np.ndarray:
-        """The order-``order`` derivative, flattened, at the point or points of ``powers``.
+        """The order-``order`` derivative, flattened, at each row of a ``(N, slots)`` power stack.
 
         Each row's residual powers are multiplied in table order, then by
-        the row's multiplier.  For a stack, point p's rows go to bins
-        offset by ``p * n**order``, so every position of every point still
-        adds its rows in table order, and each point's result equals the
-        single-point one bit for bit.
+        the row's multiplier.  Point p's rows go to bins offset by
+        ``p * n**order``, so every position of every point still adds its
+        rows in table order, as :meth:`_at_point` does for one point.
         """
         pos, residual, mult = self._table(order)
         terms = mult * np.multiply.reduce(powers[..., residual], axis=-2)
         size = self._dim**order
-        if powers.ndim == 1:
-            return np.bincount(pos, terms, minlength=size)
         count = len(powers)
         bins = (pos + size * np.arange(count)[:, None]).ravel()
         return np.bincount(bins, terms.ravel(), minlength=count * size).reshape(count, size)
@@ -315,9 +358,12 @@ class Polynomial:
         """
         check_order(order)
         n = self._dim
-        value, grad, hess, third = self._derivatives(as_point(x, n), order)
+        flat = self._at_point(as_point(x, n), order)
+        grad = flat[1:1 + n] if order >= 1 else np.zeros(n)
+        hess = flat[1 + n:1 + n + n * n] if order >= 2 else np.zeros(n * n)
+        third = flat[1 + n + n * n:] if order == 3 else np.zeros(n**3)
         return DerivativeBundle(
-            float(value[0]), grad, hess.reshape(n, n), SymTensor3._trusted(third.reshape(n, n, n))
+            float(flat[0]), grad, hess.reshape(n, n), SymTensor3._trusted(third.reshape(n, n, n))
         )
 
     def bundle_many(self, points, order: int) -> tuple:
@@ -336,17 +382,13 @@ class Polynomial:
         if not np.isfinite(points).all():
             raise ValueError("points have non-finite entries")
         count = len(points)
-        value, grad, hess, third = self._derivatives(points, order)
-        return (value.reshape(count), grad, hess.reshape(count, n, n),
-                third.reshape(count, n, n, n))
-
-    def _derivatives(self, x: np.ndarray, order: int) -> list:
-        """Orders 0..3, flattened, at a point or a stack; zero above ``order``."""
-        powers = self._powers(x)
-        return [
-            self._derivative(k, powers) if k <= order else np.zeros(x.shape[:-1] + (self._dim**k,))
+        powers = self._powers(points)
+        value, grad, hess, third = [
+            self._derivative(k, powers) if k <= order else np.zeros((count, n**k))
             for k in range(4)
         ]
+        return (value.reshape(count), grad, hess.reshape(count, n, n),
+                third.reshape(count, n, n, n))
 
     # -- JSON form -------------------------------------------------------------
 

@@ -41,19 +41,33 @@ class EigenDecomp:
         return max(1.0, abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, computed as ``np.linalg.norm`` does.
+
+    That is the square root of ``x.dot(x)`` for the contiguous ravel x,
+    the same floats without ``norm``'s argument dispatch.
+    """
+    x = v.ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
+
+
 def eig_sym(matrix) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
     Raises ValueError if the input deviates from symmetry by more than
-    ``_SYM_TOL`` relative to its Frobenius norm.
+    ``_SYM_TOL`` relative to its Frobenius norm.  Other input is
+    symmetrized first; an exactly symmetric one, such as every Hessian a
+    ``DerivativeBundle`` has checked, is decomposed as it is.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = np.linalg.norm(m - m.T)
-    if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    if not np.array_equal(m, m.T):
+        asym = np.linalg.norm(m - m.T)
+        if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
+            raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+        m = (m + m.T) / 2.0
+    values, vectors = np.linalg.eigh(m)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
 
 

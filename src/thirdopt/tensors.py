@@ -84,11 +84,16 @@ class SymTensor3:
             raise ValueError(
                 f"matrix of shape {matrix.shape} does not match tensor dim {self.dim}"
             )
-        # Each tensordot contracts the leading slot and appends the new one
-        # last, so three of them visit (i, j, k) -> (p, q, r) in order.
+        # Each product contracts the leading slot and appends the new one
+        # last, so three of them visit (i, j, k) -> (p, q, r) in order.  The
+        # operands are the ones np.tensordot(out, matrix, axes=(0, 0)) builds,
+        # so the floats are the same, without its per-call bookkeeping.  The
+        # shapes are spelled out: with no columns, -1 could not be inferred.
         out = self.entries
+        cols = matrix.shape[1]
         for _ in range(3):
-            out = np.tensordot(out, matrix, axes=(0, 0))
+            a, b, c = out.shape
+            out = np.dot(out.transpose(1, 2, 0).reshape(b * c, a), matrix).reshape(b, c, cols)
         return SymTensor3._trusted(out)
 
     def frobenius_norm(self) -> float:

@@ -2,13 +2,17 @@
 
 Everything here deliberately avoids the library's own computation paths:
 derivatives come from sympy, contractions from explicit loops, minima
-from brute-force grids, and roots from closed forms.  The one exception
-is ``regularized_step``, a shared helper that takes the library's cubic step.
+from brute-force grids, and roots from closed forms.  The exceptions are
+``regularized_step``, a shared helper that takes the library's cubic step,
+and the references that pin the floats of a fast path to the plainer code
+it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
+and ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls.
 """
 
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import sympy as sp
@@ -214,3 +218,45 @@ def triple_loop_transform(entries, matrix):
                     (entries * a[:, None, None] * b[None, :, None] * c[None, None, :]).sum()
                 )
     return out
+
+
+def per_order_bundle(poly, x, order):
+    """Value and derivatives of a Polynomial at one point, one order at a time.
+
+    The float order the fused derivative table has to keep: scalar powers
+    ``x[i] ** e``, then for each order k <= ``order`` its own rows, each
+    residual product in table order times the multiplier, added by one
+    ``bincount`` over the n**k entries.  Orders above ``order`` are zero.
+    """
+    n = poly.dim
+    row = [float(v) for v in x]
+    powers = np.array([row[i] ** e for i, e in poly._slots], dtype=float)
+    flat = []
+    for k in range(4):
+        if k > order:
+            flat.append(np.zeros(n**k))
+            continue
+        pos, residual, mult = poly._rows(k)
+        terms = mult * np.multiply.reduce(powers[residual], axis=0)
+        flat.append(np.bincount(pos, terms, minlength=n**k))
+    return flat[0][0], flat[1], flat[2].reshape(n, n), flat[3].reshape(n, n, n)
+
+
+def tensordot_transform(entries, matrix):
+    """T(M e_p, M e_q, M e_r) by three ``np.tensordot`` contractions of the leading slot."""
+    out = entries
+    for _ in range(3):
+        out = np.tensordot(out, matrix, axes=(0, 0))
+    return out
+
+
+def symmetrized_eigh(matrix):
+    """Descending eigenvalues and eigenvectors of (M + M') / 2 by ``np.linalg.eigh``.
+
+    Overflow or NaN in the averaging passes through as it comes.
+    """
+    m = np.asarray(matrix, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    return values[::-1], vectors[:, ::-1]

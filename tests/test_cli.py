@@ -155,6 +155,15 @@ class TestCheck:
         assert exc.value.code == 1
         assert "--point: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1,0", "-1,0"])
+    def test_flag_prefix_is_a_usage_error(self, capsys, value):
+        # argparse's default accepts "--poi 1,0" as --point, yet "--poi -1,0"
+        # fails: only the full flag is joined to a value that starts with "-"
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--problem", "monkey_saddle", "--poi", value])
+        assert exc.value.code == 1
+        assert "the following arguments are required: --point" in capsys.readouterr().err
+
     def test_point_dimension_mismatch(self):
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1
 

@@ -19,9 +19,12 @@ from thirdopt import (
     quartic_plus_sixth,
     smoothness_bounds,
 )
-from thirdopt.polynomials import _derivative_frobenius_bound
+from thirdopt.polynomials import MAX_DEGREE, _derivative_frobenius_bound
 
-from oracles import sympy_bundle, sympy_frobenius_bound, term_loop_partial
+from oracles import per_order_bundle, sympy_bundle, sympy_frobenius_bound, term_loop_partial
+
+# Dimensions the bit-identity tests of the fast paths cover.
+FAST_PATH_DIMS = (1, 2, 3, 5, 6, 10, 20)
 
 
 @st.composite
@@ -84,6 +87,25 @@ def point_stacks(draw):
     points = np.vstack([rows, np.zeros(p.dim), partial_zero, rows[0],
                         rng.uniform(-3.0, 3.0, (6, p.dim))])
     return p, points
+
+
+@st.composite
+def fast_path_cases(draw):
+    """A corpus member, or a random polynomial of degree up to MAX_DEGREE, and a point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from((None,) + CORPUS_NAMES))
+    if name is None:
+        dim = draw(st.sampled_from(FAST_PATH_DIMS))
+        terms = {}
+        for _ in range(int(rng.integers(1, 16))):
+            axes = rng.integers(0, dim, size=int(rng.integers(0, MAX_DEGREE + 1)))
+            terms[tuple(np.bincount(axes, minlength=dim).tolist())] = float(rng.standard_normal())
+        p = Polynomial(dim, [(c, e) for e, c in terms.items()])
+    else:
+        p = corpus(name)
+    x = rng.standard_normal(p.dim) * 10.0 ** rng.integers(-2, 2)
+    x[rng.random(p.dim) < 0.2] = 0.0
+    return p, x
 
 
 def random_sparse_polynomial(rng, dim):
@@ -212,6 +234,20 @@ class TestDerivatives:
                 for index in np.ndindex(slot.shape):
                     assert slot[index] == term_loop_partial(p, x, index), (k, index)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fast_path_cases())
+    @example((Polynomial.zero(3), np.array([0.5, -1.0, 0.25])))
+    @example((Polynomial.constant(2, -1.5), np.array([-0.0, 0.7])))
+    def test_fused_table_equals_per_order_evaluation_bit_for_bit(self, case):
+        p, x = case
+        for order in range(4):
+            b = p.bundle(x, order)
+            want = per_order_bundle(p, x, order)
+            got = (np.float64(b.value), b.grad, b.hess, b.third.entries)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (order, k)
+        assert p.value(x) == per_order_bundle(p, x, 0)[0]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(polynomials_and_points())
     @example((Polynomial.zero(3), np.array([0.5, -1.0, 0.25])))
@@ -262,6 +298,20 @@ class TestDerivatives:
                 single = (np.float64(b.value), b.grad, b.hess, b.third.entries)
                 for got, want in zip(stacked, single):
                     assert got[i].tobytes() == want.tobytes(), (order, i)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(grid_cases())
+    def test_bundle_many_on_a_grid_equals_bundle_bit_for_bit(self, case):
+        # a grid repeats every coordinate value; -0.0 shares a column with 0.0
+        p, axes = case
+        axes = [[*axis, -0.0] for axis in axes]
+        points = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, p.dim)
+        stacked = p.bundle_many(points, 3)
+        for i, x in enumerate(points):
+            b = p.bundle(x, 3)
+            single = (np.float64(b.value), b.grad, b.hess, b.third.entries)
+            for got, want in zip(stacked, single):
+                assert got[i].tobytes() == want.tobytes(), i
 
     def test_bundle_many_rejects_malformed_points(self):
         p = corpus("monkey_saddle")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from thirdopt import (
@@ -13,6 +15,24 @@ from thirdopt import (
     solve_cubic_model,
     stationarity,
 )
+from thirdopt.spectral import _SYM_TOL, _norm
+
+from oracles import symmetrized_eigh
+
+# Dimensions the bit-identity tests of the fast paths cover.
+FAST_PATH_DIMS = (1, 2, 3, 5, 6, 10, 20)
+
+
+def random_symmetric(rng, n):
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+    return (a + a.T) / 2.0
+
+
+def assert_same_decomposition(m):
+    values, vectors = symmetrized_eigh(m)
+    decomp = eig_sym(m)
+    assert np.array_equal(decomp.eigenvalues, values, equal_nan=True)
+    assert np.array_equal(decomp.eigenvectors, vectors, equal_nan=True)
 
 
 class TestEigSym:
@@ -47,6 +67,53 @@ class TestEigSym:
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             eig_sym(m)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAST_PATH_DIMS), st.integers(0, 2**32 - 1))
+    def test_symmetric_input_decomposes_as_the_averaged_matrix(self, n, seed):
+        # exactly symmetric input skips the averaging, which is the identity on it
+        rng = np.random.default_rng(seed)
+        m = random_symmetric(rng, n)
+        assert np.array_equal(m, m.T)
+        assert_same_decomposition(m)
+        assert_same_decomposition(corpus("inverted_wine_bottle").bundle(rng.standard_normal(2), 2).hess)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAST_PATH_DIMS[1:]), st.integers(0, 2**32 - 1))
+    def test_slightly_asymmetric_input_is_averaged(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = random_symmetric(rng, n)
+        i, j = rng.choice(n, size=2, replace=False)
+        m[i, j] += 1e-12 * np.linalg.norm(m)
+        assert not np.array_equal(m, m.T)
+        assert_same_decomposition(m)
+
+    def test_asymmetry_above_the_tolerance_raises(self):
+        m = random_symmetric(np.random.default_rng(5), 4)
+        m[0, 1] += 2.0 * _SYM_TOL * max(1.0, np.linalg.norm(m))
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_sym(m)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_input_gives_a_non_finite_spectrum(self, entry, where):
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = entry
+        assert_same_decomposition(m)
+        # which every solver then rejects
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_cubic_model(np.ones(2), eig_sym(m), 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(FAST_PATH_DIMS), st.integers(0, 2**32 - 1), st.integers(-160, 160))
+def test_norm_equals_numpy_norm(n, seed, exponent):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(2 * n) * 10.0**exponent
+    for vector in (v, v[::2], v[::-1], v[:n]):
+        # at the extreme exponents both square to inf or 0 alike
+        with np.errstate(over="ignore", under="ignore"):
+            assert _norm(vector) == float(np.linalg.norm(vector))
 
 
 class TestNullSpace:

@@ -2,11 +2,40 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from thirdopt import OracleObjective, Polynomial, Subspace, SymTensor3, corpus
 
-from oracles import projected, rank_one, triple_loop_transform, triple_loop_trilinear
+from oracles import (
+    projected,
+    rank_one,
+    tensordot_transform,
+    triple_loop_transform,
+    triple_loop_trilinear,
+)
+
+# Dimensions the bit-identity tests of the fast paths cover.
+FAST_PATH_DIMS = (1, 2, 3, 5, 6, 10, 20)
+
+
+@st.composite
+def tensors_and_matrices(draw):
+    """A symmetric tensor and a matrix with orthonormal columns to rotate it by.
+
+    The matrix is a square orthonormal Q, a thin copy of some of its
+    columns, a trailing column slice of Q (a strided view, as
+    ``escape_subspace`` passes), or a slice with no columns.
+    """
+    n = draw(st.sampled_from(FAST_PATH_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = SymTensor3(rng.standard_normal((n, n, n))).entries
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = draw(st.integers(1, n))
+    matrix = draw(st.sampled_from(
+        [q, np.ascontiguousarray(q[:, :k]), q[:, n - k:], q[:, n:]]))
+    return entries, matrix
 
 
 def monkey_third():
@@ -124,6 +153,14 @@ class TestTransform:
             expected = triple_loop_transform(t.entries, matrix)
             assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
             assert _max_asymmetry(out) <= 1e-14 * np.abs(out).max()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tensors_and_matrices())
+    def test_equals_tensordot_bit_for_bit(self, case):
+        entries, matrix = case
+        out = SymTensor3._trusted(entries).transform(matrix).entries
+        assert out.shape == (matrix.shape[1],) * 3
+        assert np.array_equal(out, tensordot_transform(entries, matrix))
 
 
 class TestTrustBoundary:
