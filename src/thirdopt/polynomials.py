@@ -289,7 +289,7 @@ class Polynomial:
             n = self._dim
             sizes = np.cumsum([n**k for k in range(4)]).tolist()
             parts = [self._rows(k) for k in range(4)]
-            pos = np.concatenate([p + (sizes[k - 1] if k else 0) for k, (p, _, _) in enumerate(parts)])
+            pos = np.concatenate([p + start for (p, _, _), start in zip(parts, [0] + sizes)])
             residual = np.concatenate([r for _, r, _ in parts], axis=1)
             mult = np.concatenate([m for _, _, m in parts])
             ends = np.cumsum([len(m) for _, _, m in parts]).tolist()

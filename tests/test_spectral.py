@@ -76,7 +76,8 @@ class TestEigSym:
         m = random_symmetric(rng, n)
         assert np.array_equal(m, m.T)
         assert_same_decomposition(m)
-        assert_same_decomposition(corpus("inverted_wine_bottle").bundle(rng.standard_normal(2), 2).hess)
+        hess = corpus("inverted_wine_bottle").bundle(rng.standard_normal(2), 2).hess
+        assert_same_decomposition(hess)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(FAST_PATH_DIMS[1:]), st.integers(0, 2**32 - 1))
