@@ -430,10 +430,11 @@ def run_subproblem(seed: int) -> list:
     axis = np.linspace(-3.0, 3.0, 401)
     xx, yy = np.meshgrid(axis, axis)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = np.linalg.norm(pts, axis=1) <= 3.0
+    norms = np.linalg.norm(pts, axis=1)
+    inside = norms <= 3.0
     pts = pts[inside]
     x0, x1 = pts.T.copy()
-    cubed_norms = np.linalg.norm(pts, axis=1) ** 3
+    cubed_norms = norms[inside] ** 3
     for case in range(50):
         g = rng.standard_normal(2)
         a = rng.standard_normal((2, 2))
@@ -449,9 +450,9 @@ def run_subproblem(seed: int) -> list:
         model = pts @ g + 0.5 * quad + reg / 6.0 * cubed_norms
         grid_min = float(model.min())
         stat_res = float(np.linalg.norm(g + h @ sol.step + 0.5 * reg * sol.radius * sol.step))
-        lam_min = float(np.linalg.eigvalsh(h)[0])
-        margin = lam_min + 0.5 * reg * sol.radius
-        h_scale = max(1.0, float(np.abs(np.linalg.eigvalsh(h)).max()))
+        eigs = np.linalg.eigvalsh(h)
+        margin = float(eigs[0]) + 0.5 * reg * sol.radius
+        h_scale = max(1.0, float(np.abs(eigs).max()))
         ok = (sol.model_value <= grid_min + 1e-3
               and stat_res <= 1e-8 * max(1.0, float(np.linalg.norm(g)))
               and margin >= -1e-8 * h_scale)

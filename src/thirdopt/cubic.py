@@ -31,6 +31,27 @@ tops the step up to the required radius.  The stationarity and
 eigenvalue certificate above makes every returned solution checkable
 independently of the method.
 
+The secular solve has two implementations with the same floats.  The
+array one runs numpy on the active components (those with a nonzero
+gradient component); it is the reference.  With at most 7 active
+components and Python-float scalars, a Python-float one runs instead,
+at a fraction of the per-call overhead; at n <= 2 that is every solve.
+It keeps the floats for three reasons:
+
+- numpy adds fewer than eight float64 terms left to right (eight or
+  more in a pairwise, unrolled order), so sums of up to 7 terms run as
+  a plain loop from 0.0; hence the limit of 7;
+- numpy squares an array's entries with ``x * x`` and a float64
+  scalar with libm ``pow``, as Python's ``**`` does, so the
+  per-component lower roots square with ``x * x`` and the two
+  ||g|| bracket ends with ``**``; the two roundings differ on about
+  0.1 % of inputs, and both are kept;
+- where Python would raise (``**`` overflowing, division by an
+  underflowed zero) or make an infinity or NaN that numpy would warn
+  on, the call goes to the array path, so warnings and exceptions are
+  numpy's too (under numpy's default error state, which ignores
+  underflow).
+
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
 second-order stationary points.  Both take the Hessian's EigenDecomp.
@@ -55,6 +76,10 @@ _HARD_CASE_REL = 1e-12
 # guards against a stall that roundoff could cause.
 _SECULAR_RTOL = 1e-13
 _SECULAR_MAX_EVALS = 100
+
+# Most active components solved in Python floats: numpy adds fewer than
+# eight float64 terms left to right, and eight or more in another order.
+_FLOAT_PATH_MAX_ACTIVE = 7
 
 
 @dataclass(frozen=True)
@@ -87,6 +112,110 @@ def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
 
 
 def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
+    """Solve psi(t) = r_floor + t as ``_secular_offset_arrays`` does, bit for bit.
+
+    The Python-float path runs when the module docstring says it keeps
+    the floats, and hands any call it cannot finish back to the array
+    path.  A numpy scalar ``half_reg`` or ``r_floor`` (from a numpy
+    ``reg``) keeps the array path, where numpy rounds and warns on that
+    scalar's arithmetic.
+    """
+    if (type(half_reg) is not float or type(r_floor) is not float
+            or (g_sq.size > _FLOAT_PATH_MAX_ACTIVE
+                and np.count_nonzero(g_sq > 0.0) > _FLOAT_PATH_MAX_ACTIVE)):
+        return _secular_offset_arrays(g_sq, base, half_reg, r_floor)
+    terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
+    try:
+        return _secular_offset_floats(terms, half_reg, r_floor)
+    except ArithmeticError:
+        return _secular_offset_arrays(g_sq, base, half_reg, r_floor)
+
+
+def _clamped_root(num: float, den: float) -> float:
+    """``np.maximum(num / den, 0.0)`` in Python floats, for a finite quotient only.
+
+    An infinite denominator or a non-finite quotient may be where numpy
+    warned, or would hide a value that numpy warned on; FloatingPointError
+    hands the call to the array path.
+    """
+    t = num / den
+    if not (den < math.inf and -math.inf < t < math.inf):
+        raise FloatingPointError("lower root is not finite")
+    return t if t > 0.0 else 0.0
+
+
+def _bracket_root(g_norm: float, base: float, half_reg: float, r_floor: float) -> float:
+    """``_offset_lower_root`` of ||g|| against one shift, in Python floats.
+
+    It squares with ``**`` (libm ``pow``), as numpy's float64 scalar does
+    in the array path, not with the ``x * x`` of the per-component roots.
+    """
+    shift = half_reg * r_floor
+    disc = (base - shift) ** 2 + 4.0 * half_reg * g_norm
+    return _clamped_root(2.0 * (g_norm - base * r_floor), base + shift + math.sqrt(disc))
+
+
+def _secular_offset_floats(terms: list, half_reg: float, r_floor: float):
+    """``_secular_offset_arrays`` on the active ``(g_sq, base)`` pairs, in Python floats.
+
+    Each operation is the array path's on the same operands in the same
+    order, and sums run left to right from 0.0, which is numpy's order for
+    fewer than eight terms.  Raises ArithmeticError where the array path
+    may warn or raise: Python's OverflowError or ZeroDivisionError, or
+    FloatingPointError once a value that numpy computes is not finite.
+    """
+    if not terms:
+        return 0.0, 0
+    shift = half_reg * r_floor
+    g_norm_sq = lo = 0.0
+    for g, b in terms:
+        g_norm_sq += g
+        g_abs = math.sqrt(g)
+        a = b - shift
+        disc = a * a + 4.0 * half_reg * g_abs
+        lo = max(lo, _clamped_root(2.0 * (g_abs - b * r_floor), b + shift + math.sqrt(disc)))
+    g_norm = math.sqrt(g_norm_sq)
+    bases = [b for _, b in terms]
+    lo = max(lo, _bracket_root(g_norm, max(bases), half_reg, r_floor))
+    hi = max(lo, _bracket_root(g_norm, min(bases), half_reg, r_floor))
+    t, last_step = lo, math.inf
+    for evals in range(1, _SECULAR_MAX_EVALS + 1):
+        shift_t = half_reg * t
+        psi_sq = slope = 0.0
+        for g, b in terms:
+            d = b + shift_t
+            d_sq = d * d
+            if d_sq == math.inf:  # g / d_sq would hide numpy's overflow as 0
+                raise FloatingPointError("shifted eigenvalue squares to inf")
+            w = g / d_sq
+            psi_sq += w
+            slope += w / d
+        if not (psi_sq < math.inf and slope < math.inf):
+            raise FloatingPointError("secular sums are not finite")
+        psi = math.sqrt(psi_sq)
+        r = r_floor + t
+        phi = 1.0 / psi - 1.0 / r
+        if abs(phi) * psi <= _SECULAR_RTOL:
+            break
+        if phi < 0.0:
+            lo = t
+        else:
+            hi = t
+        dphi = half_reg * slope / psi**3 + 1.0 / r**2
+        t_next = t - phi / dphi
+        step = abs(t_next - t)
+        if lo < t_next < hi and step < last_step:
+            last_step = step
+        else:
+            t_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+            last_step = math.inf
+        if t_next == t:
+            break
+        t = t_next
+    return t, evals
+
+
+def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
     """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
 
     ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
@@ -153,6 +282,8 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
     """
     g = np.asarray(grad, dtype=float)
     check_positive("reg", reg)
+    if g.shape != (decomp.dim,):
+        raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     lam = decomp.eigenvalues

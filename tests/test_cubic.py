@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import thirdopt.cubic
 import thirdopt.escape
 from thirdopt import (
     EigenDecomp,
@@ -19,6 +21,13 @@ from thirdopt import (
     stationarity,
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
+from thirdopt.cubic import (
+    _FLOAT_PATH_MAX_ACTIVE,
+    _offset_lower_root,
+    _secular_offset,
+    _secular_offset_arrays,
+    _secular_offset_floats,
+)
 
 from oracles import cubic_model_grid_min, cubic_model_radius, grid_min_2d, regularized_step
 
@@ -109,6 +118,9 @@ class TestSolveCubicModel:
             solve_cubic_model(np.zeros(2), eig_sym(np.eye(2)), 0.0)
         with pytest.raises(ValueError):
             solve_cubic_model(np.array([np.inf, 0.0]), eig_sym(np.eye(2)), 1.0)
+        for grad in (np.ones((2, 1)), np.ones(3), np.float64(1.0)):
+            with pytest.raises(ValueError, match="gradient of shape"):
+                solve_cubic_model(grad, eig_sym(np.diag([1.0, -2.0])), 1.0)
 
     def test_rejects_non_finite_hessian(self):
         with pytest.raises(ValueError, match="hessian has non-finite entries"):
@@ -168,14 +180,14 @@ GRADIENT_KINDS = ("generic", 0.0, 1e-13, 1e-11, 1e-8)
 
 @st.composite
 def cubic_models(draw):
-    """(decomp, g, reg) at n in {1, 2, 5, 10}, easy, hard and near-hard.
+    """(decomp, g, reg) at n in {1, ..., 7, 10}, easy, hard and near-hard.
 
     ||g|| >= 1, so the solver's hard-case threshold is purely relative.
     With ``floor_ratio`` set, reg is chosen so that the solution on the
     complement of the bottom eigenspace has norm floor_ratio * r_floor,
     which puts the root just above the floor in the near-hard cases.
     """
-    n = draw(st.sampled_from((1, 2, 5, 10)))
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 10)))
     kind = draw(st.sampled_from(GRADIENT_KINDS if n > 1 else GRADIENT_KINDS[:2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam_scale = 10.0 ** draw(st.floats(-3.0, 3.0))
@@ -237,6 +249,133 @@ class TestSecularNewton:
                 minimize(poly, d / np.linalg.norm(d) * rng.random(), cfg)
         assert len(evals) > 100
         assert np.mean(evals) <= 10.0
+
+
+@st.composite
+def secular_inputs(draw):
+    """(g_sq, base, half_reg, r_floor) as solve_cubic_model forms them.
+
+    On top of a ``cubic_models`` draw: a bottom eigenvalue repeated up to
+    n times, optionally a spectrum shifted psd (r_floor = 0), exact zeros
+    in g_sq that leave at most 7 active components, and one scale s in
+    [1e-150, 1e150] on the eigenvalues, reg and g, which keeps the radius.
+    """
+    decomp, g, reg = draw(cubic_models())
+    lam = decomp.eigenvalues.copy()
+    g_hat = decomp.eigenvectors.T @ g
+    n = lam.size
+    lam[n - 1 - draw(st.integers(0, n - 1)):] = lam[-1]
+    if draw(st.booleans()):
+        lam -= min(lam[-1], 0.0)
+    zeros = draw(st.permutations(range(n)))[:draw(st.integers(max(0, n - 7), n))]
+    g_hat[zeros] = 0.0
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    lam, g_hat, half_reg = scale * lam, scale * g_hat, 0.5 * scale * float(reg)
+    lam_min = float(lam[-1])
+    if lam_min < 0.0:
+        return g_hat**2, lam - lam_min, half_reg, -lam_min / half_reg
+    return g_hat**2, lam, half_reg, 0.0
+
+
+def secular_outcome(solve, *args):
+    """repr of one call's result, or its exception type, and its warnings.
+
+    repr tells -0.0 from 0.0 and keeps NaN equal to itself.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(solve(*args))
+        except ArithmeticError as exc:
+            result = type(exc).__name__
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestFloatSecularPath:
+    """The Python-float secular solve against the array path, its reference."""
+
+    def test_numpy_premises(self):
+        # The float path sums left to right from 0.0 and squares with x * x
+        # where numpy has arrays, with pow where it has float64 scalars.
+        rng = np.random.default_rng(5)
+        for n in range(1, _FLOAT_PATH_MAX_ACTIVE + 1):
+            for _ in range(500):
+                terms = rng.random(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+                total = 0.0
+                for x in terms.tolist():
+                    total += x
+                assert float(np.add.reduce(terms)) == total
+        x = rng.standard_normal(20000) * 10.0 ** rng.uniform(-150.0, 150.0, 20000)
+        values = x.tolist()
+        assert [float(np.float64(v) ** 2) for v in values] == [v**2 for v in values]
+        assert (x**2).tolist() == [v * v for v in values]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(secular_inputs())
+    def test_equals_array_path_bit_for_bit(self, inputs):
+        g_sq, base, half_reg, r_floor = inputs
+        expected = secular_outcome(_secular_offset_arrays, *inputs)
+        assert secular_outcome(_secular_offset, *inputs) == expected
+        terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
+        floats = secular_outcome(_secular_offset_floats, terms, half_reg, r_floor)
+        if floats[0] not in ("OverflowError", "ZeroDivisionError", "FloatingPointError"):
+            assert floats == expected
+
+    def test_each_lower_root_keeps_its_squaring(self):
+        # At n = 1 and r_floor = 0 the secular root is the larger of the
+        # component's lower root (x * x) and the bracket's (pow), found at
+        # the first evaluation; where the two squarings differ, so can t.
+        rng = np.random.default_rng(9)
+        bases = rng.uniform(0.5, 2.0, 200000)
+        differ = [b for b, sq in zip(bases.tolist(), (bases * bases).tolist()) if b**2 != sq]
+        larger = {True: 0, False: 0}
+        for b in differ:
+            g_sq, base = np.array([0.1]), np.array([b])
+            component = float(_offset_lower_root(np.sqrt(g_sq), base, 0.5, 0.0).max())
+            bracket = float(_offset_lower_root(math.sqrt(0.1), np.float64(b), 0.5, 0.0))
+            if component != bracket:
+                larger[component > bracket] += 1
+                expected = secular_outcome(_secular_offset_arrays, g_sq, base, 0.5, 0.0)
+                assert expected[0] == repr((max(component, bracket), 1))
+                assert secular_outcome(_secular_offset, g_sq, base, 0.5, 0.0) == expected
+        assert min(larger.values()) >= 5
+
+    @pytest.mark.parametrize("g_sq, base, half_reg, r_floor, warning", [
+        ([1.0, 1.0], [1e155, 0.0], 1.0, 1.0, "overflow encountered in square"),
+        ([1e-300], [1e-170], 1e-200, 0.0, "divide by zero encountered in divide"),
+        ([1.0, 1.0], [2e154, 0.0], 1e154, 1.0, "overflow encountered in square"),
+    ], ids=["gap-1e155", "shift-squares-to-zero", "shift-squares-to-inf"])
+    def test_hands_off_where_numpy_warns(self, g_sq, base, half_reg, r_floor, warning):
+        g_sq, base = np.array(g_sq), np.array(base)
+        with pytest.raises(ArithmeticError):
+            _secular_offset_floats(list(zip(g_sq.tolist(), base.tolist())), half_reg, r_floor)
+        with pytest.warns(RuntimeWarning) as caught:
+            got = _secular_offset(g_sq, base, half_reg, r_floor)
+        with pytest.warns(RuntimeWarning) as caught_arrays:
+            expected = _secular_offset_arrays(g_sq, base, half_reg, r_floor)
+        assert got == expected
+        messages = [str(w.message) for w in caught]
+        assert messages == [str(w.message) for w in caught_arrays]
+        assert messages[0] == warning
+
+    @pytest.mark.parametrize("n, active, half_reg", [
+        (2, 2, 0.5), (7, 7, 0.5), (10, 0, 0.5), (10, 7, 0.5), (8, 8, 0.5), (10, 10, 0.5),
+        (2, 2, np.float64(0.5)),
+    ])
+    def test_path_depends_on_active_count_and_scalar_type(self, monkeypatch, n, active, half_reg):
+        calls = []
+
+        def counting_arrays(*args):
+            calls.append(args)
+            return _secular_offset_arrays(*args)
+
+        monkeypatch.setattr(thirdopt.cubic, "_secular_offset_arrays", counting_arrays)
+        g_sq = np.zeros(n)
+        g_sq[:active] = 1.0
+        base = np.linspace(1.0, 2.0, n)
+        expected = _secular_offset_arrays(g_sq, base, half_reg, 0.0)
+        assert _secular_offset(g_sq, base, half_reg, 0.0) == expected
+        assert len(calls) == (active > _FLOAT_PATH_MAX_ACTIVE or type(half_reg) is not float)
 
 
 class TestCubicStep:
