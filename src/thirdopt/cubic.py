@@ -159,10 +159,10 @@ def _secular_offset_floats(terms: list, half_reg: float, r_floor: float):
     """``_secular_offset_arrays`` on the active ``(g_sq, base)`` pairs, in Python floats.
 
     Each operation is the array path's on the same operands in the same
-    order, and sums run left to right from 0.0, which is numpy's order for
-    fewer than eight terms.  Raises ArithmeticError where the array path
-    may warn or raise: Python's OverflowError or ZeroDivisionError, or
-    FloatingPointError once a value that numpy computes is not finite.
+    order, and sums run left to right from 0.0.  Raises ArithmeticError
+    where the array path may warn or raise: Python's OverflowError or
+    ZeroDivisionError, or FloatingPointError once a value that numpy
+    computes is not finite.
     """
     if not terms:
         return 0.0, 0
