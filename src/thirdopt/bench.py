@@ -432,10 +432,12 @@ def run_subproblem(seed: int) -> list:
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     norms = np.linalg.norm(pts, axis=1)
     inside = norms <= 3.0
-    cubed_norms = norms[inside] ** 3
-    # Freed before the inside points are allocated, which keeps the
-    # suite's peak RSS where it was with a temporary norm array.
+    # Cubed by two multiplications, r * (r * r): the vectorized power's
+    # rounding depends on the CPU's SIMD level.  The full norm array is
+    # freed before the product's temporary and the inside points.
+    cubed_norms = norms[inside]
     del norms
+    cubed_norms *= cubed_norms * cubed_norms
     pts = pts[inside]
     x0, x1 = pts.T.copy()
     for case in range(50):

@@ -31,26 +31,15 @@ tops the step up to the required radius.  The stationarity and
 eigenvalue certificate above makes every returned solution checkable
 independently of the method.
 
-The secular solve has two implementations with the same floats.  The
-array one runs numpy on the active components (those with a nonzero
-gradient component); it is the reference.  With at most 7 active
-components and Python-float scalars, a Python-float one runs instead,
-at a fraction of the per-call overhead; at n <= 2 that is every solve.
-It keeps the floats for three reasons:
-
-- numpy adds fewer than eight float64 terms left to right (eight or
-  more in a pairwise, unrolled order), so sums of up to 7 terms run as
-  a plain loop from 0.0; hence the limit of 7;
-- numpy squares an array's entries with ``x * x`` and a float64
-  scalar with libm ``pow``, as Python's ``**`` does, so the
-  per-component lower roots square with ``x * x`` and the two
-  ||g|| bracket ends with ``**``; the two roundings differ on about
-  0.1 % of inputs, and both are kept;
-- where Python would raise (``**`` overflowing, division by an
-  underflowed zero) or make an infinity or NaN that numpy would warn
-  on, the call goes to the array path, so warnings and exceptions are
-  numpy's too (under numpy's default error state, which ignores
-  underflow).
+The secular solve runs in Python floats, at a fraction of numpy's
+per-call overhead, and gives the floats and exceptions numpy gives on
+arrays of the active (nonzero) gradient components.  Sums add in numpy's
+order (``_sum``).  Each component's lower root squares with ``x * x``,
+as numpy squares an array, and the two ||g|| bracket ends with ``**``
+(libm ``pow``), as numpy squares a float64 scalar; the two roundings
+differ on about 0.1 % of inputs, and both are kept.  Where Python raises
+and numpy returns inf or NaN (``**`` overflowing, a zero divisor), the
+solve takes numpy's value, without numpy's warnings.
 
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
@@ -77,10 +66,6 @@ _HARD_CASE_REL = 1e-12
 _SECULAR_RTOL = 1e-13
 _SECULAR_MAX_EVALS = 100
 
-# Most active components solved in Python floats: numpy adds fewer than
-# eight float64 terms left to right, and eight or more in another order.
-_FLOAT_PATH_MAX_ACTIVE = 7
-
 
 @dataclass(frozen=True)
 class CubicSolution:
@@ -97,125 +82,68 @@ class CubicSolution:
     secular_evals: int
 
 
-def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
+def _sum(values: list) -> float:
+    """``float(np.add.reduce(values))`` for a list of floats, addition for addition.
+
+    numpy adds fewer than eight float64 terms left to right from 0.0; up
+    to 128 in eight interleaved partial sums, combined pairwise, then the
+    remainder left to right; and more as two such sums split at half the
+    length rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    end = n - n % 8
+    r = values[:8]
+    for i in range(8, end, 8):
+        r = [a + b for a, b in zip(r, values[i:i + 8])]
+    # 0.0 + turns an all -0.0 sum into numpy's 0.0
+    total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _divide(num: float, den: float) -> float:
+    """num / den as numpy divides float64: a zero divisor gives inf or NaN."""
+    if den:
+        return num / den
+    if num != num or num == 0.0:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _squared(x: float) -> float:
+    """x ** 2 by libm ``pow``, as numpy squares a float64 scalar; inf on overflow."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _lower_root(g_abs: float, base: float, gap_sq: float, half_reg: float, r_floor: float):
     """Non-negative root t of (base + half_reg t)(r_floor + t) = g_abs.
 
-    Since psi(t) >= g_abs / (base + half_reg t) for any single gradient
-    component (or for ||g|| against the largest shift), this root is a
-    lower bound for the secular root; against the smallest shift it is an
-    upper bound.  Written in the cancellation-free form of the quadratic
-    formula.
+    ``gap_sq`` is (base - half_reg r_floor)^2.  Since psi(t) >= g_abs /
+    (base + half_reg t) for any single gradient component (or for ||g||
+    against the largest shift), this root is a lower bound for the secular
+    root; against the smallest shift it is an upper bound.  Written in the
+    cancellation-free form of the quadratic formula, and clamped at zero
+    as ``np.maximum(t, 0.0)`` clamps: a NaN stays NaN.
     """
-    disc = (base - half_reg * r_floor) ** 2 + 4.0 * half_reg * g_abs
-    t = 2.0 * (g_abs - base * r_floor) / (base + half_reg * r_floor + np.sqrt(disc))
-    return np.maximum(t, 0.0)
+    num = 2.0 * (g_abs - base * r_floor)
+    den = base + half_reg * r_floor + math.sqrt(gap_sq + 4.0 * half_reg * g_abs)
+    t = num / den if den else _divide(num, den)
+    return 0.0 if t <= 0.0 else t
 
 
 def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
-    """Solve psi(t) = r_floor + t as ``_secular_offset_arrays`` does, bit for bit.
-
-    The Python-float path runs when the module docstring says it keeps
-    the floats, and hands any call it cannot finish back to the array
-    path.  A numpy scalar ``half_reg`` or ``r_floor`` (from a numpy
-    ``reg``) keeps the array path, where numpy rounds and warns on that
-    scalar's arithmetic.
-    """
-    if (type(half_reg) is not float or type(r_floor) is not float
-            or (g_sq.size > _FLOAT_PATH_MAX_ACTIVE
-                and np.count_nonzero(g_sq > 0.0) > _FLOAT_PATH_MAX_ACTIVE)):
-        return _secular_offset_arrays(g_sq, base, half_reg, r_floor)
-    terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
-    try:
-        return _secular_offset_floats(terms, half_reg, r_floor)
-    except ArithmeticError:
-        return _secular_offset_arrays(g_sq, base, half_reg, r_floor)
-
-
-def _clamped_root(num: float, den: float) -> float:
-    """``np.maximum(num / den, 0.0)`` in Python floats, for a finite quotient only.
-
-    An infinite denominator or a non-finite quotient may be where numpy
-    warned, or would hide a value that numpy warned on; FloatingPointError
-    hands the call to the array path.
-    """
-    t = num / den
-    if not (den < math.inf and -math.inf < t < math.inf):
-        raise FloatingPointError("lower root is not finite")
-    return t if t > 0.0 else 0.0
-
-
-def _bracket_root(g_norm: float, base: float, half_reg: float, r_floor: float) -> float:
-    """``_offset_lower_root`` of ||g|| against one shift, in Python floats.
-
-    It squares with ``**`` (libm ``pow``), as numpy's float64 scalar does
-    in the array path, not with the ``x * x`` of the per-component roots.
-    """
-    shift = half_reg * r_floor
-    disc = (base - shift) ** 2 + 4.0 * half_reg * g_norm
-    return _clamped_root(2.0 * (g_norm - base * r_floor), base + shift + math.sqrt(disc))
-
-
-def _secular_offset_floats(terms: list, half_reg: float, r_floor: float):
-    """``_secular_offset_arrays`` on the active ``(g_sq, base)`` pairs, in Python floats.
-
-    Each operation is the array path's on the same operands in the same
-    order, and sums run left to right from 0.0.  Raises ArithmeticError
-    where the array path may warn or raise: Python's OverflowError or
-    ZeroDivisionError, or FloatingPointError once a value that numpy
-    computes is not finite.
-    """
-    if not terms:
-        return 0.0, 0
-    shift = half_reg * r_floor
-    g_norm_sq = lo = 0.0
-    for g, b in terms:
-        g_norm_sq += g
-        g_abs = math.sqrt(g)
-        a = b - shift
-        disc = a * a + 4.0 * half_reg * g_abs
-        lo = max(lo, _clamped_root(2.0 * (g_abs - b * r_floor), b + shift + math.sqrt(disc)))
-    g_norm = math.sqrt(g_norm_sq)
-    bases = [b for _, b in terms]
-    lo = max(lo, _bracket_root(g_norm, max(bases), half_reg, r_floor))
-    hi = max(lo, _bracket_root(g_norm, min(bases), half_reg, r_floor))
-    t, last_step = lo, math.inf
-    for evals in range(1, _SECULAR_MAX_EVALS + 1):
-        shift_t = half_reg * t
-        psi_sq = slope = 0.0
-        for g, b in terms:
-            d = b + shift_t
-            d_sq = d * d
-            if d_sq == math.inf:  # g / d_sq would hide numpy's overflow as 0
-                raise FloatingPointError("shifted eigenvalue squares to inf")
-            w = g / d_sq
-            psi_sq += w
-            slope += w / d
-        if not (psi_sq < math.inf and slope < math.inf):
-            raise FloatingPointError("secular sums are not finite")
-        psi = math.sqrt(psi_sq)
-        r = r_floor + t
-        phi = 1.0 / psi - 1.0 / r
-        if abs(phi) * psi <= _SECULAR_RTOL:
-            break
-        if phi < 0.0:
-            lo = t
-        else:
-            hi = t
-        dphi = half_reg * slope / psi**3 + 1.0 / r**2
-        t_next = t - phi / dphi
-        step = abs(t_next - t)
-        if lo < t_next < hi and step < last_step:
-            last_step = step
-        else:
-            t_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-            last_step = math.inf
-        if t_next == t:
-            break
-        t = t_next
-    return t, evals
-
-
-def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
     """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
 
     ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
@@ -224,24 +152,36 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
     phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
     iterates stay below the root.  A Newton step that leaves the bracket,
     or is no shorter than the one before it, is replaced by bisection.
-    Returns the offset and the number of psi evaluations.
+    Returns the offset and the number of psi evaluations.  ``half_reg``
+    and ``r_floor`` are Python floats.
     """
-    active = g_sq > 0.0
-    if not active.any():
+    terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
+    if not terms:
         return 0.0, 0
-    g_sq, base = g_sq[active], base[active]
-    g_abs = np.sqrt(g_sq)
-    g_norm = math.sqrt(float(g_sq.sum()))
-    lo = max(
-        float(_offset_lower_root(g_abs, base, half_reg, r_floor).max()),
-        float(_offset_lower_root(g_norm, base.max(), half_reg, r_floor)),
-    )
-    hi = max(lo, float(_offset_lower_root(g_norm, base.min(), half_reg, r_floor)))
+    g_norm = math.sqrt(_sum([g for g, _ in terms]))
+    shift = half_reg * r_floor
+    lo = 0.0
+    for g, b in terms:
+        gap = b - shift
+        t = _lower_root(math.sqrt(g), b, gap * gap, half_reg, r_floor)
+        if t > lo or t != t:  # a NaN root stays, as in numpy's max
+            lo = t
+    bases = [b for _, b in terms]
+    b = max(bases)
+    lo = max(lo, _lower_root(g_norm, b, _squared(b - shift), half_reg, r_floor))
+    b = min(bases)
+    hi = max(lo, _lower_root(g_norm, b, _squared(b - shift), half_reg, r_floor))
     t, last_step = lo, math.inf
     for evals in range(1, _SECULAR_MAX_EVALS + 1):
-        d = base + half_reg * t
-        w = g_sq / d**2
-        psi = math.sqrt(float(w.sum()))
+        shift_t = half_reg * t
+        ws, slopes = [], []
+        for g, b in terms:
+            d = b + shift_t
+            d_sq = d * d
+            w = g / d_sq if d_sq else _divide(g, d_sq)
+            ws.append(w)
+            slopes.append(w / d if d else _divide(w, d))
+        psi = math.sqrt(_sum(ws))
         r = r_floor + t
         phi = 1.0 / psi - 1.0 / r
         if abs(phi) * psi <= _SECULAR_RTOL:
@@ -250,7 +190,7 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
             lo = t
         else:
             hi = t
-        dphi = half_reg * float((w / d).sum()) / psi**3 + 1.0 / r**2
+        dphi = half_reg * _sum(slopes) / psi**3 + 1.0 / r**2
         t_next = t - phi / dphi
         step = abs(t_next - t)
         if lo < t_next < hi and step < last_step:
@@ -267,6 +207,23 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
     return t, evals
 
 
+def _model_inputs(grad, decomp: EigenDecomp, reg: float) -> tuple:
+    """The gradient as a float array and ``reg`` as a Python float, both checked.
+
+    Raises ValueError unless ``reg`` is positive and finite, the gradient
+    has the Hessian's dimension, and the gradient and eigenvalues are
+    finite.  A Python-float ``reg`` keeps the arithmetic after it in
+    float64, whatever scalar type the caller passed.
+    """
+    check_positive("reg", reg)
+    g = np.asarray(grad, dtype=float)
+    if g.shape != (decomp.dim,):
+        raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
+    if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
+        raise ValueError("gradient or hessian has non-finite entries")
+    return g, float(reg)
+
+
 def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
     """Globally minimize <g,s> + 1/2 s'Hs + (reg/6)||s||^3.
 
@@ -280,15 +237,8 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
         the eigenvalue certificate lambda_min(H) + (reg/2)||s|| >= 0 up
         to roundoff.
     """
-    g = np.asarray(grad, dtype=float)
-    check_positive("reg", reg)
-    if g.shape != (decomp.dim,):
-        raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    if not np.isfinite(g).all():
-        raise ValueError("gradient has non-finite entries")
+    g, reg = _model_inputs(grad, decomp, reg)
     lam = decomp.eigenvalues
-    if not np.isfinite(lam).all():
-        raise ValueError("hessian has non-finite entries")
     v = decomp.eigenvectors
     g_hat = v.T @ g
     g_norm = _norm(g)
@@ -359,12 +309,7 @@ def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:
     -(2/(3 reg)) lambda_min clamped at zero; it is zero exactly when the
     gradient vanishes and the Hessian is psd.
     """
-    check_positive("reg", reg)
-    g = np.asarray(grad, dtype=float)
-    if g.shape != (decomp.dim,):
-        raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
-        raise ValueError("gradient or hessian has non-finite entries")
+    g, reg = _model_inputs(grad, decomp, reg)
     grad_part = math.sqrt(_norm(g) / reg)
     eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
     return max(grad_part, eig_part)

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .cubic import solve_cubic_model, stationarity
-from .polynomials import Objective, as_point, check_positive
+from .polynomials import Objective, _check_count, as_point, check_positive
 from .spectral import EigenDecomp, Subspace, _norm, eig_sym
 from .tensors import SymTensor3
 
@@ -79,9 +79,10 @@ class OptimizerConfig:
     tol_mu: float = 1e-6
 
     def __post_init__(self):
-        for name in ("hess_lipschitz", "third_lipschitz", "sampler_constant",
-                     "max_iters", "tol_mu"):
+        for name in ("hess_lipschitz", "third_lipschitz", "sampler_constant", "tol_mu"):
             check_positive(name, getattr(self, name))
+        _check_count("max_iters", self.max_iters, 1)
+        _check_count("seed", self.seed, 0)
 
     def approx_factor(self, dim: int) -> float:
         return _approx_factor(self.sampler_constant, dim)

@@ -73,6 +73,13 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a value that is not an integer (numpy's included) of at least ``minimum``, 0 or 1."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DerivativeBundle:
     """Value and derivatives of a scalar function at one point.
@@ -116,8 +123,8 @@ class Polynomial:
     __slots__ = ("_dim", "_terms", "_slots", "_fused", "_order4")
 
     def __init__(self, dim: int, terms) -> None:
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+        _check_count("dimension", dim, 1)
+        dim = int(dim)
         canon: dict[tuple[int, ...], float] = {}
         for coeff, exponents in terms:
             exps = tuple(exponents)
@@ -430,7 +437,8 @@ class OracleObjective:
         hess: Callable[[np.ndarray], np.ndarray],
         third: Callable[[np.ndarray], np.ndarray],
     ) -> None:
-        self._dim = dim
+        _check_count("dimension", dim, 1)
+        self._dim = int(dim)
         self._callbacks = {"value": value, "grad": grad, "hess": hess, "third": third}
 
     @property

@@ -6,7 +6,8 @@ from brute-force grids, and roots from closed forms.  The exceptions are
 ``regularized_step``, a shared helper that takes the library's cubic step,
 and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
-and ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls.
+``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls, and
+``_secular_offset_arrays`` solves the secular equation in numpy arrays.
 """
 
 import functools
@@ -18,6 +19,7 @@ import numpy as np
 import sympy as sp
 
 from thirdopt import SymTensor3, eig_sym, solve_cubic_model
+from thirdopt.cubic import _SECULAR_MAX_EVALS, _SECULAR_RTOL
 
 
 def regularized_step(objective, x, reg):
@@ -260,3 +262,69 @@ def symmetrized_eigh(matrix):
         warnings.simplefilter("ignore", RuntimeWarning)
         values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     return values[::-1], vectors[:, ::-1]
+
+
+def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
+    """Non-negative root t of (base + half_reg t)(r_floor + t) = g_abs.
+
+    Since psi(t) >= g_abs / (base + half_reg t) for any single gradient
+    component (or for ||g|| against the largest shift), this root is a
+    lower bound for the secular root; against the smallest shift it is an
+    upper bound.  Written in the cancellation-free form of the quadratic
+    formula.
+    """
+    disc = (base - half_reg * r_floor) ** 2 + 4.0 * half_reg * g_abs
+    t = 2.0 * (g_abs - base * r_floor) / (base + half_reg * r_floor + np.sqrt(disc))
+    return np.maximum(t, 0.0)
+
+
+def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
+    """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
+
+    ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
+    with ``g_sq > 0``, whose ``base`` (shifted eigenvalue at the floor)
+    is non-negative.  Newton's method runs on the concave increasing
+    phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
+    iterates stay below the root.  A Newton step that leaves the bracket,
+    or is no shorter than the one before it, is replaced by bisection.
+    Returns the offset and the number of psi evaluations.
+    """
+    active = g_sq > 0.0
+    if not active.any():
+        return 0.0, 0
+    g_sq, base = g_sq[active], base[active]
+    g_abs = np.sqrt(g_sq)
+    g_norm = math.sqrt(float(g_sq.sum()))
+    lo = max(
+        float(_offset_lower_root(g_abs, base, half_reg, r_floor).max()),
+        float(_offset_lower_root(g_norm, base.max(), half_reg, r_floor)),
+    )
+    hi = max(lo, float(_offset_lower_root(g_norm, base.min(), half_reg, r_floor)))
+    t, last_step = lo, math.inf
+    for evals in range(1, _SECULAR_MAX_EVALS + 1):
+        d = base + half_reg * t
+        w = g_sq / d**2
+        psi = math.sqrt(float(w.sum()))
+        r = r_floor + t
+        phi = 1.0 / psi - 1.0 / r
+        if abs(phi) * psi <= _SECULAR_RTOL:
+            break
+        if phi < 0.0:
+            lo = t
+        else:
+            hi = t
+        dphi = half_reg * float((w / d).sum()) / psi**3 + 1.0 / r**2
+        t_next = t - phi / dphi
+        step = abs(t_next - t)
+        if lo < t_next < hi and step < last_step:
+            last_step = step
+        else:
+            # Newton left the bracket or stopped shrinking its steps, as it
+            # does while it crawls out of a pole of psi at the floor; the
+            # geometric midpoint halves the bracket's width in log scale.
+            t_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+            last_step = math.inf
+        if t_next == t:
+            break
+        t = t_next
+    return t, evals

@@ -18,7 +18,7 @@ GOLDEN_SHA256 = {
     "rate": "2a01b49576b1afd32f32cbd6aae347d39ec799617c5601e297c114107ba64eda",
     "sampler": "4f6ebcfe2e2bdda739bf423a74e1a3bbc9031768e17221e75aaae6f75b670519",
     "taylor": "e0a0a03ec5af397478d006b4f50888bdad82c618bb862381fac2bc14cf90cc15",
-    "subproblem": "794d9616bfd2c2aa6689679883490ab2e6eb1637c96c1726b8d5a7005154c8ed",
+    "subproblem": "2c2179cfc42e56523e0ba2ff6f39846d059eb632f6c7fc886da3c18d00899e9e",
 }
 
 

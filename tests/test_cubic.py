@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import thirdopt.cubic
 import thirdopt.escape
 from thirdopt import (
     EigenDecomp,
@@ -21,15 +20,16 @@ from thirdopt import (
     stationarity,
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
-from thirdopt.cubic import (
-    _FLOAT_PATH_MAX_ACTIVE,
-    _offset_lower_root,
-    _secular_offset,
-    _secular_offset_arrays,
-    _secular_offset_floats,
-)
+from thirdopt.cubic import _secular_offset, _sum
 
-from oracles import cubic_model_grid_min, cubic_model_radius, grid_min_2d, regularized_step
+from oracles import (
+    _offset_lower_root,
+    _secular_offset_arrays,
+    cubic_model_grid_min,
+    cubic_model_radius,
+    grid_min_2d,
+    regularized_step,
+)
 
 
 def point_stationarity(objective, x, reg):
@@ -122,6 +122,21 @@ class TestSolveCubicModel:
             with pytest.raises(ValueError, match="gradient of shape"):
                 solve_cubic_model(grad, eig_sym(np.diag([1.0, -2.0])), 1.0)
 
+    def test_float32_reg_solves_as_its_python_float(self):
+        # numpy would keep 0.5 * reg and the floor radius in float32, and the
+        # step would then miss the certificate; reg is taken as a Python float.
+        rng = np.random.default_rng(17)
+        cases = [(np.array([1.0, 1e-3]), np.diag([1.0, -1.0 / 3.0]), np.float32(2.0))]
+        for _ in range(300):
+            a = rng.standard_normal((3, 3))
+            cases.append((1e-3 * rng.standard_normal(3), (a + a.T) / 2.0,
+                          np.float32(rng.uniform(0.5, 3.0))))
+        for g, h, reg in cases:
+            got = solve_cubic_model(g, eig_sym(h), reg)
+            expected = solve_cubic_model(g, eig_sym(h), float(reg))
+            assert got.step.tobytes() == expected.step.tobytes()
+            assert repr(got) == repr(expected)
+
     def test_rejects_non_finite_hessian(self):
         with pytest.raises(ValueError, match="hessian has non-finite entries"):
             solve_cubic_model(np.zeros(2), eig_sym(np.array([[math.nan, 0.0], [0.0, 1.0]])), 1.0)
@@ -179,15 +194,15 @@ GRADIENT_KINDS = ("generic", 0.0, 1e-13, 1e-11, 1e-8)
 
 
 @st.composite
-def cubic_models(draw):
-    """(decomp, g, reg) at n in {1, ..., 7, 10}, easy, hard and near-hard.
+def cubic_models(draw, dims=(1, 2, 3, 4, 5, 6, 7, 10)):
+    """(decomp, g, reg) at n in ``dims``, easy, hard and near-hard.
 
     ||g|| >= 1, so the solver's hard-case threshold is purely relative.
     With ``floor_ratio`` set, reg is chosen so that the solution on the
     complement of the bottom eigenspace has norm floor_ratio * r_floor,
     which puts the root just above the floor in the near-hard cases.
     """
-    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 10)))
+    n = draw(st.sampled_from(dims))
     kind = draw(st.sampled_from(GRADIENT_KINDS if n > 1 else GRADIENT_KINDS[:2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam_scale = 10.0 ** draw(st.floats(-3.0, 3.0))
@@ -255,26 +270,28 @@ class TestSecularNewton:
 def secular_inputs(draw):
     """(g_sq, base, half_reg, r_floor) as solve_cubic_model forms them.
 
-    On top of a ``cubic_models`` draw: a bottom eigenvalue repeated up to
-    n times, optionally a spectrum shifted psd (r_floor = 0), exact zeros
-    in g_sq that leave at most 7 active components, and one scale s in
-    [1e-150, 1e150] on the eigenvalues, reg and g, which keeps the radius.
+    On top of a ``cubic_models`` draw at n <= 16: a bottom eigenvalue
+    repeated up to n times, optionally a spectrum shifted psd
+    (r_floor = 0), exact zeros in g_sq, and one scale s in
+    [1e-300, 1e300] on the eigenvalues, reg and g, which keeps the radius
+    and can overflow or underflow the intermediates.
     """
-    decomp, g, reg = draw(cubic_models())
+    decomp, g, reg = draw(cubic_models(dims=tuple(range(1, 17))))
     lam = decomp.eigenvalues.copy()
     g_hat = decomp.eigenvectors.T @ g
     n = lam.size
     lam[n - 1 - draw(st.integers(0, n - 1)):] = lam[-1]
     if draw(st.booleans()):
         lam -= min(lam[-1], 0.0)
-    zeros = draw(st.permutations(range(n)))[:draw(st.integers(max(0, n - 7), n))]
+    zeros = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
     g_hat[zeros] = 0.0
-    scale = 10.0 ** draw(st.integers(-150, 150))
-    lam, g_hat, half_reg = scale * lam, scale * g_hat, 0.5 * scale * float(reg)
-    lam_min = float(lam[-1])
-    if lam_min < 0.0:
-        return g_hat**2, lam - lam_min, half_reg, -lam_min / half_reg
-    return g_hat**2, lam, half_reg, 0.0
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    with np.errstate(all="ignore"):
+        lam, g_hat, half_reg = scale * lam, scale * g_hat, 0.5 * scale * float(reg)
+        lam_min = float(lam[-1])
+        if lam_min < 0.0:
+            return g_hat**2, lam - lam_min, half_reg, -lam_min / half_reg
+        return g_hat**2, lam, half_reg, 0.0
 
 
 def secular_outcome(solve, *args):
@@ -291,35 +308,35 @@ def secular_outcome(solve, *args):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-class TestFloatSecularPath:
-    """The Python-float secular solve against the array path, its reference."""
+class TestSecularSolve:
+    """The Python-float secular solve against the numpy array reference."""
 
     def test_numpy_premises(self):
-        # The float path sums left to right from 0.0 and squares with x * x
+        # The solve sums in np.add.reduce's order and squares with x * x
         # where numpy has arrays, with pow where it has float64 scalars.
         rng = np.random.default_rng(5)
-        for n in range(1, _FLOAT_PATH_MAX_ACTIVE + 1):
-            for _ in range(500):
-                terms = rng.random(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
-                total = 0.0
-                for x in terms.tolist():
-                    total += x
-                assert float(np.add.reduce(terms)) == total
+        for n in [*range(1, 301), 1000]:
+            for _ in range(20):
+                terms = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+                assert _sum(terms.tolist()) == float(np.add.reduce(terms))
         x = rng.standard_normal(20000) * 10.0 ** rng.uniform(-150.0, 150.0, 20000)
         values = x.tolist()
         assert [float(np.float64(v) ** 2) for v in values] == [v**2 for v in values]
         assert (x**2).tolist() == [v * v for v in values]
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(secular_inputs())
-    def test_equals_array_path_bit_for_bit(self, inputs):
-        g_sq, base, half_reg, r_floor = inputs
-        expected = secular_outcome(_secular_offset_arrays, *inputs)
-        assert secular_outcome(_secular_offset, *inputs) == expected
-        terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
-        floats = secular_outcome(_secular_offset_floats, terms, half_reg, r_floor)
-        if floats[0] not in ("OverflowError", "ZeroDivisionError", "FloatingPointError"):
-            assert floats == expected
+    def test_equals_reference_bit_for_bit(self):
+        reference_warned = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(secular_inputs())
+        def check(inputs):
+            expected, caught = secular_outcome(_secular_offset_arrays, *inputs)
+            assert secular_outcome(_secular_offset, *inputs) == (expected, [])
+            reference_warned.append(bool(caught))
+
+        check()
+        # numpy warns where an intermediate overflows or divides by zero
+        assert any(reference_warned)
 
     def test_each_lower_root_keeps_its_squaring(self):
         # At n = 1 and r_floor = 0 the secular root is the larger of the
@@ -345,37 +362,13 @@ class TestFloatSecularPath:
         ([1e-300], [1e-170], 1e-200, 0.0, "divide by zero encountered in divide"),
         ([1.0, 1.0], [2e154, 0.0], 1e154, 1.0, "overflow encountered in square"),
     ], ids=["gap-1e155", "shift-squares-to-zero", "shift-squares-to-inf"])
-    def test_hands_off_where_numpy_warns(self, g_sq, base, half_reg, r_floor, warning):
+    def test_silent_where_numpy_warns(self, g_sq, base, half_reg, r_floor, warning):
         g_sq, base = np.array(g_sq), np.array(base)
-        with pytest.raises(ArithmeticError):
-            _secular_offset_floats(list(zip(g_sq.tolist(), base.tolist())), half_reg, r_floor)
-        with pytest.warns(RuntimeWarning) as caught:
-            got = _secular_offset(g_sq, base, half_reg, r_floor)
-        with pytest.warns(RuntimeWarning) as caught_arrays:
-            expected = _secular_offset_arrays(g_sq, base, half_reg, r_floor)
-        assert got == expected
-        messages = [str(w.message) for w in caught]
-        assert messages == [str(w.message) for w in caught_arrays]
-        assert messages[0] == warning
-
-    @pytest.mark.parametrize("n, active, half_reg", [
-        (2, 2, 0.5), (7, 7, 0.5), (10, 0, 0.5), (10, 7, 0.5), (8, 8, 0.5), (10, 10, 0.5),
-        (2, 2, np.float64(0.5)),
-    ])
-    def test_path_depends_on_active_count_and_scalar_type(self, monkeypatch, n, active, half_reg):
-        calls = []
-
-        def counting_arrays(*args):
-            calls.append(args)
-            return _secular_offset_arrays(*args)
-
-        monkeypatch.setattr(thirdopt.cubic, "_secular_offset_arrays", counting_arrays)
-        g_sq = np.zeros(n)
-        g_sq[:active] = 1.0
-        base = np.linspace(1.0, 2.0, n)
-        expected = _secular_offset_arrays(g_sq, base, half_reg, 0.0)
-        assert _secular_offset(g_sq, base, half_reg, 0.0) == expected
-        assert len(calls) == (active > _FLOAT_PATH_MAX_ACTIVE or type(half_reg) is not float)
+        expected, caught = secular_outcome(_secular_offset_arrays, g_sq, base, half_reg, r_floor)
+        assert caught[0] == (RuntimeWarning, warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert repr(_secular_offset(g_sq, base, half_reg, r_floor)) == expected
 
 
 class TestCubicStep:
@@ -425,6 +418,12 @@ class TestStationarity:
         assert s == pytest.approx(1.0)
         assert eig_part == pytest.approx(1.0)
         assert grad_part == 0.0
+
+    def test_float32_reg_equals_its_python_float(self):
+        decomp = eig_sym(np.diag([0.7, -0.2]))
+        for reg in (np.float32(0.3), np.float32(2.0 / 3.0)):
+            for g in (np.array([0.1, 0.7]), np.zeros(2)):
+                assert repr(stationarity(g, decomp, reg)) == repr(stationarity(g, decomp, float(reg)))
 
     @pytest.mark.parametrize("grad, hess", [
         (np.zeros(3), eig_sym(np.eye(2))),

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import thirdopt.escape
 from thirdopt import (
     OptimizerConfig,
+    OracleObjective,
     Polynomial,
     SamplerBudgetError,
     Subspace,
@@ -260,6 +261,25 @@ class TestMinimize:
             OptimizerConfig(0.0, 1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(1.0, 1.0, max_iters=0)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: OptimizerConfig(1.0, 1.0, max_iters=1.5), "max_iters"),
+        (lambda: OptimizerConfig(1.0, 1.0, max_iters=np.int64(0)), "max_iters"),
+        (lambda: OptimizerConfig(1.0, 1.0, seed=1.5), "seed"),
+        (lambda: OptimizerConfig(1.0, 1.0, seed=-1), "seed"),
+        (lambda: OracleObjective(0, None, None, None, None), "dimension"),
+        (lambda: OracleObjective(2.0, None, None, None, None), "dimension"),
+    ], ids=["max-iters-float", "max-iters-zero", "seed-float", "seed-negative", "dim-zero",
+            "dim-float"])
+    def test_run_parameters_fail_at_construction(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            make()
+
+    def test_numpy_integer_run_parameters(self):
+        quad = Polynomial(2, [(1.0, (2, 0)), (1.0, (0, 2))])
+        cfg = OptimizerConfig(2.0, 1.0, max_iters=np.int64(3), seed=np.uint32(4))
+        expected = minimize(quad, np.array([1.0, 1.0]), OptimizerConfig(2.0, 1.0, max_iters=3, seed=4))
+        assert minimize(quad, np.array([1.0, 1.0]), cfg).records == expected.records
 
     @pytest.mark.parametrize(
         "name", ["hess_lipschitz", "third_lipschitz", "sampler_constant", "tol_mu"]
