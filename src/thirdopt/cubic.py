@@ -82,8 +82,8 @@ class CubicSolution:
     secular_evals: int
 
 
-def _sum(values: list) -> float:
-    """``float(np.add.reduce(values))`` for a list of floats, addition for addition.
+def _sum(values) -> float:
+    """``float(np.add.reduce(values))`` for a sequence of floats, addition for addition.
 
     numpy adds fewer than eight float64 terms left to right from 0.0; up
     to 128 in eight interleaved partial sums, combined pairwise, then the
@@ -158,7 +158,8 @@ def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor
     terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
     if not terms:
         return 0.0, 0
-    g_norm = math.sqrt(_sum([g for g, _ in terms]))
+    gs, bases = zip(*terms)
+    g_norm = math.sqrt(_sum(gs))
     shift = half_reg * r_floor
     lo = 0.0
     for g, b in terms:
@@ -166,7 +167,6 @@ def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor
         t = _lower_root(math.sqrt(g), b, gap * gap, half_reg, r_floor)
         if t > lo or t != t:  # a NaN root stays, as in numpy's max
             lo = t
-    bases = [b for _, b in terms]
     b = max(bases)
     lo = max(lo, _lower_root(g_norm, b, _squared(b - shift), half_reg, r_floor))
     b = min(bases)
