@@ -146,9 +146,20 @@ def unit_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarr
 
 
 def ball_points(gaussians: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map rows of Gaussian draws and one uniform draw per row into the unit ball."""
+    """Map rows of Gaussian draws and one uniform draw per row into the unit ball.
+
+    Each radius is ``u ** (1 / dim)``: a square root at dim 2, which is
+    correctly rounded where libm ``pow`` is not, else scalar ``pow``.
+    numpy's vectorized power would round by the machine's SIMD level at
+    dim >= 3.
+    """
+    dim = gaussians.shape[1]
     directions = gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
-    radii = uniforms ** (1.0 / gaussians.shape[1])
+    if dim == 2:
+        radii = np.sqrt(uniforms)
+    else:
+        e = 1.0 / dim
+        radii = np.array([u**e for u in uniforms.tolist()])
     return directions * radii[:, None]
 
 

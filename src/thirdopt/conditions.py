@@ -216,7 +216,7 @@ def descent_witness(
     lip3 = third_lipschitz
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
-        g_norm = _norm(b.grad)
+        g_norm = report.grad_norm
         l_prime = max(
             abs(decomp.eigenvalues[0]), abs(decomp.eigenvalues[-1]), b.third.frobenius_norm()
         )

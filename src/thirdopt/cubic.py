@@ -44,16 +44,25 @@ solve takes numpy's value, without numpy's warnings.
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
 second-order stationary points.  Both take the Hessian's EigenDecomp.
+
+``_model_inputs`` owns the checks on a local model's inputs (a positive
+finite ``reg``, a gradient of the Hessian's dimension, a finite gradient
+and spectrum) and returns them as a ``_LocalModel`` with the gradient's
+norm.  The public functions build one per call.  ``minimize`` builds
+one per point from the point's bundle and its one ``eig_sym``, so each
+iterate is checked, normed and decomposed once, and both the step from
+that point and its stationarity read the same model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .polynomials import check_positive
+from .polynomials import DerivativeBundle, check_positive
 from .spectral import EigenDecomp, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
@@ -207,8 +216,25 @@ def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor
     return t, evals
 
 
-def _model_inputs(grad, decomp: EigenDecomp, reg: float) -> tuple:
-    """The gradient as a float array and ``reg`` as a Python float, both checked.
+class _LocalModel(NamedTuple):
+    """The checked inputs of the cubic model at one point.
+
+    ``grad`` is the gradient as a float array, ``grad_norm`` its norm,
+    ``decomp`` the Hessian's EigenDecomp and ``reg`` a Python float.
+    ``bundle`` is the point's derivatives when the model was built from
+    them, else None.
+    """
+
+    grad: np.ndarray
+    grad_norm: float
+    decomp: EigenDecomp
+    reg: float
+    bundle: Optional[DerivativeBundle] = None
+
+
+def _model_inputs(grad, decomp: EigenDecomp, reg: float,
+                  bundle: Optional[DerivativeBundle] = None) -> _LocalModel:
+    """The local model of ``grad``, ``decomp`` and ``reg``, checked.
 
     Raises ValueError unless ``reg`` is positive and finite, the gradient
     has the Hessian's dimension, and the gradient and eigenvalues are
@@ -221,7 +247,7 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float) -> tuple:
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
     if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
         raise ValueError("gradient or hessian has non-finite entries")
-    return g, float(reg)
+    return _LocalModel(g, _norm(g), decomp, float(reg), bundle)
 
 
 def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
@@ -237,11 +263,15 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
         the eigenvalue certificate lambda_min(H) + (reg/2)||s|| >= 0 up
         to roundoff.
     """
-    g, reg = _model_inputs(grad, decomp, reg)
+    return _solve_model(_model_inputs(grad, decomp, reg))
+
+
+def _solve_model(model: _LocalModel) -> CubicSolution:
+    """:func:`solve_cubic_model` on a checked local model."""
+    g, g_norm, decomp, reg, _ = model
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
     g_hat = v.T @ g
-    g_norm = _norm(g)
     lam_min = float(lam[-1])
     spectral = decomp.spectral_scale()
     half_reg = 0.5 * reg
@@ -309,7 +339,11 @@ def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:
     -(2/(3 reg)) lambda_min clamped at zero; it is zero exactly when the
     gradient vanishes and the Hessian is psd.
     """
-    g, reg = _model_inputs(grad, decomp, reg)
-    grad_part = math.sqrt(_norm(g) / reg)
-    eig_part = max(0.0, -2.0 * float(decomp.eigenvalues[-1]) / (3.0 * reg))
+    return _stationarity(_model_inputs(grad, decomp, reg))
+
+
+def _stationarity(model: _LocalModel) -> float:
+    """:func:`stationarity` on a checked local model."""
+    grad_part = math.sqrt(model.grad_norm / model.reg)
+    eig_part = max(0.0, -2.0 * float(model.decomp.eigenvalues[-1]) / (3.0 * model.reg))
     return max(grad_part, eig_part)

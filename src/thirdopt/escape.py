@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubic import solve_cubic_model, stationarity
+from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
 from .polynomials import Objective, _check_count, as_point, check_positive
 from .spectral import EigenDecomp, Subspace, _norm, eig_sym
 from .tensors import SymTensor3
@@ -129,13 +129,22 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     ``PROJ_NORM_FLOOR`` is reported empty: the step length would be
     proportional to that norm, so such subspaces cannot produce progress.
     """
+    check_positive("third_lipschitz", third_lipschitz)
+    check_positive("approx_factor", approx_factor)
+    return _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
+
+
+def _curvature_denom(third_lipschitz: float, approx_factor: float) -> float:
+    """12 * third_lipschitz * approx_factor^2: a suffix qualifies when lambda_i <= c^2 / this."""
+    return 12.0 * third_lipschitz * approx_factor**2
+
+
+def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> EscapeSubspace:
+    """:func:`escape_subspace` with its constants checked and folded into ``denom``."""
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
-    check_positive("third_lipschitz", third_lipschitz)
-    check_positive("approx_factor", approx_factor)
     rotated_sq = third.transform(decomp.eigenvectors).entries ** 2
-    denom = 12.0 * third_lipschitz * approx_factor**2
     for i in range(n):
         proj_sq = float(rotated_sq[i:, i:, i:].sum())
         bound = proj_sq / denom
@@ -305,6 +314,12 @@ def _row(shared: dict, phase: str, value: float, step_norm: float, **flags) -> I
                            flags=dict.fromkeys(FLAG_KEYS) | flags, **shared)
 
 
+def _point_model(objective: Objective, x: np.ndarray, order: int, reg: float) -> _LocalModel:
+    """The checked local model at x: one bundle, one eig_sym, one input check and norm."""
+    b = objective.bundle(x, order)
+    return _model_inputs(b.grad, eig_sym(b.hess), reg, b)
+
+
 def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     """Run the alternating cubic / third-order loop from ``x0``.
 
@@ -315,6 +330,14 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     measure is at most ``tol_mu`` and no trigger has fired for
     ``QUIET_WINDOW`` consecutive iterations; a 'terminal' row closes the
     trace.  Identical config and seed reproduce the trace bit for bit.
+
+    Each distinct point (x0, every post-cubic z, every post-escape x)
+    gets one local model from ``_point_model``: its bundle, one
+    ``eig_sym``, and the checks of ``cubic._model_inputs`` with one
+    gradient norm.  The step from the point, its stationarity, its
+    escape subspace and its trace row all read that model, so a
+    non-finite gradient or spectrum fails at the point where it appears.
+    The escape constants are checked once per run.
     """
     n = objective.dim
     x0 = x = as_point(x0, n)
@@ -323,25 +346,27 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     reg = config.hess_lipschitz
     lip3 = config.third_lipschitz
 
-    # Derivatives and Hessian decomposition at x: one order-2 pass at x0
-    # and after each escape step, else the post-cubic point's, carried.
-    b_x = objective.bundle(x, 2)
-    decomp_x = eig_sym(b_x.hess)
-    initial_value = b_x.value
+    # The model at x: an order-2 bundle at x0 and after each escape step,
+    # else the post-cubic point's model, carried.
+    m_x = _point_model(objective, x, 2, reg)
+    check_positive("third_lipschitz", lip3)
+    check_positive("approx_factor", q)
+    denom = _curvature_denom(lip3, q)
+    initial_value = m_x.bundle.value
     records = []
     reason = "budget"
     quiet = 0
 
     for it in range(config.max_iters):
-        sol = solve_cubic_model(b_x.grad, decomp_x, reg)
+        sol = _solve_model(m_x)
         z = x + sol.step
-        b_z = objective.bundle(z, 3)
-        decomp = eig_sym(b_z.hess)
-        grad_norm = _norm(b_z.grad)
-        mu = stationarity(b_z.grad, decomp, reg)
-        esc = escape_subspace(decomp, b_z.third, lip3, q)
+        m_z = _point_model(objective, z, 3, reg)
+        b_z = m_z.bundle
+        grad_norm = m_z.grad_norm
+        mu = _stationarity(m_z)
+        esc = _escape_search(m_z.decomp, b_z.third, denom)
 
-        cubic_ok = bool(b_z.value <= b_x.value - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
+        cubic_ok = bool(b_z.value <= m_x.bundle.value - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
         mu_ok = bool(sol.radius >= mu - DECREASE_TOL)
         trigger = bool((not esc.is_empty)
                        and esc.proj_norm >= _trigger_threshold(q, grad_norm, lip3))
@@ -354,25 +379,24 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
         if trigger:
             sample = sample_direction(b_z.third, esc.subspace, esc.proj_norm / q, rng)
             x = z - esc.proj_norm / (lip3 * q) * sample.direction
-            b_x = objective.bundle(x, 2)
-            decomp_x = eig_sym(b_x.hess)
+            m_x = _point_model(objective, x, 2, reg)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
-            third_ok = bool(b_x.value <= b_z.value - promised + DECREASE_TOL)
-            records.append(_row(shared, "third", b_x.value, _norm(x - z),
+            third_ok = bool(m_x.bundle.value <= b_z.value - promised + DECREASE_TOL)
+            records.append(_row(shared, "third", m_x.bundle.value, _norm(x - z),
                                 trigger=True, third_decrease=third_ok))
             quiet = 0
         else:
-            x, b_x, decomp_x = z, b_z, decomp
+            x, m_x = z, m_z
             quiet += 1
 
         if mu <= config.tol_mu and quiet >= QUIET_WINDOW:
-            records.append(_row(shared, "terminal", b_x.value, 0.0))
+            records.append(_row(shared, "terminal", m_x.bundle.value, 0.0))
             reason = "terminal"
             break
 
     return Trace(dim=n, config=config, approx_factor=q, initial_point=x0,
                  initial_value=initial_value, records=tuple(records), final_point=x,
-                 final_value=b_x.value, reason=reason)
+                 final_value=m_x.bundle.value, reason=reason)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,10 @@ class DerivativeBundle:
     third: SymTensor3
 
     def __post_init__(self):
+        # An exactly symmetric Hessian has asymmetry 0; NaN is never equal,
+        # so it takes the full check
+        if np.array_equal(self.hess, self.hess.T):
+            return
         asym = np.abs(self.hess - self.hess.T).max(initial=0.0)
         if asym > 1e-12 * max(1.0, np.abs(self.hess).max(initial=0.0)):
             raise ValueError(f"hessian is not symmetric (asymmetry {asym:.3e})")

@@ -52,6 +52,24 @@ def test_chunked_pairs_are_the_pair_by_pair_draws(seed):
         assert chunked.random() == single.random()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_ball_radii_do_not_depend_on_the_simd_level(dim):
+    # u at dim 1 and sqrt(u) at dim 2, as numpy's power gives them on any
+    # machine; above, scalar pow, where numpy's vectorized power rounds
+    # by the SIMD level
+    uniforms = np.random.default_rng(dim).random(20000)
+    axis = np.zeros((len(uniforms), dim))
+    axis[:, 0] = 1.0
+    radii = bench.ball_points(axis, uniforms)[:, 0]
+    if dim == 1:
+        want = uniforms.tolist()
+    elif dim == 2:
+        want = [math.sqrt(u) for u in uniforms.tolist()]
+    else:
+        want = [u ** (1.0 / dim) for u in uniforms.tolist()]
+    assert radii.tolist() == want
+
+
 @pytest.mark.parametrize("name", TAYLOR_MEMBERS)
 def test_stacked_expansion_equals_per_pair_expression(name):
     poly = corpus(name)

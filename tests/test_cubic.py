@@ -243,14 +243,14 @@ class TestSecularNewton:
 
     def test_mean_evaluations_on_bounded_corpus(self, monkeypatch):
         evals = []
-        solve = thirdopt.escape.solve_cubic_model
+        solve = thirdopt.escape._solve_model
 
         def counting_solve(*args):
             sol = solve(*args)
             evals.append(sol.secular_evals)
             return sol
 
-        monkeypatch.setattr(thirdopt.escape, "solve_cubic_model", counting_solve)
+        monkeypatch.setattr(thirdopt.escape, "_solve_model", counting_solve)
         rng = np.random.default_rng(11)
         runs = [("monkey_saddle_confined", confined_monkey_config()),
                 ("quartic_1d", quartic_1d_config())]

@@ -353,6 +353,63 @@ class TestMinimize:
             assert counting.values == 0
             assert len(eig_calls) - trace.iterations == 1 + escapes
 
+    def test_each_point_is_checked_normed_and_decomposed_once(self, monkeypatch):
+        # x0, every post-cubic z and every post-escape x get one input
+        # check, one gradient norm and one eigendecomposition, shared by
+        # the step from the point, its stationarity and its trace row
+        checks, norms, eigs, grads = [], [], [], []
+        model_inputs, norm = thirdopt.cubic._model_inputs, thirdopt.cubic._norm
+
+        def counting_inputs(*args):
+            checks.append(1)
+            return model_inputs(*args)
+
+        def counting_norm(v):
+            if any(v is g for g in grads):
+                norms.append(1)
+            return norm(v)
+
+        def counting_eig_sym(matrix):
+            eigs.append(1)
+            return eig_sym(matrix)
+
+        for module in (thirdopt.cubic, thirdopt.escape):
+            monkeypatch.setattr(module, "_model_inputs", counting_inputs, raising=False)
+            monkeypatch.setattr(module, "_norm", counting_norm)
+        monkeypatch.setattr(thirdopt.escape, "eig_sym", counting_eig_sym)
+        sixth = smoothness_bounds(corpus("quartic_plus_sixth"), radius=2.0)
+        runs = (
+            (corpus("quartic_plus_sixth"), np.array([0.5, 0.25]),
+             OptimizerConfig(sixth.hess_lipschitz, sixth.third_lipschitz)),
+            (corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config()),
+            (corpus("monkey_saddle_confined"), np.array([0.3, -0.7]), confined_monkey_config()),
+        )
+        escapes = 0
+        for poly, x0, cfg in runs:
+            objective = _GradientRecorder(poly, grads)
+            for counts in (checks, norms, eigs, grads):
+                counts.clear()
+            trace = minimize(objective, x0, cfg)
+            points = 1 + len(trace.cubic_records()) + len(trace.third_records())
+            assert len(grads) == points
+            assert (len(checks), len(norms), len(eigs)) == (points, points, points)
+            escapes += len(trace.third_records())
+        assert escapes >= 1
+
+    @pytest.mark.parametrize("field", ["grad", "hess"])
+    @pytest.mark.parametrize("point", ["x0", "first z", "post-escape x"])
+    def test_non_finite_derivatives_fail_at_every_point(self, field, point):
+        # x0 and the post-escape x are the first and second order-2
+        # bundles, the first post-cubic z the first order-3 bundle
+        order, call = {"x0": (2, 1), "first z": (3, 1), "post-escape x": (2, 2)}[point]
+        poly = corpus("monkey_saddle_confined")
+        clean = minimize(poly, np.zeros(2), confined_monkey_config())
+        assert clean.records[1].phase == "third"
+        objective = _NonFiniteAt(poly, order, call, field)
+        with pytest.raises(ValueError, match="^gradient or hessian has non-finite entries$"):
+            minimize(objective, np.zeros(2), confined_monkey_config())
+        assert objective.calls[order] == call
+
     def test_sampler_threshold_is_the_step_norm_over_q(self, monkeypatch):
         # the escape step's c sets the sampler threshold, the step length
         # and the promised decrease alike
@@ -393,6 +450,52 @@ class _CountingObjective:
     def bundle(self, x, order=3):
         self.orders[order] += 1
         return self.inner.bundle(x, order)
+
+
+class _GradientRecorder:
+    """Objective wrapper that keeps every gradient array its bundles return."""
+
+    def __init__(self, inner, grads):
+        self.inner = inner
+        self.grads = grads
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def bundle(self, x, order=3):
+        b = self.inner.bundle(x, order)
+        self.grads.append(b.grad)
+        return b
+
+
+class _NonFiniteAt:
+    """Objective wrapper whose ``call``-th bundle of ``order`` has a NaN gradient or Hessian."""
+
+    def __init__(self, inner, order, call, field):
+        self.inner = inner
+        self.order = order
+        self.call = call
+        self.field = field
+        self.calls = Counter()
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def bundle(self, x, order=3):
+        b = self.inner.bundle(x, order)
+        self.calls[order] += 1
+        if (order, self.calls[order]) != (self.order, self.call):
+            return b
+        nan = np.full_like(getattr(b, self.field), np.nan)
+        return dataclasses.replace(b, **{self.field: nan})
 
 
 def _wine_constants():
