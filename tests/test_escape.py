@@ -357,7 +357,7 @@ class TestMinimize:
         # x0, every post-cubic z and every post-escape x get one input
         # check, one gradient norm and one eigendecomposition, shared by
         # the step from the point, its stationarity and its trace row
-        checks, norms, eigs, grads = [], [], [], []
+        checks, norms, eigs = [], [], []
         model_inputs, norm = thirdopt.cubic._model_inputs, thirdopt.cubic._norm
 
         def counting_inputs(*args):
@@ -365,7 +365,7 @@ class TestMinimize:
             return model_inputs(*args)
 
         def counting_norm(v):
-            if any(v is g for g in grads):
+            if any(v is g for g in objective.grads):
                 norms.append(1)
             return norm(v)
 
@@ -386,12 +386,12 @@ class TestMinimize:
         )
         escapes = 0
         for poly, x0, cfg in runs:
-            objective = _GradientRecorder(poly, grads)
-            for counts in (checks, norms, eigs, grads):
+            objective = _CountingObjective(poly)
+            for counts in (checks, norms, eigs):
                 counts.clear()
             trace = minimize(objective, x0, cfg)
             points = 1 + len(trace.cubic_records()) + len(trace.third_records())
-            assert len(grads) == points
+            assert len(objective.grads) == points
             assert (len(checks), len(norms), len(eigs)) == (points, points, points)
             escapes += len(trace.third_records())
         assert escapes >= 1
@@ -408,7 +408,7 @@ class TestMinimize:
         objective = _NonFiniteAt(poly, order, call, field)
         with pytest.raises(ValueError, match="^gradient or hessian has non-finite entries$"):
             minimize(objective, np.zeros(2), confined_monkey_config())
-        assert objective.calls[order] == call
+        assert objective.orders[order] == call
 
     def test_sampler_threshold_is_the_step_norm_over_q(self, monkeypatch):
         # the escape step's c sets the sampler threshold, the step length
@@ -432,12 +432,16 @@ class TestMinimize:
 
 
 class _CountingObjective:
-    """Objective wrapper that counts bundle calls by order, and value calls."""
+    """Objective wrapper that counts bundle calls by order, and value calls.
+
+    ``grads`` keeps every gradient array its bundles returned.
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.orders = Counter()
         self.values = 0
+        self.grads = []
 
     @property
     def dim(self):
@@ -449,50 +453,23 @@ class _CountingObjective:
 
     def bundle(self, x, order=3):
         self.orders[order] += 1
-        return self.inner.bundle(x, order)
-
-
-class _GradientRecorder:
-    """Objective wrapper that keeps every gradient array its bundles return."""
-
-    def __init__(self, inner, grads):
-        self.inner = inner
-        self.grads = grads
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def bundle(self, x, order=3):
         b = self.inner.bundle(x, order)
         self.grads.append(b.grad)
         return b
 
 
-class _NonFiniteAt:
-    """Objective wrapper whose ``call``-th bundle of ``order`` has a NaN gradient or Hessian."""
+class _NonFiniteAt(_CountingObjective):
+    """Counting wrapper whose ``call``-th bundle of ``order`` has a NaN gradient or Hessian."""
 
     def __init__(self, inner, order, call, field):
-        self.inner = inner
+        super().__init__(inner)
         self.order = order
         self.call = call
         self.field = field
-        self.calls = Counter()
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    def value(self, x):
-        return self.inner.value(x)
 
     def bundle(self, x, order=3):
-        b = self.inner.bundle(x, order)
-        self.calls[order] += 1
-        if (order, self.calls[order]) != (self.order, self.call):
+        b = super().bundle(x, order)
+        if (order, self.orders[order]) != (self.order, self.call):
             return b
         nan = np.full_like(getattr(b, self.field), np.nan)
         return dataclasses.replace(b, **{self.field: nan})
