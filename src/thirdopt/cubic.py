@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .polynomials import DerivativeBundle, check_positive
+from .polynomials import DerivativeBundle, _all_finite, check_positive
 from .spectral import EigenDecomp, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
@@ -245,7 +245,7 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    if not (np.isfinite(g).all() and np.isfinite(decomp.eigenvalues).all()):
+    if not (_all_finite(g) and _all_finite(decomp.eigenvalues)):
         raise ValueError("gradient or hessian has non-finite entries")
     return _LocalModel(g, _norm(g), decomp, float(reg), bundle)
 

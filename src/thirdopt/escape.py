@@ -16,6 +16,19 @@ rejection sampling finds a unit u in the subspace with
 ``- (c / (third_lipschitz * approx_factor)) * u``: one c sets the
 sampler's threshold, the step length and the promised decrease.
 
+Before the walk, a spectral screen rules out every suffix with one dot
+product where the Hessian is clearly positive.  The eigenvectors are
+orthonormal, so no suffix's projected squared norm exceeds ||T||_F^2,
+up to rounding, and no lambda_i is below lambda_min.  So when
+
+    lambda_min * 12 * third_lipschitz * approx_factor^2 > 2 ||T||_F^2,
+
+no suffix can qualify, and the search returns the empty subspace
+without rotating T.  The factor 2 is far above the rounding of either
+sum at the dimensions this package handles, so a skipped search returns
+what the walk would, bit for bit.  NaN or infinite entries fail the
+comparison and take the walk.
+
 With valid Lipschitz constants each accepted step decreases f by an
 explicit amount (cubic: reg * ||s||^3 / 12, escape:
 c^4 / (24 * third_lipschitz^3 * approx_factor^4)); the loop asserts both
@@ -128,6 +141,12 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     slicing.  A subspace whose qualifying projected norm is at or below
     ``PROJ_NORM_FLOOR`` is reported empty: the step length would be
     proportional to that norm, so such subspaces cannot produce progress.
+
+    When lambda_min * 12 * third_lipschitz * approx_factor^2 exceeds
+    2 ||T||_F^2, no suffix can qualify, since each suffix's projected
+    squared norm is at most ||T||_F^2 and each lambda_i at least
+    lambda_min; the empty subspace is then returned without the rotation.
+    The result is the same as the full walk's.
     """
     check_positive("third_lipschitz", third_lipschitz)
     check_positive("approx_factor", approx_factor)
@@ -144,6 +163,11 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
+    # The spectral screen (module docstring), in Python floats so that it
+    # cannot warn where the walk would not.
+    flat = third.entries.ravel()
+    if n and float(decomp.eigenvalues[-1]) * float(denom) > 2.0 * float(flat.dot(flat)):
+        return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
     rotated_sq = third.transform(decomp.eigenvectors).entries ** 2
     for i in range(n):
         proj_sq = float(rotated_sq[i:, i:, i:].sum())
@@ -215,6 +239,25 @@ def sample_direction(
     raise SamplerBudgetError(MAX_SAMPLER_DRAWS, threshold)
 
 
+class _ReadOnlyFlags(dict):
+    """A dict that refuses every mutator, so a trace's verdict cannot be edited.
+
+    It keeps dict's ``repr``, JSON and ``==``; copies, deep copies and
+    pickles rebuild it from a plain dict.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("trace flags are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One trace row; phase is 'cubic', 'third', or 'terminal'.
@@ -222,7 +265,8 @@ class IterationRecord:
     ``grad_norm`` and ``stationarity`` always refer to the post-cubic
     point of the iteration, including on 'third' rows, where ``value`` is
     the objective after the escape step.  ``flags`` maps each of
-    ``FLAG_KEYS`` to its outcome on this row (None where not applicable).
+    ``FLAG_KEYS`` to its outcome on this row (None where not applicable);
+    it is a read-only copy of the mapping the row was built from.
     """
 
     iteration: int
@@ -234,6 +278,9 @@ class IterationRecord:
     subspace_dim: int
     step_norm: float
     flags: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "flags", _ReadOnlyFlags(self.flags))
 
 
 @dataclass(frozen=True)

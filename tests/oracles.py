@@ -6,8 +6,9 @@ from brute-force grids, and roots from closed forms.  The exceptions are
 ``regularized_step``, a shared helper that takes the library's cubic step,
 and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
-``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls, and
-``_secular_offset_arrays`` solves the secular equation in numpy arrays.
+``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
+``_secular_offset_arrays`` solves the secular equation in numpy arrays,
+and ``full_escape_search`` walks every suffix without the spectral screen.
 """
 
 import functools
@@ -18,7 +19,8 @@ import warnings
 import numpy as np
 import sympy as sp
 
-from thirdopt import SymTensor3, eig_sym, solve_cubic_model
+from thirdopt import Subspace, SymTensor3, eig_sym, solve_cubic_model
+from thirdopt.escape import PROJ_NORM_FLOOR, EscapeSubspace
 from thirdopt.cubic import _SECULAR_MAX_EVALS, _SECULAR_RTOL
 
 
@@ -242,6 +244,33 @@ def per_order_bundle(poly, x, order):
         terms = mult * np.multiply.reduce(powers[residual], axis=0)
         flat.append(np.bincount(pos, terms, minlength=n**k))
     return flat[0][0], flat[1], flat[2].reshape(n, n), flat[3].reshape(n, n, n)
+
+
+def full_escape_search(decomp, third, denom):
+    """The escape search as a plain walk over every suffix, with no screen.
+
+    Rotates T into the eigenbasis and takes the first suffix i with
+    lambda_i <= ||T_suffix||_F^2 / denom; a qualifying norm at or below
+    ``PROJ_NORM_FLOOR`` ends the walk empty, as does no qualifying suffix.
+    """
+    n = decomp.dim
+    if third.dim != n:
+        raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
+    rotated_sq = third.transform(decomp.eigenvectors).entries ** 2
+    for i in range(n):
+        proj_sq = float(rotated_sq[i:, i:, i:].sum())
+        bound = proj_sq / denom
+        if decomp.eigenvalues[i] <= bound:
+            proj_norm = math.sqrt(proj_sq)
+            if proj_norm <= PROJ_NORM_FLOOR:
+                break
+            return EscapeSubspace(
+                subspace=Subspace(n, decomp.eigenvectors[:, i:]),
+                proj_norm=proj_norm,
+                curvature_bound=bound,
+                suffix_index=i,
+            )
+    return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
 
 
 def tensordot_transform(entries, matrix):

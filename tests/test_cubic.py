@@ -21,6 +21,7 @@ from thirdopt import (
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
 from thirdopt.cubic import _secular_offset, _sum
+from thirdopt.polynomials import as_point
 
 from oracles import (
     _offset_lower_root,
@@ -434,6 +435,53 @@ class TestStationarity:
         with pytest.raises(ValueError, match="gradient"):
             stationarity(grad, hess, 1.0)
 
+
+
+class TestFiniteInputs:
+    """The point and model-input checks test every entry, whatever its magnitude."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected_at_each_position(self, n, bad):
+        identity = eig_sym(np.eye(n))
+        for i in range(n):
+            v = np.ones(n)
+            v[i] = bad
+            with pytest.raises(ValueError, match="^point has non-finite entries$"):
+                as_point(v, n)
+            spectrum = EigenDecomp(np.arange(n, 0, -1.0), np.eye(n))
+            spectrum.eigenvalues[i] = bad
+            for entry in (solve_cubic_model, stationarity):
+                for grad, decomp in ((v, identity), (np.zeros(n), spectrum)):
+                    with pytest.raises(ValueError,
+                                       match="^gradient or hessian has non-finite entries$"):
+                        entry(grad, decomp, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    def test_extreme_finite_entry_accepted_at_each_position(self, n, big):
+        # x.dot(x) overflows for each of these vectors, so a check on the
+        # squared norm would reject them
+        identity = eig_sym(np.eye(n))
+        for i in range(n):
+            v = np.zeros(n)
+            v[i] = big
+            assert np.array_equal(as_point(v, n), v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # past the check, the gradient's norm overflows to inf
+                assert stationarity(v, identity, 1.0) == math.inf
+                solve_cubic_model(v, identity, 1.0)
+            # in the descending spectrum, at position i and on the side its
+            # sign belongs to: a zero gradient over a psd spectrum stays
+            # put, and lambda_min = -1.7e308 puts stationarity at inf
+            if big > 0:
+                decomp = EigenDecomp(np.array([big] * (i + 1) + [1.0] * (n - i - 1)), np.eye(n))
+                assert stationarity(np.zeros(n), decomp, 1.0) == 0.0
+                sol = solve_cubic_model(np.zeros(n), decomp, 1.0)
+                assert sol.radius == 0.0 and not sol.step.any()
+            else:
+                decomp = EigenDecomp(np.array([1.0] * i + [big] * (n - i)), np.eye(n))
+                assert stationarity(np.zeros(n), decomp, 1.0) == math.inf
 
 
 class TestPureCubicSequence:

@@ -1,14 +1,20 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import thirdopt.escape
 from thirdopt import (
+    EigenDecomp,
     OptimizerConfig,
     OracleObjective,
     Polynomial,
@@ -33,10 +39,19 @@ from thirdopt.bench import (
     quartic_1d_config,
     xxy_fixed_point_config,
 )
-from thirdopt.escape import FLAG_KEYS, MAX_SAMPLER_DRAWS, dump_records
+from thirdopt.escape import (
+    FLAG_KEYS,
+    MAX_SAMPLER_DRAWS,
+    PROJ_NORM_FLOOR,
+    _curvature_denom,
+    dump_records,
+    read_records,
+    write_trace,
+)
 
 from oracles import (
     confined_monkey_fn,
+    full_escape_search,
     grid_min_2d,
     projected,
     quartic_1d_fn,
@@ -104,6 +119,121 @@ class TestEscapeSubspace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match matrix dim"):
             escape_subspace(eig_sym(np.zeros((3, 3))), monkey_third(), 1.0, 1.0)
+
+    def test_screen_returns_what_the_full_walk_returns(self):
+        # around the screen's threshold lambda_min * denom = 2 ||T||_F^2 and
+        # at the extremes, the public search and the unscreened walk agree
+        # to the bit, exceptions included; both kinds of example must occur
+        screened, non_empty = [], []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(screen_cases())
+        def check(case):
+            decomp, tensor, lip3, q = case
+            with _counting_rotations() as rotations:
+                got = _outcome(lambda: escape_subspace(decomp, tensor, lip3, q))
+            screened.append(not rotations)
+            want = _outcome(lambda: full_escape_search(decomp, tensor, _curvature_denom(lip3, q)))
+            if isinstance(want, type):
+                assert got is want
+                return
+            assert not isinstance(got, type), got
+            assert got.suffix_index == want.suffix_index
+            assert repr(got.proj_norm) == repr(want.proj_norm)
+            assert repr(got.curvature_bound) == repr(want.curvature_bound)
+            assert got.subspace.dim == want.subspace.dim
+            assert np.array_equal(got.subspace.basis, want.subspace.basis)
+            non_empty.append(not want.is_empty)
+
+        check()
+        share = sum(screened) / len(screened)
+        assert 0.2 <= share <= 0.8, share
+        assert sum(non_empty) >= 0.1 * len(non_empty)
+
+    def test_screen_skips_rotations_on_a_convex_run(self):
+        # from (0.5, -0.4) quartic_plus_sixth descends to a minimizer with a
+        # clearly positive Hessian, so the screen rules out the escape
+        # searches; the trace equals the one the unscreened walk gives
+        poly = corpus("quartic_plus_sixth")
+        bounds = smoothness_bounds(poly, 2.0)
+        cfg = OptimizerConfig(bounds.hess_lipschitz, bounds.third_lipschitz,
+                              max_iters=100, seed=1)
+        x0 = np.array([0.5, -0.4])
+        with _counting_rotations() as rotations:
+            trace = minimize(poly, x0, cfg)
+        assert len(rotations) < len(trace.cubic_records())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thirdopt.escape, "_escape_search", full_escape_search)
+            walked = minimize(poly, x0, cfg)
+        assert dump_records(trace.records) == dump_records(walked.records)
+        assert trace.final_point.tobytes() == walked.final_point.tobytes()
+
+
+class _counting_rotations:
+    """Context manager that records each ``SymTensor3.transform`` call in a list."""
+
+    def __enter__(self):
+        self.calls = []
+        self.patch = pytest.MonkeyPatch()
+        transform = SymTensor3.transform
+
+        def counting(tensor, matrix):
+            self.calls.append(1)
+            return transform(tensor, matrix)
+
+        self.patch.setattr(SymTensor3, "transform", counting)
+        return self.calls
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+
+def _outcome(call):
+    """The call's result, or the type of what it raised; warnings count as raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except Exception as exc:
+            return type(exc)
+
+
+@st.composite
+def screen_cases(draw):
+    """(decomp, tensor, third_lipschitz, approx_factor) for the escape search.
+
+    lambda_min * denom lies between 0.5 and 4 times ||T||_F^2, or is
+    negative, zero or about 1e300 * denom; T is Gaussian at several scales,
+    zero, of norm near ``PROJ_NORM_FLOOR``, or has one NaN or +-inf entry.
+    """
+    n = draw(st.sampled_from((1, 2, 3, 6, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lip3 = draw(st.floats(0.1, 10.0))
+    q = draw(st.floats(1.0, 100.0))
+    entries = rng.standard_normal((n, n, n)) * 10.0 ** draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(("gaussian",) * 6 + ("zero", "tiny", "nan", "inf", "-inf")))
+    if kind == "zero":
+        entries[...] = 0.0
+    elif kind == "tiny":
+        entries *= PROJ_NORM_FLOOR * draw(st.floats(0.1, 10.0)) / np.linalg.norm(entries)
+    elif kind != "gaussian":
+        entries[tuple(rng.integers(0, n, size=3))] = float(kind)
+    tensor = SymTensor3(entries)
+    frob_sq = float(np.sum(tensor.entries**2))
+    spectrum = draw(st.sampled_from(("ratio",) * 5 + ("negative", "zero", "huge")))
+    if spectrum == "ratio":
+        scale = frob_sq if 0.0 < frob_sq < math.inf else 1.0
+        lam_min = rng.uniform(0.5, 4.0) * scale / _curvature_denom(lip3, q)
+    elif spectrum == "negative":
+        lam_min = -draw(st.floats(1e-6, 10.0))
+    else:
+        lam_min = {"zero": 0.0, "huge": 1e300}[spectrum]
+    # the rest of the spectrum lies above lambda_min, or on it
+    spread = draw(st.sampled_from((0.0, 0.1, 1.0, 10.0))) * max(abs(lam_min), 1e-3)
+    eigenvalues = np.sort(lam_min + spread * rng.random(n))[::-1].copy()
+    eigenvalues[-1] = lam_min
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return EigenDecomp(eigenvalues, basis), tensor, lip3, q
 
 
 
@@ -512,6 +642,23 @@ class TestRateReport:
         assert report.qualifying == (0,)
 
 
+def _ior(flags):
+    flags |= {"cubic_decrease": False}
+
+
+# Every dict method that changes the mapping, applied to a row's flags.
+FLAG_MUTATORS = {
+    "__setitem__": lambda f: f.__setitem__("cubic_decrease", False),
+    "__delitem__": lambda f: f.__delitem__("cubic_decrease"),
+    "__ior__": _ior,
+    "clear": lambda f: f.clear(),
+    "pop": lambda f: f.pop("cubic_decrease"),
+    "popitem": lambda f: f.popitem(),
+    "setdefault": lambda f: f.setdefault("extra", False),
+    "update": lambda f: f.update(cubic_decrease=False),
+}
+
+
 class TestTraceFlags:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -532,6 +679,53 @@ class TestTraceFlags:
                 records[i] = dataclasses.replace(rec, flags={**rec.flags, key: False})
                 broken = dataclasses.replace(trace, records=records)
                 assert broken.all_flags_ok() is (key == "trigger"), (i, key)
+
+
+    @pytest.fixture(params=["minimize", "read_records"])
+    def records(self, request, trace, tmp_path):
+        if request.param == "minimize":
+            return trace.records
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        return read_records(path)
+
+    def test_flags_cannot_be_edited_into_a_failure(self, trace, records):
+        rows = dataclasses.replace(trace, records=records)
+        assert rows.all_flags_ok()
+        with pytest.raises(TypeError, match="read-only"):
+            rows.records[0].flags["cubic_decrease"] = False
+        assert rows.records[0].flags["cubic_decrease"] is True
+        assert rows.all_flags_ok()
+
+    @pytest.mark.parametrize("mutate", sorted(FLAG_MUTATORS))
+    def test_every_mutator_is_refused(self, records, mutate):
+        for rec in records:
+            before = dict(rec.flags)
+            with pytest.raises(TypeError, match="read-only"):
+                FLAG_MUTATORS[mutate](rec.flags)
+            assert rec.flags == before and tuple(rec.flags) == FLAG_KEYS
+
+    def test_flags_keep_the_dict_repr_json_and_equality(self, trace, records):
+        assert records == trace.records
+        assert dump_records(records) == dump_records(trace.records)
+        for rec in records:
+            plain = dict(rec.flags)
+            assert rec.flags == plain
+            assert repr(rec.flags) == repr(plain)
+            assert json.dumps(rec.flags) == json.dumps(plain)
+
+    def test_copies_and_pickles_round_trip_read_only(self, records):
+        for rec in records:
+            for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+                assert twin == rec and repr(twin) == repr(rec)
+                with pytest.raises(TypeError, match="read-only"):
+                    twin.flags["trigger"] = None
+
+    def test_row_keeps_a_copy_of_the_flags_it_was_given(self, trace):
+        flags = dict(trace.records[0].flags)
+        rec = dataclasses.replace(trace.records[0], flags=flags)
+        flags["cubic_decrease"] = False
+        assert rec.flags["cubic_decrease"] is True
 
 
 def _quadratic_trace():
