@@ -143,10 +143,10 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     proportional to that norm, so such subspaces cannot produce progress.
 
     When lambda_min * 12 * third_lipschitz * approx_factor^2 exceeds
-    2 ||T||_F^2, no suffix can qualify, since each suffix's projected
-    squared norm is at most ||T||_F^2 and each lambda_i at least
-    lambda_min; the empty subspace is then returned without the rotation.
-    The result is the same as the full walk's.
+    2 ||T||_F^2, no suffix can qualify: each suffix's projected squared
+    norm is at most ||T||_F^2 and each lambda_i at least lambda_min.  The
+    empty subspace is then returned without the rotation; it is what the
+    full walk would return.
     """
     check_positive("third_lipschitz", third_lipschitz)
     check_positive("approx_factor", approx_factor)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import json
@@ -150,7 +151,11 @@ class TestEscapeSubspace:
         assert 0.2 <= share <= 0.8, share
         assert sum(non_empty) >= 0.1 * len(non_empty)
 
-    def test_screen_skips_rotations_on_a_convex_run(self):
+    def test_zero_dimension_gives_empty(self):
+        esc = escape_subspace(eig_sym(np.zeros((0, 0))), SymTensor3.zeros(0), 1.0, 1.0)
+        assert esc.is_empty and esc.suffix_index is None and esc.subspace.dim == 0
+
+    def test_screen_skips_rotations_near_a_minimizer(self):
         # from (0.5, -0.4) quartic_plus_sixth descends to a minimizer with a
         # clearly positive Hessian, so the screen rules out the escape
         # searches; the trace equals the one the unscreened walk gives
@@ -169,23 +174,19 @@ class TestEscapeSubspace:
         assert trace.final_point.tobytes() == walked.final_point.tobytes()
 
 
-class _counting_rotations:
-    """Context manager that records each ``SymTensor3.transform`` call in a list."""
+@contextlib.contextmanager
+def _counting_rotations():
+    """Record each ``SymTensor3.transform`` call in the list it yields."""
+    calls = []
+    transform = SymTensor3.transform
 
-    def __enter__(self):
-        self.calls = []
-        self.patch = pytest.MonkeyPatch()
-        transform = SymTensor3.transform
+    def counting(tensor, matrix):
+        calls.append(1)
+        return transform(tensor, matrix)
 
-        def counting(tensor, matrix):
-            self.calls.append(1)
-            return transform(tensor, matrix)
-
-        self.patch.setattr(SymTensor3, "transform", counting)
-        return self.calls
-
-    def __exit__(self, *exc):
-        self.patch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SymTensor3, "transform", counting)
+        yield calls
 
 
 def _outcome(call):
