@@ -1,4 +1,4 @@
-"""The six ``thirdopt bench`` CSVs at seed 0, and three of them at two more seeds, pinned by sha256.
+"""The six ``thirdopt bench`` CSVs at seed 0, and five of them at two more seeds, pinned by sha256.
 
 A speed-up or refactor of anything the suites call must leave these bytes
 alone.  The hashes were taken on Python 3.11.7 with numpy 2.4.6 on x86-64;
@@ -61,3 +61,22 @@ def test_grid_minimum_csvs_are_byte_identical_at_more_seeds(tmp_path, capsys, su
     out = tmp_path / f"{suite}{seed}.csv"
     assert main(["bench", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_MINIMUM_SHA256[suite, seed]
+
+
+# The subproblem suite evaluates its grid only on the radii a bound keeps, and
+# the sampler suite symmetrizes its tensors in one stack; both must give the
+# rows the instance-by-instance full evaluation gives.
+SCREENED_SHA256 = {
+    ("sampler", 4): "7bac453b6e5886f717b3953e4289359c8e50824d2251c9148f0f1c95bd9e5643",
+    ("sampler", 6): "744c8a0f4b4076afdd7e3a17d428f500015309630fcb7f1e9966ca6edf896612",
+    ("subproblem", 4): "a1f79b4ca062dce50f1d6890aad6b4d3a69c3e02ed21551de8ab6a1cf76392e6",
+    ("subproblem", 6): "9bd9489d275ff0242792a98c1befcd6019cda87b7222c9ba5d2181aabacf5cec",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(SCREENED_SHA256))
+def test_subproblem_and_sampler_csvs_are_byte_identical_at_more_seeds(tmp_path, capsys,
+                                                                      suite, seed):
+    out = tmp_path / f"{suite}{seed}.csv"
+    assert main(["bench", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCREENED_SHA256[suite, seed]
