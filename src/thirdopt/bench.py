@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .escape import (
 )
 from .polynomials import Polynomial, corpus, smoothness_bounds
 from .spectral import Subspace, eig_sym
-from .tensors import SymTensor3
+from .tensors import SymTensor3, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ def write_csv(rows, path) -> None:
 
 # -- shared oracles ---------------------------------------------------------
 
-# Relative gap allowed between a grid minimum's screen and the exact engine;
-# see _grid_minimum.
+# Relative gap allowed between a grid minimum's screen and the exact values;
+# see _grid_minimum and _subproblem_grid_minimum.
 SCREEN_SLACK = 2.0**-30
 # Most grid points a grid minimum evaluates exactly at once.
 SCREEN_CHUNK = 2**16
@@ -161,10 +162,6 @@ def ball_points(gaussians: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         e = 1.0 / dim
         radii = np.array([u**e for u in uniforms.tolist()])
     return directions * radii[:, None]
-
-
-def random_symmetric_tensor(rng: np.random.Generator, dim: int) -> SymTensor3:
-    return SymTensor3(rng.standard_normal((dim, dim, dim)))
 
 
 # -- run configurations for the degenerate corpus ---------------------------
@@ -343,15 +340,22 @@ def run_sampler(seed: int) -> list:
     empirical mean number of draws must stay at or below 3 (the
     acceptance constant of the underlying anti-concentration bound is
     not pinned down, hence the slack over the ideal expectation of 2).
+
+    Each tensor is a Gaussian draw from its own generator, which the
+    sampler then goes on drawing from.  The 1000 draws come first, and one
+    ``_symmetrized`` over their stack gives each tensor the entries
+    ``SymTensor3`` gives it alone: the permutations are added element by
+    element in the same order.
     """
     rows = []
     base = np.random.default_rng(seed)
     n = 5
     full = Subspace.full(n)
+    rngs = [np.random.default_rng(base.integers(2**63)) for _ in range(1000)]
+    entries = _symmetrized(np.stack([rng.standard_normal((n, n, n)) for rng in rngs]))
     draws = []
-    for case in range(1000):
-        rng = np.random.default_rng(base.integers(2**63))
-        tensor = random_symmetric_tensor(rng, n)
+    for case, rng in enumerate(rngs):
+        tensor = SymTensor3._trusted(entries[case])
         bound = tensor.frobenius_norm() / _approx_factor(SAMPLER_CONSTANT, n)
         sample = sample_direction(tensor, full, bound, rng)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
@@ -434,37 +438,127 @@ def taylor_expansion(value, grad, hess, third, d) -> np.ndarray:
     return value + np.vecdot(grad, d) + quadratic + cubic / 6.0
 
 
+class _BallGrid(NamedTuple):
+    """The 401 x 401 grid on [-3, 3]^2, cut to the radius-3 ball and sorted by norm.
+
+    ``pts`` holds the points as rows and ``x0``, ``x1`` their coordinates;
+    ``radii`` the norms in ascending order and ``cubed`` each as ``r * (r
+    * r)``.  ``distinct`` lists each radius once, and the points of
+    ``distinct[j]`` are ``starts[j]:starts[j + 1]``.
+    """
+
+    pts: np.ndarray
+    x0: np.ndarray
+    x1: np.ndarray
+    radii: np.ndarray
+    cubed: np.ndarray
+    distinct: np.ndarray
+    starts: np.ndarray
+
+
+def _ball_grid() -> _BallGrid:
+    """The subproblem suite's grid, sorted once per call of ``run_subproblem``."""
+    axis = np.linspace(-3.0, 3.0, 401)
+    x0, x1 = (v.ravel() for v in np.meshgrid(axis, axis))
+    # The floats of np.linalg.norm(pts, axis=1): each row's squares added once
+    norms = np.sqrt(x0 * x0 + x1 * x1)
+    inside = np.flatnonzero(norms <= 3.0)
+    # Equal radii may come in any order: a slice always holds whole radii
+    order = inside[np.argsort(norms[inside])]
+    # The meshgrid and the full norm array are freed as the sorted copies replace them
+    radii = norms[order]
+    del norms
+    x0 = x0[order]
+    x1 = x1[order]
+    del inside, order
+    pts = np.column_stack([x0, x1])
+    # Cubed by two multiplications, r * (r * r): the vectorized power's
+    # rounding depends on the CPU's SIMD level.
+    cubed = radii * (radii * radii)
+    starts = np.concatenate(([0], np.flatnonzero(radii[1:] != radii[:-1]) + 1))
+    return _BallGrid(pts, x0, x1, radii, cubed, radii[starts], np.append(starts, len(radii)))
+
+
+def _model_values(grid: _BallGrid, g, h, reg: float, lo: int, hi: int) -> np.ndarray:
+    """The cubic model <g, p> + p'Hp / 2 + (reg / 6) ||p||^3 at the grid points lo:hi."""
+    x0, x1 = grid.x0[lo:hi], grid.x1[lo:hi]
+    # x'Hx term by term, in the order and rounding of einsum("pi,ij,pj->p")
+    quad = np.zeros(hi - lo)
+    quad += x0 * h[0, 0] * x0
+    quad += x0 * h[0, 1] * x1
+    quad += x1 * h[1, 0] * x0
+    quad += x1 * h[1, 1] * x1
+    return grid.pts[lo:hi] @ g + 0.5 * quad + reg / 6.0 * grid.cubed[lo:hi]
+
+
+def _subproblem_grid_minimum(grid: _BallGrid, g, h, reg: float, radius: float) -> float:
+    """The least cubic-model value over the grid, bit for bit, from the radii that can hold it.
+
+    In exact arithmetic, Cauchy-Schwarz and the Rayleigh quotient bound
+    the model at each grid point p of norm r from below::
+
+        m(p) >= l(r) = -||g|| r + (lambda_min / 2) r^2 + (reg / 6) r^3
+
+    The least computed model value U on a ring of radii within 0.03 of
+    ``min(radius, 3)`` is a grid value, so it bounds the grid minimum
+    from above whatever ``radius`` is: a wrong solver only widens what is
+    kept.  With |p_i| <= r <= 3, each term of m and of l is at most 3
+    ||g||_1, 4.5 sum |h_ij| or 4.5 reg in size (|lambda_min| <= sum
+    |h_ij|).  The computed m~ takes each term through about a dozen
+    roundings, the norm's included.  The computed l~ at the computed norm
+    r~ strays by a few more, plus ``eigvalsh``'s backward error, a small
+    multiple of u sum |h_ij|.  So with ``S = 1 + 3 ||g||_1 + 9 sum |h_ij|
+    + 4.5 reg``, each error is below c u S for a c of a few hundred, and
+    the sum that forms the bound rounds by at most 2 u S.  If q holds the
+    least computed value::
+
+        l~(r~_q) <= l(r_q) + c u S <= m(q) + c u S <= m~(q) + 2 c u S
+                 <= U + 2 c u S
+
+    and ``SCREEN_SLACK = 2^-30`` is far above (2 c + 2) u.  So the slice
+    of sorted radii from the first to the last distinct radius whose l~
+    is at most ``U + SCREEN_SLACK * S`` holds q.  Each point's value is
+    the same float in whichever slice it is evaluated: the products and
+    sums go element by element, and the BLAS matrix-vector product takes
+    each row's two-term dot alone.  ``min`` is exact, so the slice's
+    minimum is the grid's.  A bound that is not finite (an overflowing
+    input, or a NaN radius that leaves the ring empty) says nothing, and
+    the whole sorted grid is evaluated.
+    """
+    r0 = min(radius, 3.0)
+    lo, hi = grid.radii.searchsorted([r0 - 0.03, r0 + 0.03], side="right")
+    upper = float(_model_values(grid, g, h, reg, lo, hi).min()) if lo < hi else math.inf
+    scale = 1.0 + 3.0 * float(np.abs(g).sum()) + 9.0 * float(np.abs(h).sum()) + 4.5 * reg
+    bound = upper + SCREEN_SLACK * scale
+    if math.isfinite(bound):
+        r = grid.distinct
+        half_lam = 0.5 * float(np.linalg.eigvalsh(h)[0])
+        lower = r * (r * (half_lam + reg / 6.0 * r) - float(np.linalg.norm(g)))
+        kept = np.flatnonzero(lower <= bound)
+        lo, hi = grid.starts[kept[0]], grid.starts[kept[-1] + 1]
+    else:
+        lo, hi = 0, len(grid.radii)
+    return float(_model_values(grid, g, h, reg, lo, hi).min())
+
+
 def run_subproblem(seed: int) -> list:
-    """Solver versus a 401 x 401 grid on the radius-3 ball, 50 instances."""
+    """Solver versus a 401 x 401 grid on the radius-3 ball, 50 instances.
+
+    Each instance's grid minimum comes from ``_subproblem_grid_minimum``,
+    which evaluates the model only on the radii that can hold it and
+    returns the full grid's minimum bit for bit.  The grid is built once
+    per call.
+    """
     rows = []
     rng = np.random.default_rng(seed)
-    axis = np.linspace(-3.0, 3.0, 401)
-    xx, yy = np.meshgrid(axis, axis)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    norms = np.linalg.norm(pts, axis=1)
-    inside = norms <= 3.0
-    # Cubed by two multiplications, r * (r * r): the vectorized power's
-    # rounding depends on the CPU's SIMD level.  The full norm array is
-    # freed before the product's temporary and the inside points.
-    cubed_norms = norms[inside]
-    del norms
-    cubed_norms *= cubed_norms * cubed_norms
-    pts = pts[inside]
-    x0, x1 = pts.T.copy()
+    grid = _ball_grid()
     for case in range(50):
         g = rng.standard_normal(2)
         a = rng.standard_normal((2, 2))
         h = (a + a.T) / 2.0
         reg = float(rng.uniform(0.5, 3.0))
         sol = solve_cubic_model(g, eig_sym(h), reg)
-        # x'Hx term by term, in the order and rounding of einsum("pi,ij,pj->p")
-        quad = np.zeros(len(pts))
-        quad += x0 * h[0, 0] * x0
-        quad += x0 * h[0, 1] * x1
-        quad += x1 * h[1, 0] * x0
-        quad += x1 * h[1, 1] * x1
-        model = pts @ g + 0.5 * quad + reg / 6.0 * cubed_norms
-        grid_min = float(model.min())
+        grid_min = _subproblem_grid_minimum(grid, g, h, reg, sol.radius)
         stat_res = float(np.linalg.norm(g + h @ sol.step + 0.5 * reg * sol.radius * sol.step))
         eigs = np.linalg.eigvalsh(h)
         margin = float(eigs[0]) + 0.5 * reg * sol.radius

@@ -47,8 +47,8 @@ second-order stationary points.  Both take the Hessian's EigenDecomp.
 
 ``_model_inputs`` owns the checks on a local model's inputs (a positive
 finite ``reg``, a gradient of the Hessian's dimension, a finite gradient
-and spectrum) and returns them as a ``_LocalModel`` with the gradient's
-norm.  The public functions build one per call.  ``minimize`` builds
+and spectrum, a gradient norm that does not overflow) and returns them
+as a ``_LocalModel`` with the gradient's norm.  The public functions build one per call.  ``minimize`` builds
 one per point from the point's bundle and its one ``eig_sym``, so each
 iterate is checked, normed and decomposed once, and both the step from
 that point and its stationarity read the same model.
@@ -237,9 +237,11 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     """The local model of ``grad``, ``decomp`` and ``reg``, checked.
 
     Raises ValueError unless ``reg`` is positive and finite, the gradient
-    has the Hessian's dimension, and the gradient and eigenvalues are
-    finite.  A Python-float ``reg`` keeps the arithmetic after it in
-    float64, whatever scalar type the caller passed.
+    has the Hessian's dimension, the gradient and eigenvalues are finite,
+    and the gradient's norm is finite too: past about 1.3e154 it overflows,
+    and an infinite norm would pass the solver's scale-relative
+    certificate with a zero step.  A Python-float ``reg`` keeps the
+    arithmetic after it in float64, whatever scalar type the caller passed.
     """
     check_positive("reg", reg)
     g = np.asarray(grad, dtype=float)
@@ -247,7 +249,10 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
     if not (_all_finite(g) and _all_finite(decomp.eigenvalues)):
         raise ValueError("gradient or hessian has non-finite entries")
-    return _LocalModel(g, _norm(g), decomp, float(reg), bundle)
+    g_norm = _norm(g)
+    if g_norm == math.inf:
+        raise ValueError("gradient norm overflows")
+    return _LocalModel(g, g_norm, decomp, float(reg), bundle)
 
 
 def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:

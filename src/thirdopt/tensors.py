@@ -19,9 +19,15 @@ _PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0
 
 
 def _symmetrized(array: np.ndarray) -> np.ndarray:
+    """The average over the six permutations of the last three axes.
+
+    Leading axes index a stack; each tensor in it gets the floats it gets
+    alone, as the permutations are added element by element in one order.
+    """
+    lead = tuple(range(array.ndim - 3))
     acc = np.zeros_like(array)
     for perm in _PERMUTATIONS:
-        acc += np.transpose(array, perm)
+        acc += np.transpose(array, lead + tuple(len(lead) + p for p in perm))
     return acc / 6.0
 
 

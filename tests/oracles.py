@@ -8,7 +8,9 @@ and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
 ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
 ``_secular_offset_arrays`` solves the secular equation in numpy arrays,
-and ``full_escape_search`` walks every suffix without the spectral screen.
+``full_escape_search`` walks every suffix without the spectral screen,
+and ``subproblem_grid_min`` evaluates the subproblem suite's model at
+every grid point.
 """
 
 import functools
@@ -163,6 +165,31 @@ def cubic_model_grid_min(g, hess, reg, radius=3.0, points=401):
         + 0.5 * (hess[0, 0] * s1**2 + 2 * hess[0, 1] * s1 * s2 + hess[1, 1] * s2**2)
         + reg / 6.0 * norms**3
     )
+    return float(model.min())
+
+
+def subproblem_grid_min(g, h, reg):
+    """The subproblem suite's model at every point of its grid, in row-major order; the least.
+
+    The grid is the 401 x 401 grid on [-3, 3]^2 cut to the radius-3 ball,
+    and the model ``pts @ g + 0.5 * quad + reg / 6 * r * (r * r)`` with
+    x'Hx taken term by term.
+    """
+    axis = np.linspace(-3.0, 3.0, 401)
+    xx, yy = np.meshgrid(axis, axis)
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    norms = np.linalg.norm(pts, axis=1)
+    inside = norms <= 3.0
+    cubed = norms[inside]
+    cubed *= cubed * cubed
+    pts = pts[inside]
+    x0, x1 = pts.T.copy()
+    quad = np.zeros(len(pts))
+    quad += x0 * h[0, 0] * x0
+    quad += x0 * h[0, 1] * x1
+    quad += x1 * h[1, 0] * x0
+    quad += x1 * h[1, 1] * x1
+    model = pts @ g + 0.5 * quad + reg / 6.0 * cubed
     return float(model.min())
 
 

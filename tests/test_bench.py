@@ -8,18 +8,23 @@ expression, bit for bit.
 
 ``grid_minimum_1d`` and ``grid_minimum_2d`` evaluate exactly only the
 points a cheap screen keeps; the least exact value must still be the
-least ``value`` over the whole grid, bit for bit.
+least ``value`` over the whole grid, bit for bit.  The subproblem suite's
+grid minimum evaluates its model only on a slice of radii, and must equal
+the model's least value over every grid point, bit for bit.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thirdopt import Polynomial, bench, corpus
+from thirdopt import Polynomial, bench, corpus, eig_sym, solve_cubic_model
+
+from oracles import subproblem_grid_min
 
 TAYLOR_MEMBERS = ("monkey_saddle", "monkey_saddle_confined", "xxy_plus_yy",
                   "quartic_1d", "wine_bottle")
@@ -153,3 +158,84 @@ def test_overflowing_grid_evaluates_every_point(poly, want):
 def test_grid_minimum_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+BALL_GRID = bench._ball_grid()
+
+
+@st.composite
+def subproblem_cases(draw):
+    """A model (g, h, reg) and a radius to centre the ring on.
+
+    The gradient and the Hessian each get a scale of 0, 1e-3, 1 or 1e3;
+    a third of the Hessians are shifted so that lambda_min is far below
+    -reg, which puts the model's minimizer outside the ball.  ``reg`` runs
+    from 1e-3 to 1e3.  The radius is the solver's, or a wrong one: 0, the
+    ball's edge, far outside it, or NaN.
+    """
+    scale = st.sampled_from([0.0, 1e-3, 1.0, 1e3])
+    unit = st.floats(-1.0, 1.0)
+    g = np.array([draw(unit), draw(unit)]) * draw(scale)
+    h01 = draw(unit)
+    h = np.array([[draw(unit), h01], [h01, draw(unit)]]) * draw(scale)
+    reg = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.integers(0, 2)) == 0:
+        h -= np.eye(2) * draw(st.floats(10.0, 1e3)) * reg
+    radius = draw(st.sampled_from(["solver", 0.0, 3.0, 50.0, math.nan]))
+    if radius == "solver":
+        radius = solve_cubic_model(g, eig_sym(h), reg).radius
+    return g, h, reg, radius
+
+
+def test_subproblem_grid_minimum_equals_full_grid():
+    evaluated, slices = [], []
+    model_values = bench._model_values
+
+    def counted(grid, g, h, reg, lo, hi):
+        evaluated.append(hi - lo)
+        return model_values(grid, g, h, reg, lo, hi)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(subproblem_cases())
+    @example((np.zeros(2), np.zeros((2, 2)), 1.0, 0.0))
+    @example((np.zeros(2), np.zeros((2, 2)), 1e-3, 3.0))
+    @example((np.array([0.3, -0.2]), np.diag([-500.0, -400.0]), 1e-3, 0.0))
+    @example((np.array([2.0, 1.0]), np.array([[0.5, -1.0], [-1.0, 0.2]]), 1e3, 2.9))
+    def check(case):
+        g, h, reg, radius = case
+        evaluated.clear()
+        got = bench._subproblem_grid_minimum(BALL_GRID, g, h, reg, radius)
+        slices.append(evaluated[-1])
+        assert got.hex() == subproblem_grid_min(g, h, reg).hex()
+
+    bench._model_values = counted
+    try:
+        check()
+    finally:
+        bench._model_values = model_values
+    # The last evaluation of each call is its slice; the screen must narrow
+    # it in most cases, or this test would check the full grid only
+    assert sum(n < len(BALL_GRID.radii) // 2 for n in slices) >= 0.5 * len(slices)
+
+
+# tracemalloc's peak for a warm run_subproblem(0) that evaluates the model at
+# every grid point of every instance, on Python 3.11.7 with numpy 2.4.6.
+FULL_GRID_PEAK_BYTES = 11_797_140
+
+
+@pytest.mark.parametrize("suite", ["subproblem", "sampler"])
+def test_suite_peak_memory_stays_within_the_full_grid_peak(suite):
+    run = getattr(bench, f"run_{suite}")
+    run(0)  # one-time allocations, such as numpy's caches, do not count
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        run(0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= FULL_GRID_PEAK_BYTES

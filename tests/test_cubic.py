@@ -461,16 +461,12 @@ class TestFiniteInputs:
     @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
     def test_extreme_finite_entry_accepted_at_each_position(self, n, big):
         # x.dot(x) overflows for each of these vectors, so a check on the
-        # squared norm would reject them
-        identity = eig_sym(np.eye(n))
+        # squared norm would reject them as points and as spectra; as a
+        # gradient, whose norm the model needs, see the test below
         for i in range(n):
             v = np.zeros(n)
             v[i] = big
             assert np.array_equal(as_point(v, n), v)
-            with np.errstate(over="ignore", invalid="ignore"):
-                # past the check, the gradient's norm overflows to inf
-                assert stationarity(v, identity, 1.0) == math.inf
-                solve_cubic_model(v, identity, 1.0)
             # in the descending spectrum, at position i and on the side its
             # sign belongs to: a zero gradient over a psd spectrum stays
             # put, and lambda_min = -1.7e308 puts stationarity at inf
@@ -482,6 +478,33 @@ class TestFiniteInputs:
             else:
                 decomp = EigenDecomp(np.array([1.0] * i + [big] * (n - i)), np.eye(n))
                 assert stationarity(np.zeros(n), decomp, 1.0) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308, 2e154])
+    @pytest.mark.parametrize("warn", ["default", "error"])
+    def test_overflowing_gradient_norm_rejected_at_each_position(self, n, big, warn):
+        # Each entry is finite but ||g|| overflows to inf, against which the
+        # solver's scale-relative certificate would pass a zero step; the
+        # rejection must not turn into numpy's overflow warning under -W error
+        identity = eig_sym(np.eye(n))
+        for i in range(n):
+            g = np.zeros(n)
+            g[i] = big
+            if n > 1:
+                g[(i + 1) % n] = 1e154
+            for entry in (solve_cubic_model, stationarity):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(warn)
+                    with pytest.raises(ValueError, match="^gradient norm overflows$"):
+                        entry(g, identity, 1.0)
+
+    def test_largest_gradient_norm_accepted(self):
+        # 1.3e154 squared stays below the largest float, so the norm is finite
+        identity = eig_sym(np.eye(2))
+        g = np.array([1.3e154, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stationarity(g, identity, 1.0) == math.sqrt(1.3e154)
 
 
 class TestPureCubicSequence:
