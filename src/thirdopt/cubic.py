@@ -48,10 +48,11 @@ second-order stationary points.  Both take the Hessian's EigenDecomp.
 ``_model_inputs`` owns the checks on a local model's inputs (a positive
 finite ``reg``, a gradient of the Hessian's dimension, a finite gradient
 and spectrum, a gradient norm that does not overflow) and returns them
-as a ``_LocalModel`` with the gradient's norm.  The public functions build one per call.  ``minimize`` builds
-one per point from the point's bundle and its one ``eig_sym``, so each
-iterate is checked, normed and decomposed once, and both the step from
-that point and its stationarity read the same model.
+as a ``_LocalModel`` with the gradient's norm.  The public functions
+build one per call.  ``minimize`` builds one per point from the point's
+bundle and its one ``eig_sym``, so each iterate is checked, normed and
+decomposed once, and both the step from that point and its stationarity
+read the same model.
 """
 
 from __future__ import annotations
