@@ -76,6 +76,10 @@ _HARD_CASE_REL = 1e-12
 _SECULAR_RTOL = 1e-13
 _SECULAR_MAX_EVALS = 100
 
+# Entries below this size cannot overflow a sum of squares of fewer than
+# 2^24 terms, so their norm needs no overflow check.
+_NORM_SAFE = 2.0**500
+
 
 @dataclass(frozen=True)
 class CubicSolution:
@@ -248,12 +252,16 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    if not (_all_finite(g) and _all_finite(decomp.eigenvalues)):
+    entries = g.tolist()
+    if not (all(map(math.isfinite, entries)) and _all_finite(decomp.eigenvalues)):
         raise ValueError("gradient or hessian has non-finite entries")
-    g_norm = _norm(g)
-    if g_norm == math.inf:
-        raise ValueError("gradient norm overflows")
-    return _LocalModel(g, g_norm, decomp, float(reg), bundle)
+    if max(map(abs, entries), default=0.0) >= _NORM_SAFE:
+        # The sum of squares may overflow, and numpy would warn about it
+        # before this check could raise
+        with np.errstate(over="ignore"):
+            if _norm(g) == math.inf:
+                raise ValueError("gradient norm overflows")
+    return _LocalModel(g, _norm(g), decomp, float(reg), bundle)
 
 
 def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:

@@ -45,12 +45,10 @@ def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float vector, computed as ``np.linalg.norm`` does.
 
     That is the square root of ``x.dot(x)`` for the contiguous ravel x,
-    the same floats without ``norm``'s argument dispatch.  ``np.vdot``
-    calls the same BLAS dot but leaves the floating-point status alone, so
-    a sum of squares that overflows gives inf without numpy's warning.
+    the same floats without ``norm``'s argument dispatch.
     """
     x = v.ravel(order="K")
-    return math.sqrt(float(np.vdot(x, x)))
+    return math.sqrt(float(x.dot(x)))
 
 
 def eig_sym(matrix) -> EigenDecomp:
