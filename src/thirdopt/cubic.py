@@ -76,8 +76,8 @@ _HARD_CASE_REL = 1e-12
 _SECULAR_RTOL = 1e-13
 _SECULAR_MAX_EVALS = 100
 
-# Entries below this size cannot overflow a sum of squares of fewer than
-# 2^24 terms, so their norm needs no overflow check.
+# A vector whose norm is below this has finite entries whose sum of squares
+# cannot overflow, so its norm needs no overflow check.
 _NORM_SAFE = 2.0**500
 
 
@@ -252,10 +252,12 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    entries = g.tolist()
-    if not (all(map(math.isfinite, entries)) and _all_finite(decomp.eigenvalues)):
+    if not _all_finite(decomp.eigenvalues):
         raise ValueError("gradient or hessian has non-finite entries")
-    if max(map(abs, entries), default=0.0) >= _NORM_SAFE:
+    # One call clears the common case: hypot is inf or NaN when an entry is
+    if not math.hypot(*g.tolist()) < _NORM_SAFE:
+        if not _all_finite(g):
+            raise ValueError("gradient or hessian has non-finite entries")
         # The sum of squares may overflow, and numpy would warn about it
         # before this check could raise
         with np.errstate(over="ignore"):
