@@ -168,13 +168,9 @@ def cubic_model_grid_min(g, hess, reg, radius=3.0, points=401):
     return float(model.min())
 
 
-def subproblem_grid_min(g, h, reg):
-    """The subproblem suite's model at every point of its grid, in row-major order; the least.
-
-    The grid is the 401 x 401 grid on [-3, 3]^2 cut to the radius-3 ball,
-    and the model ``pts @ g + 0.5 * quad + reg / 6 * r * (r * r)`` with
-    x'Hx taken term by term.
-    """
+@functools.cache
+def _subproblem_grid():
+    """The 401 x 401 grid on [-3, 3]^2 cut to the radius-3 ball, in row-major order."""
     axis = np.linspace(-3.0, 3.0, 401)
     xx, yy = np.meshgrid(axis, axis)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -184,6 +180,16 @@ def subproblem_grid_min(g, h, reg):
     cubed *= cubed * cubed
     pts = pts[inside]
     x0, x1 = pts.T.copy()
+    return pts, x0, x1, cubed
+
+
+def subproblem_grid_min(g, h, reg):
+    """The subproblem suite's model at every point of its grid; the least.
+
+    The model is ``pts @ g + 0.5 * quad + reg / 6 * r * (r * r)`` with
+    x'Hx taken term by term.
+    """
+    pts, x0, x1, cubed = _subproblem_grid()
     quad = np.zeros(len(pts))
     quad += x0 * h[0, 0] * x0
     quad += x0 * h[0, 1] * x1

@@ -170,8 +170,8 @@ def subproblem_cases(draw):
     The gradient and the Hessian each get a scale of 0, 1e-3, 1 or 1e3;
     a third of the Hessians are shifted so that lambda_min is far below
     -reg, which puts the model's minimizer outside the ball.  ``reg`` runs
-    from 1e-3 to 1e3.  The radius is the solver's, or a wrong one: 0, the
-    ball's edge, far outside it, or NaN.
+    from 1e-3 to 1e3.  The radius is the solver's in about half the cases,
+    else a wrong one: 0, the ball's edge, far outside it, or NaN.
     """
     scale = st.sampled_from([0.0, 1e-3, 1.0, 1e3])
     unit = st.floats(-1.0, 1.0)
@@ -181,8 +181,8 @@ def subproblem_cases(draw):
     reg = 10.0 ** draw(st.floats(-3.0, 3.0))
     if draw(st.integers(0, 2)) == 0:
         h -= np.eye(2) * draw(st.floats(10.0, 1e3)) * reg
-    radius = draw(st.sampled_from(["solver", 0.0, 3.0, 50.0, math.nan]))
-    if radius == "solver":
+    radius = draw(st.sampled_from([None] * 4 + [0.0, 3.0, 50.0, math.nan]))
+    if radius is None:
         radius = solve_cubic_model(g, eig_sym(h), reg).radius
     return g, h, reg, radius
 
@@ -205,7 +205,8 @@ def test_subproblem_grid_minimum_equals_full_grid():
         g, h, reg, radius = case
         evaluated.clear()
         got = bench._subproblem_grid_minimum(BALL_GRID, g, h, reg, radius)
-        slices.append(evaluated[-1])
+        if radius == solve_cubic_model(g, eig_sym(h), reg).radius:
+            slices.append(evaluated[-1])
         assert got.hex() == subproblem_grid_min(g, h, reg).hex()
 
     bench._model_values = counted
@@ -213,9 +214,11 @@ def test_subproblem_grid_minimum_equals_full_grid():
         check()
     finally:
         bench._model_values = model_values
-    # The last evaluation of each call is its slice; the screen must narrow
-    # it in most cases, or this test would check the full grid only
-    assert sum(n < len(BALL_GRID.radii) // 2 for n in slices) >= 0.5 * len(slices)
+    # The last evaluation of each call is its slice.  Around the solver's
+    # radius the screen must narrow it in most cases, or this test would
+    # check the full grid only
+    assert len(slices) >= 50
+    assert sum(n < len(BALL_GRID.radii) // 2 for n in slices) >= 0.8 * len(slices)
 
 
 # tracemalloc's peak for a warm run_subproblem(0) that evaluates the model at
