@@ -254,7 +254,7 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
     if not _all_finite(decomp.eigenvalues):
         raise ValueError("gradient or hessian has non-finite entries")
-    # One call clears the common case: hypot is inf or NaN when an entry is
+    # One call clears the common case: hypot is inf or NaN if an entry is
     if not math.hypot(*g.tolist()) < _NORM_SAFE:
         if not _all_finite(g):
             raise ValueError("gradient or hessian has non-finite entries")

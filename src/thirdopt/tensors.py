@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+# The six orders of the last three axes, counted from the end
+_PERMUTATIONS = ((-3, -2, -1), (-3, -1, -2), (-2, -3, -1), (-2, -1, -3), (-1, -3, -2),
+                 (-1, -2, -3))
 
 
 def _symmetrized(array: np.ndarray) -> np.ndarray:
@@ -27,7 +29,7 @@ def _symmetrized(array: np.ndarray) -> np.ndarray:
     lead = tuple(range(array.ndim - 3))
     acc = np.zeros_like(array)
     for perm in _PERMUTATIONS:
-        acc += np.transpose(array, lead + tuple(len(lead) + p for p in perm))
+        acc += np.transpose(array, lead + perm)
     return acc / 6.0
 
 
