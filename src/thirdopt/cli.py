@@ -97,7 +97,9 @@ def _cmd_run(args) -> int:
     if x0.shape != (poly.dim,):
         raise ValueError(f"x0 has {x0.size} entries but the problem has dimension {poly.dim}")
     if args.R is None or args.L is None:
-        radius = max(1.0, 2.0 * float(np.linalg.norm(x0)))
+        # a norm that overflows is inf, which smoothness_bounds rejects by name
+        with np.errstate(over="ignore"):
+            radius = max(1.0, 2.0 * float(np.linalg.norm(x0)))
         bounds = smoothness_bounds(poly, radius)
         reg = args.R if args.R is not None else bounds.hess_lipschitz
         lip3 = args.L if args.L is not None else bounds.third_lipschitz

@@ -16,18 +16,19 @@ rejection sampling finds a unit u in the subspace with
 ``- (c / (third_lipschitz * approx_factor)) * u``: one c sets the
 sampler's threshold, the step length and the promised decrease.
 
-Before the walk, a spectral screen rules out every suffix with one dot
-product where the Hessian is clearly positive.  The eigenvectors are
-orthonormal, so no suffix's projected squared norm exceeds ||T||_F^2,
-up to rounding, and no lambda_i is below lambda_min.  So when
+The walk starts at a spectral bound.  The eigenvectors are orthonormal,
+so no suffix's projected squared norm exceeds ||T||_F^2, up to
+rounding.  So a suffix i with
 
-    lambda_min * 12 * third_lipschitz * approx_factor^2 > 2 ||T||_F^2,
+    lambda_i * 12 * third_lipschitz * approx_factor^2 > 2 ||T||_F^2
 
-no suffix can qualify, and the search returns the empty subspace
-without rotating T.  The factor 2 is far above the rounding of either
-sum at the dimensions this package handles, so a skipped search returns
-what the walk would, bit for bit.  NaN or infinite entries fail the
-comparison and take the walk.
+cannot qualify, and the walk starts at the first index that fails this
+test; a NaN fails it, so it walks.  The eigenvalues descend, so when
+lambda_min passes the test every index does, and the search returns the
+empty subspace after one dot product and one comparison, without
+rotating T.  The factor 2 is far above the rounding of either sum at the
+dimensions this package handles, so the search returns what the walk
+from index 0 would, bit for bit.
 
 With valid Lipschitz constants each accepted step decreases f by an
 explicit amount (cubic: reg * ||s||^3 / 12, escape:
@@ -142,15 +143,21 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     ``PROJ_NORM_FLOOR`` is reported empty: the step length would be
     proportional to that norm, so such subspaces cannot produce progress.
 
-    When lambda_min * 12 * third_lipschitz * approx_factor^2 exceeds
-    2 ||T||_F^2, no suffix can qualify: each suffix's projected squared
-    norm is at most ||T||_F^2 and each lambda_i at least lambda_min.  The
-    empty subspace is then returned without the rotation; it is what the
-    full walk would return.
+    Suffixes whose eigenvalue exceeds 2 ||T||_F^2 / (12 * third_lipschitz
+    * approx_factor^2) cannot qualify: each suffix's projected squared
+    norm is at most ||T||_F^2.  The walk starts after them, and when
+    lambda_min exceeds that bound the empty subspace is returned without
+    the rotation.  Either way the result is the full walk's.  The
+    returned suffix's columns are checked for orthonormality, as a
+    hand-built ``decomp`` need not have it.
     """
     check_positive("third_lipschitz", third_lipschitz)
     check_positive("approx_factor", approx_factor)
-    return _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
+    esc = _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
+    if esc.is_empty:
+        return esc
+    return EscapeSubspace(Subspace(decomp.dim, esc.subspace.basis), esc.proj_norm,
+                          esc.curvature_bound, esc.suffix_index)
 
 
 def _curvature_denom(third_lipschitz: float, approx_factor: float) -> float:
@@ -159,25 +166,35 @@ def _curvature_denom(third_lipschitz: float, approx_factor: float) -> float:
 
 
 def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> EscapeSubspace:
-    """:func:`escape_subspace` with its constants checked and folded into ``denom``."""
+    """:func:`escape_subspace` with its constants checked and folded into ``denom``.
+
+    The suffix it returns wraps ``eig_sym``'s columns unchecked.
+    """
     n = decomp.dim
     if third.dim != n:
         raise ValueError(f"tensor dim {third.dim} does not match matrix dim {n}")
-    # The spectral screen (module docstring), in Python floats so that it
-    # cannot warn where the walk would not.
+    # The spectral bound (module docstring), in Python floats so that it
+    # cannot warn where the walk would not; lambda_min first, as it
+    # settles most searches at small n.
     flat = third.entries.ravel()
-    if n and float(decomp.eigenvalues[-1]) * float(denom) > 2.0 * float(flat.dot(flat)):
+    cap = 2.0 * float(flat.dot(flat))
+    scale = float(denom)
+    if not n or float(decomp.eigenvalues[-1]) * scale > cap:
         return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
+    eigenvalues = decomp.eigenvalues.tolist()
+    start = 0
+    while eigenvalues[start] * scale > cap:
+        start += 1
     rotated_sq = third.transform(decomp.eigenvectors).entries ** 2
-    for i in range(n):
+    for i in range(start, n):
         proj_sq = float(rotated_sq[i:, i:, i:].sum())
         bound = proj_sq / denom
-        if decomp.eigenvalues[i] <= bound:
+        if eigenvalues[i] <= bound:
             proj_norm = math.sqrt(proj_sq)
             if proj_norm <= PROJ_NORM_FLOOR:
                 break
             return EscapeSubspace(
-                subspace=Subspace(n, decomp.eigenvectors[:, i:]),
+                subspace=Subspace._trusted(n, decomp.eigenvectors[:, i:]),
                 proj_norm=proj_norm,
                 curvature_bound=bound,
                 suffix_index=i,

@@ -110,6 +110,20 @@ class DerivativeBundle:
         if asym > 1e-12 * max(1.0, np.abs(self.hess).max(initial=0.0)):
             raise ValueError(f"hessian is not symmetric (asymmetry {asym:.3e})")
 
+    @classmethod
+    def _trusted(cls, value: float, grad: np.ndarray, hess: np.ndarray,
+                 third: SymTensor3) -> "DerivativeBundle":
+        """A bundle whose Hessian is exactly symmetric by construction.
+
+        For producers inside the package only: it skips the symmetry check,
+        which a :class:`Polynomial` table's Hessian passes by construction
+        (module docstring).  ``eig_sym`` still tests exact symmetry.
+        """
+        bundle = cls.__new__(cls)
+        for name, field in zip(("value", "grad", "hess", "third"), (value, grad, hess, third)):
+            object.__setattr__(bundle, name, field)
+        return bundle
+
 
 @runtime_checkable
 class Objective(Protocol):
@@ -293,7 +307,7 @@ class Polynomial:
         offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
         return (
             pos,
-            (offsets[axes[term]] + left).T.astype(np.int32, order="C"),
+            (offsets[axes[term]] + left).T.astype(np.intp, order="C"),
             np.array([c for _, c in self._terms])[term] * factor,
         )
 
@@ -337,17 +351,25 @@ class Polynomial:
         ``x`` is one point ``(n,)`` or a stack ``(N, n)``; the result is
         ``(slots,)`` or ``(N, slots)``, C-contiguous.  A stack's column
         takes each power once per distinct value, then gathers it back.
+        A power that overflows raises ValueError, naming it.
         """
-        if x.ndim == 1:
-            row = x.tolist()
-            return np.array([row[i] ** e for i, e in self._slots], dtype=float)
-        powers = np.empty((len(x), len(self._slots)))
-        for k, (i, e) in enumerate(self._slots):
-            if e == 0:  # the first of variable i's slots
-                values, inverse = np.unique(x[:, i], return_inverse=True)
-                values = values.tolist()
-            powers[:, k] = np.array([v**e for v in values], dtype=float)[inverse]
-        return powers
+        try:
+            if x.ndim == 1:
+                row = x.tolist()
+                return np.array([row[i] ** e for i, e in self._slots], dtype=float)
+            powers = np.empty((len(x), len(self._slots)))
+            for k, (i, e) in enumerate(self._slots):
+                if e == 0:  # the first of variable i's slots
+                    values, inverse = np.unique(x[:, i], return_inverse=True)
+                    values = values.tolist()
+                powers[:, k] = np.array([v**e for v in values], dtype=float)[inverse]
+            return powers
+        except OverflowError:
+            # name the first slot whose power overflows, at its variable's largest magnitude
+            big = np.abs(x).reshape(-1, self._dim).max(axis=0)
+            with np.errstate(over="ignore"):
+                i, e = next((i, e) for i, e in self._slots if big[i] ** e == math.inf)
+            raise ValueError(f"power x{i}**{e} overflows at |x{i}| = {float(big[i])!r}") from None
 
     def _at_point(self, x: np.ndarray, order: int) -> np.ndarray:
         """Orders 0..``order`` at one point, flat: f, grad, hess and third in turn."""
@@ -381,7 +403,7 @@ class Polynomial:
         grad = flat[1:1 + n] if order >= 1 else np.zeros(n)
         hess = flat[1 + n:1 + n + n * n] if order >= 2 else np.zeros(n * n)
         third = flat[1 + n + n * n:] if order == 3 else np.zeros(n**3)
-        return DerivativeBundle(
+        return DerivativeBundle._trusted(
             float(flat[0]), grad, hess.reshape(n, n), SymTensor3._trusted(third.reshape(n, n, n))
         )
 
@@ -564,7 +586,10 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     """
     pos, residual, mult = poly._table(order)
     degrees = np.array([e for _, e in poly._slots])[residual].sum(axis=0)
-    radius_powers = np.array([radius**d for d in range(poly.degree + 1)], dtype=float)
+    try:
+        radius_powers = np.array([radius**d for d in range(poly.degree + 1)], dtype=float)
+    except OverflowError:
+        raise ValueError(f"radius**{poly.degree} overflows at radius = {radius!r}") from None
     _, entry = np.unique(pos, return_inverse=True)
     entry_bounds = np.bincount(entry, np.abs(mult) * radius_powers[degrees])
     top = float(entry_bounds.max(initial=0.0))

@@ -93,6 +93,18 @@ class Subspace:
         self.basis = basis
 
     @classmethod
+    def _trusted(cls, dim: int, basis: np.ndarray) -> "Subspace":
+        """Wrap (dim, k) float columns that are orthonormal by construction.
+
+        For producers inside the package only: it skips the shape and Gram
+        checks, which columns of ``eig_sym``'s eigenvectors do not need.
+        """
+        subspace = cls.__new__(cls)
+        subspace.dim = dim
+        subspace.basis = basis
+        return subspace
+
+    @classmethod
     def full(cls, dim: int) -> "Subspace":
         return cls(dim, np.eye(dim))
 

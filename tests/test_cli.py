@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ class TestRun:
         assert code == 1
         assert "must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0, message", [
+        ("1e200,0", "radius must be positive and finite, got inf"),
+        ("1e150,0", "radius**3 overflows at radius = 2e+150"),
+    ], ids=["norm-overflows", "radius-power-overflows"])
+    def test_overflowing_default_radius_exits_one(self, tmp_path, capsys, x0, message):
+        # with warnings as errors, as under python -W error: the start's norm
+        # may overflow, and the default bounds then name the radius
+        trace = tmp_path / "t.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--problem", "monkey_saddle", "--x0", x0, "--trace", str(trace)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not trace.exists()
+
     def test_same_seed_traces_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["run", "--problem", "monkey_saddle_confined", "--x0", "0,0",
@@ -163,6 +179,11 @@ class TestCheck:
             main(["check", "--problem", "monkey_saddle", "--poi", value])
         assert exc.value.code == 1
         assert "the following arguments are required: --point" in capsys.readouterr().err
+
+    def test_overflowing_power_exits_one_naming_it(self, capsys):
+        code = main(["check", "--problem", "monkey_saddle", "--point", "1e200,1e200"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: power x0**2 overflows at |x0| = 1e+200\n"
 
     def test_point_dimension_mismatch(self):
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1

@@ -122,10 +122,11 @@ class TestEscapeSubspace:
             escape_subspace(eig_sym(np.zeros((3, 3))), monkey_third(), 1.0, 1.0)
 
     def test_screen_returns_what_the_full_walk_returns(self):
-        # around the screen's threshold lambda_min * denom = 2 ||T||_F^2 and
-        # at the extremes, the public search and the unscreened walk agree
-        # to the bit, exceptions included; both kinds of example must occur
-        screened, non_empty = [], []
+        # around the spectral bound lambda_i * denom = 2 ||T||_F^2 and at the
+        # extremes, the public search and the walk from index 0 agree to the
+        # bit, exceptions included; searches the bound settles, searches it
+        # starts inside the spectrum and non-empty outcomes must all occur
+        screened, inside, non_empty = [], [], []
 
         @settings(max_examples=400, deadline=None, derandomize=True)
         @given(screen_cases())
@@ -134,6 +135,7 @@ class TestEscapeSubspace:
             with _counting_rotations() as rotations:
                 got = _outcome(lambda: escape_subspace(decomp, tensor, lip3, q))
             screened.append(not rotations)
+            inside.append(0 < _walk_start(decomp, tensor, lip3, q) < decomp.dim)
             want = _outcome(lambda: full_escape_search(decomp, tensor, _curvature_denom(lip3, q)))
             if isinstance(want, type):
                 assert got is want
@@ -149,7 +151,24 @@ class TestEscapeSubspace:
         check()
         share = sum(screened) / len(screened)
         assert 0.2 <= share <= 0.8, share
+        assert sum(inside) >= 0.1 * len(inside), sum(inside)
         assert sum(non_empty) >= 0.1 * len(non_empty)
+
+    @pytest.mark.parametrize("lam_min, kind", [(-1.0, "walk"), (0.0, "walk"), (1e300, "bound")])
+    def test_non_orthonormal_columns_raise_where_the_walk_raises(self, lam_min, kind):
+        # a hand-built decomposition whose columns are not orthonormal: the
+        # public search checks the suffix it returns, so it raises wherever
+        # the walk's checked Subspace does, and returns empty otherwise
+        columns = np.array([[1.0, 1.0], [0.0, 1.0]])
+        third = monkey_third()
+        for tensor in (third, SymTensor3.zeros(2)):
+            decomp = EigenDecomp(np.array([max(lam_min, 0.0), lam_min]), columns)
+            got = _outcome(lambda: escape_subspace(decomp, tensor, 1.0, 1.0))
+            want = _outcome(lambda: full_escape_search(decomp, tensor, _curvature_denom(1.0, 1.0)))
+            if tensor is third and kind == "walk":
+                assert want is ValueError and got is ValueError
+            else:
+                assert want.is_empty and got.is_empty and got.suffix_index is None
 
     def test_zero_dimension_gives_empty(self):
         esc = escape_subspace(eig_sym(np.zeros((0, 0))), SymTensor3.zeros(0), 1.0, 1.0)
@@ -199,13 +218,24 @@ def _outcome(call):
             return type(exc)
 
 
+def _walk_start(decomp, tensor, lip3, q):
+    """The first index whose lambda_i * denom does not exceed 2 ||T||_F^2; n if none."""
+    flat = tensor.entries.ravel()
+    cap = 2.0 * float(flat.dot(flat))
+    denom = _curvature_denom(lip3, q)
+    return next((i for i, lam in enumerate(decomp.eigenvalues.tolist())
+                 if not lam * denom > cap), decomp.dim)
+
+
 @st.composite
 def screen_cases(draw):
     """(decomp, tensor, third_lipschitz, approx_factor) for the escape search.
 
     lambda_min * denom lies between 0.5 and 4 times ||T||_F^2, or is
-    negative, zero or about 1e300 * denom; T is Gaussian at several scales,
-    zero, of norm near ``PROJ_NORM_FLOOR``, or has one NaN or +-inf entry.
+    negative, zero or about 1e300 * denom; or the spectrum straddles
+    2 ||T||_F^2 / denom, so the walk starts inside it.  T is Gaussian at
+    several scales, zero, of norm near ``PROJ_NORM_FLOOR``, or has one NaN
+    or +-inf entry.
     """
     n = draw(st.sampled_from((1, 2, 3, 6, 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -221,17 +251,26 @@ def screen_cases(draw):
         entries[tuple(rng.integers(0, n, size=3))] = float(kind)
     tensor = SymTensor3(entries)
     frob_sq = float(np.sum(tensor.entries**2))
-    spectrum = draw(st.sampled_from(("ratio",) * 5 + ("negative", "zero", "huge")))
+    spectrum = draw(st.sampled_from(("ratio",) * 5 + ("straddle",) * 2
+                                    + ("negative", "zero", "huge")))
+    bound = (frob_sq if 0.0 < frob_sq < math.inf else 1.0) / _curvature_denom(lip3, q)
     if spectrum == "ratio":
-        scale = frob_sq if 0.0 < frob_sq < math.inf else 1.0
-        lam_min = rng.uniform(0.5, 4.0) * scale / _curvature_denom(lip3, q)
+        lam_min = rng.uniform(0.5, 4.0) * bound
+    elif spectrum == "straddle":
+        lam_min = rng.uniform(-1.0, 1.8) * bound
     elif spectrum == "negative":
         lam_min = -draw(st.floats(1e-6, 10.0))
     else:
         lam_min = {"zero": 0.0, "huge": 1e300}[spectrum]
-    # the rest of the spectrum lies above lambda_min, or on it
-    spread = draw(st.sampled_from((0.0, 0.1, 1.0, 10.0))) * max(abs(lam_min), 1e-3)
-    eigenvalues = np.sort(lam_min + spread * rng.random(n))[::-1].copy()
+    # the rest of the spectrum lies above lambda_min, or on it; a straddling
+    # one reaches above 2 ||T||_F^2 / denom
+    if spectrum == "straddle":
+        top = rng.uniform(2.2, 10.0) * bound
+        eigenvalues = np.sort(rng.uniform(lam_min, top, n))[::-1].copy()
+        eigenvalues[0] = top
+    else:
+        spread = draw(st.sampled_from((0.0, 0.1, 1.0, 10.0))) * max(abs(lam_min), 1e-3)
+        eigenvalues = np.sort(lam_min + spread * rng.random(n))[::-1].copy()
     eigenvalues[-1] = lam_min
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return EigenDecomp(eigenvalues, basis), tensor, lip3, q

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from thirdopt import (
     CORPUS_NAMES,
+    DerivativeBundle,
     OracleObjective,
     Polynomial,
     SmoothnessConstants,
@@ -18,6 +19,7 @@ from thirdopt import (
     finite_difference_check,
     quartic_plus_sixth,
     smoothness_bounds,
+    SymTensor3,
 )
 from thirdopt.polynomials import MAX_DEGREE, _derivative_frobenius_bound
 
@@ -105,6 +107,26 @@ def fast_path_cases(draw):
         p = corpus(name)
     x = rng.standard_normal(p.dim) * 10.0 ** rng.integers(-2, 2)
     x[rng.random(p.dim) < 0.2] = 0.0
+    return p, x
+
+
+@st.composite
+def symmetry_cases(draw):
+    """A random polynomial in 1..10 variables and a point, both at scales up to overflow.
+
+    Coefficients are scaled by 10^-300..10^300 and the point by
+    10^-200..10^60, half of them by 10^20 or more, so some powers
+    overflow the scalar ``pow`` and some products overflow to inf, or to
+    NaN where an inf meets a zero or -inf.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 10))
+    p = random_sparse_polynomial(rng, dim)
+    scale = 10.0 ** int(rng.integers(-300, 301))
+    p = Polynomial(dim, [(c * scale, e) for c, e in p.terms])
+    low = draw(st.sampled_from((-200, -200, 20, 45)))
+    x = rng.standard_normal(dim) * 10.0 ** int(rng.integers(low, 61))
+    x[rng.random(dim) < 0.2] = 0.0
     return p, x
 
 
@@ -222,6 +244,33 @@ class TestDerivatives:
             for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
                 assert np.array_equal(t, np.transpose(t, perm))
 
+    def test_table_derivatives_are_exactly_symmetric_at_every_scale(self):
+        # Polynomial.bundle skips DerivativeBundle's symmetry check: mirrored
+        # positions add the same floats in the same order, inf and NaN included
+        outcomes = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(symmetry_cases())
+        def check(case):
+            p, x = case
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    b = p.bundle(x, 3)
+            except ValueError as exc:
+                assert "overflows at" in str(exc)
+                outcomes.append("power overflow")
+                return
+            assert np.array_equal(b.hess, b.hess.T, equal_nan=True)
+            t = b.third.entries
+            for perm in itertools.permutations(range(3)):
+                assert np.array_equal(t, np.transpose(t, perm), equal_nan=True), perm
+            finite = np.isfinite(b.hess).all() and np.isfinite(t).all()
+            outcomes.append("finite" if finite else "non-finite")
+
+        check()
+        counts = {kind: outcomes.count(kind) for kind in ("finite", "non-finite", "power overflow")}
+        assert counts["finite"] >= 100 and min(counts.values()) >= 5, counts
+
     def test_equals_term_loop_bit_for_bit(self):
         rng = np.random.default_rng(61)
         for _ in range(30):
@@ -322,6 +371,66 @@ class TestDerivatives:
             p.bundle_many(np.array([[0.0, np.nan]]), 3)
         with pytest.raises(ValueError, match="order"):
             p.bundle_many(np.zeros((1, 2)), 4)
+
+
+class TestOverflowingPowers:
+    # monkey_saddle is -3 x0^2 x1 + x1^3: x1 ** 3 overflows above about 5.6e102
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, x: p.value(x),
+        lambda p, x: p.bundle(x, 3),
+        lambda p, x: p.bundle_many(np.vstack([np.ones(2), x, -x / 2]), 3),
+    ], ids=["value", "bundle", "bundle_many"])
+    def test_names_the_variable_and_exponent(self, evaluate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^power x1\*\*3 overflows at \|x1\| = 1e\+103$"):
+                evaluate(corpus("monkey_saddle"), np.array([1.0, -1e103]))
+            evaluate(corpus("monkey_saddle"), np.array([1.0, -5e102]))
+
+    def test_first_overflowing_slot_is_named(self):
+        with pytest.raises(ValueError, match=r"^power x0\*\*2 overflows at \|x0\| = 1e\+200$"):
+            corpus("monkey_saddle").bundle(np.array([1e200, 1e200]), 2)
+
+    def test_smoothness_bounds_name_the_radius(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^radius\*\*3 overflows at radius = 1e\+200$"):
+                smoothness_bounds(corpus("monkey_saddle"), 1e200)
+            assert smoothness_bounds(corpus("monkey_saddle"), 1e100).hess_lipschitz > 0
+
+
+class TestDerivativeBundleSymmetry:
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_asymmetry_above_the_relative_tolerance_is_rejected(self, scale):
+        # the tolerance is 1e-12 * max(1, max |hess_ij|)
+        tol = 1e-12 * scale
+        for offset, accepted in ((0.5 * tol, True), (2.0 * tol, False)):
+            hess = np.full((2, 2), scale)
+            hess[0, 1] += offset
+            build = lambda: DerivativeBundle(0.0, np.zeros(2), hess, SymTensor3.zeros(2))
+            if accepted:
+                assert build().hess is hess
+            else:
+                with pytest.raises(ValueError, match="hessian is not symmetric"):
+                    build()
+
+    def test_oracle_bundles_take_the_checked_constructor(self, monkeypatch):
+        # OracleObjective averages its hess callback's output, which is then
+        # exactly symmetric, so a check that always fails stands in for
+        # asymmetry: it reaches OracleObjective.bundle and not Polynomial.bundle
+        obj = OracleObjective(2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
+                              hess=lambda x: np.array([[2.0, 1.0], [0.0, 2.0]]),
+                              third=lambda x: np.zeros((2, 2, 2)))
+        assert np.array_equal(obj.bundle(np.zeros(2), 2).hess, [[2.0, 0.5], [0.5, 2.0]])
+
+        def reject(bundle):
+            raise ValueError("hessian is not symmetric (forced)")
+
+        monkeypatch.setattr(DerivativeBundle, "__post_init__", reject)
+        with pytest.raises(ValueError, match="forced"):
+            obj.bundle(np.zeros(2), 2)
+        for order in range(4):
+            corpus("monkey_saddle").bundle(np.ones(2), order)
 
 
 class TestFiniteDifferenceCheck:
