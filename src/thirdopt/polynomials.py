@@ -19,7 +19,8 @@ residual monomial as indices into a table of powers ``x[i] ** e``, and
 position's rows in term order.  The powers are scalar (libm ``pow``);
 numpy's vectorized ``power`` uses SIMD kernels that can differ in the
 last bit.  So all permutations of an index sum the same floats in the
-same order, and the third derivative is exactly symmetric.
+same order, and the Hessian and third derivative are exactly symmetric;
+:meth:`Polynomial.bundle` skips :class:`DerivativeBundle`'s check.
 
 Orders 0..3 share one fused table: order k's rows follow order k-1's,
 with positions offset by 1 + n + ... + n**(k-1), so the rows through

@@ -57,7 +57,7 @@ def eig_sym(matrix) -> EigenDecomp:
     Raises ValueError if the input deviates from symmetry by more than
     ``_SYM_TOL`` relative to its Frobenius norm.  Other input is
     symmetrized first; an exactly symmetric one, such as every Hessian a
-    ``DerivativeBundle`` has checked, is decomposed as it is.
+    ``DerivativeBundle`` holds, is decomposed as it is.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
