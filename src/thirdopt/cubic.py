@@ -31,13 +31,26 @@ tops the step up to the required radius.  The stationarity and
 eigenvalue certificate above makes every returned solution checkable
 independently of the method.
 
-The secular solve runs in Python floats, at a fraction of numpy's
-per-call overhead, and gives the floats and exceptions numpy gives on
-arrays of the active (nonzero) gradient components.  Sums add in numpy's
-order (``_sum``).  Each component's lower root squares with ``x * x``,
-as numpy squares an array, and the two ||g|| bracket ends with ``**``
-(libm ``pow``), as numpy squares a float64 scalar; the two roundings
-differ on about 0.1 % of inputs, and both are kept.  Where Python raises
+The step is assembled in Python floats, at a fraction of numpy's
+per-call overhead on vectors of a few entries, and gives the floats
+numpy gives on arrays.  The spectrum and the rotated gradient g_hat
+arrive as one ``tolist`` each; the gaps, the bottom block (a suffix of
+the descending spectrum), the squared components, the hard-case
+quotients and the rotated step -g_hat / (base + (reg/2) t) are
+elementwise IEEE operations, the same in Python as in numpy, with
+``_divide`` for numpy's zero divisors.  What stays on numpy is what
+rounds by the OpenBLAS kernel in use: the products with the eigenvector
+matrix (``v.T @ g``, ``v @ s_hat``, ``(v * lam) @ s_hat``), the dot
+products of the model value, and every ``_norm``, each on operands of
+the same length and values as before, so the kernel rounds them alike.
+
+The secular solve runs in Python floats too, and gives the floats and
+exceptions numpy gives on arrays of the active (nonzero) gradient
+components.  Sums add in numpy's order (``_sum``).  Each component's
+lower root squares with ``x * x``, as numpy squares an array, and the
+two ||g|| bracket ends with ``**`` (libm ``pow``), as numpy squares a
+float64 scalar; the two roundings differ on about 0.1 % of inputs, and
+both are kept.  Where Python raises
 and numpy returns inf or NaN (``**`` overflowing, a zero divisor), the
 solve takes numpy's value, without numpy's warnings.
 
@@ -157,7 +170,7 @@ def _lower_root(g_abs: float, base: float, gap_sq: float, half_reg: float, r_flo
     return 0.0 if t <= 0.0 else t
 
 
-def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
+def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
     """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
 
     ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
@@ -166,10 +179,11 @@ def _secular_offset(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor
     phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
     iterates stay below the root.  A Newton step that leaves the bracket,
     or is no shorter than the one before it, is replaced by bisection.
-    Returns the offset and the number of psi evaluations.  ``half_reg``
-    and ``r_floor`` are Python floats.
+    Returns the offset and the number of psi evaluations.  ``g_sq`` and
+    ``base`` are lists of Python floats, ``half_reg`` and ``r_floor``
+    Python floats.
     """
-    terms = [(g, b) for g, b in zip(g_sq.tolist(), base.tolist()) if g > 0.0]
+    terms = [(g, b) for g, b in zip(g_sq, base) if g > 0.0]
     if not terms:
         return 0.0, 0
     gs, bases = zip(*terms)
@@ -288,49 +302,57 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
     g_hat = v.T @ g
-    lam_min = float(lam[-1])
-    spectral = decomp.spectral_scale()
+    lam_list = lam.tolist()
+    g_list = g_hat.tolist()
+    n = len(lam_list)
+    lam_min = lam_list[-1]
+    spectral = max(1.0, abs(lam_list[0]), abs(lam_min))
     half_reg = 0.5 * reg
 
     # Shifted eigenvalues at the floor radius, lam + (reg/2) r_floor,
     # formed as gaps so they keep relative precision near zero.
-    gap = lam - lam_min
+    gap = [x - lam_min for x in lam_list]
     if lam_min < 0.0:
         r_floor = -lam_min / half_reg
         base = gap
     else:
         r_floor = 0.0
-        base = lam
-    bottom = gap <= 1e-12 * spectral
-    g_bottom = _norm(g_hat[bottom])
+        base = lam_list
+    # The bottom eigenspace is the suffix from index k: rounding keeps the
+    # gaps of a descending spectrum non-increasing.
+    k = n - 1
+    while k and gap[k - 1] <= 1e-12 * spectral:
+        k -= 1
+    g_bottom = _norm(g_hat[k:])
     # A hard-case candidate solves on the complement of the bottom eigenspace.
     hard_candidate = g_bottom <= _HARD_CASE_REL * max(1.0, g_norm)
-    g_sq = g_hat**2
+    g_sq = [x * x for x in g_list]
     if hard_candidate:
-        g_sq[bottom] = 0.0
+        g_sq[k:] = [0.0] * (n - k)
 
     t, evals = 0.0, 0
     if g_norm == 0.0 and lam_min >= -1e-15 * spectral:
-        s_hat = np.zeros_like(g_hat)
+        s_hat = [0.0] * n
     else:
         if hard_candidate:
             # The floor radius is a root when the gradient, solved on the
             # complement of the bottom eigenspace, falls short of it.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p = _norm(np.where(bottom, 0.0, g_hat / base))
+            quotients = [_divide(x, b) for x, b in zip(g_list[:k], base)]
+            p = _norm(np.array(quotients + [0.0] * (n - k)))
             evals = 1
         if not hard_candidate or p >= r_floor:
             t, solve_evals = _secular_offset(g_sq, base, half_reg, r_floor)
             evals += solve_evals
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_hat = -g_hat / (base + half_reg * t)
+        shift = half_reg * t
+        s_hat = [_divide(-x, b + shift) for x, b in zip(g_list, base)]
         if hard_candidate:
-            s_hat[bottom] = 0.0
-        if hard_candidate and p < r_floor:
-            # Hard case: sit at the floor radius and fill the deficit
-            # along one bottom eigenvector.
-            s_hat[int(np.argmax(bottom))] += math.sqrt(max(r_floor * r_floor - p * p, 0.0))
+            s_hat[k:] = [0.0] * (n - k)
+            if p < r_floor:
+                # Hard case: sit at the floor radius and fill the deficit
+                # along one bottom eigenvector.
+                s_hat[k] = math.sqrt(max(r_floor * r_floor - p * p, 0.0))
 
+    s_hat = np.array(s_hat)
     step = v @ s_hat
     radius = _norm(step)
     hess_s = (v * lam) @ s_hat

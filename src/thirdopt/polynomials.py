@@ -16,10 +16,11 @@ term and ordered k-tuple of axes the term survives differentiation
 along, holding the tuple's flat position in the n**k tensor, the
 residual monomial as indices into a table of powers ``x[i] ** e``, and
 ``coeff`` times the falling factorial.  ``np.bincount`` adds each
-position's rows in term order.  The powers are scalar (libm ``pow``);
-numpy's vectorized ``power`` uses SIMD kernels that can differ in the
-last bit.  So all permutations of an index sum the same floats in the
-same order, and the Hessian and third derivative are exactly symmetric;
+position's rows in term order.  The powers are libm ``pow``, through
+Python's ``**`` at one point and ``np.float_power`` on a stack; numpy's
+``power`` uses SIMD kernels that can differ in the last bit.  So all
+permutations of an index sum the same floats in the same order, and the
+Hessian and third derivative are exactly symmetric;
 :meth:`Polynomial.bundle` skips :class:`DerivativeBundle`'s check.
 
 Orders 0..3 share one fused table: order k's rows follow order k-1's,
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -350,22 +351,21 @@ class Polynomial:
         """Scalar ``x[..., i] ** e`` for each power-table slot, point-major.
 
         ``x`` is one point ``(n,)`` or a stack ``(N, n)``; the result is
-        ``(slots,)`` or ``(N, slots)``, C-contiguous.  A stack's column
-        takes each power once per distinct value, then gathers it back.
-        A power that overflows raises ValueError, naming it.
+        ``(slots,)`` or ``(N, slots)``, C-contiguous.  A stack's column is
+        one ``np.float_power``, whose float64 loop calls libm ``pow`` on
+        each element as Python's ``**`` does.  A power that overflows
+        raises ValueError, naming it.
         """
         try:
             if x.ndim == 1:
                 row = x.tolist()
                 return np.array([row[i] ** e for i, e in self._slots], dtype=float)
             powers = np.empty((len(x), len(self._slots)))
-            for k, (i, e) in enumerate(self._slots):
-                if e == 0:  # the first of variable i's slots
-                    values, inverse = np.unique(x[:, i], return_inverse=True)
-                    values = values.tolist()
-                powers[:, k] = np.array([v**e for v in values], dtype=float)[inverse]
+            with np.errstate(over="raise"):
+                for k, (i, e) in enumerate(self._slots):
+                    np.float_power(x[:, i], e, out=powers[:, k])
             return powers
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             # name the first slot whose power overflows, at its variable's largest magnitude
             big = np.abs(x).reshape(-1, self._dim).max(axis=0)
             with np.errstate(over="ignore"):
@@ -461,7 +461,9 @@ class OracleObjective:
     Every callback output is checked: ``value`` must return a finite
     scalar and ``grad``, ``hess`` and ``third`` finite arrays of the exact
     shapes ``(n,)``, ``(n, n)`` and ``(n, n, n)``, so malformed oracle
-    output fails at the bundle rather than deep inside a solver.
+    output fails at the bundle rather than deep inside a solver.  A
+    Hessian must pass :class:`DerivativeBundle`'s symmetry check as the
+    callback returned it; the bundle holds its exactly symmetric average.
     """
 
     def __init__(
@@ -499,7 +501,10 @@ class OracleObjective:
         grad = self._call("grad", x, 1) if order >= 1 else np.zeros(n)
         hess = self._call("hess", x, 2) if order >= 2 else np.zeros((n, n))
         third = SymTensor3(self._call("third", x, 3)) if order >= 3 else SymTensor3.zeros(n)
-        return DerivativeBundle(self.value(x), grad, (hess + hess.T) / 2.0, third)
+        # The callback's own matrix takes the asymmetry check; only a Hessian
+        # that passes it is averaged
+        checked = DerivativeBundle(self.value(x), grad, hess, third)
+        return replace(checked, hess=(hess + hess.T) / 2.0)
 
 
 # -- finite-difference verification --------------------------------------
@@ -611,6 +616,8 @@ def smoothness_bounds(poly: Polynomial, radius: float) -> SmoothnessConstants:
     reported as ``MIN_CONSTANT``.
     """
     check_positive("radius", radius)
+    # A Python float raises OverflowError where numpy's scalar power warns
+    radius = float(radius)
     hess_lip = max(_derivative_frobenius_bound(poly, 3, radius), MIN_CONSTANT)
     third_lip = max(_derivative_frobenius_bound(poly, 4, radius), MIN_CONSTANT)
     return SmoothnessConstants(hess_lip, third_lip, radius)

@@ -8,6 +8,8 @@ and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
 ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
 ``_secular_offset_arrays`` solves the secular equation in numpy arrays,
+``solve_model_arrays`` assembles the cubic step around it in numpy arrays,
+``eig_sym_by_value`` tests symmetry with ``np.array_equal`` alone,
 ``full_escape_search`` walks every suffix without the spectral screen,
 and ``subproblem_grid_min`` evaluates the subproblem suite's model at
 every grid point.
@@ -23,7 +25,8 @@ import sympy as sp
 
 from thirdopt import Subspace, SymTensor3, eig_sym, solve_cubic_model
 from thirdopt.escape import PROJ_NORM_FLOOR, EscapeSubspace
-from thirdopt.cubic import _SECULAR_MAX_EVALS, _SECULAR_RTOL
+from thirdopt.cubic import _HARD_CASE_REL, _SECULAR_MAX_EVALS, _SECULAR_RTOL, CubicSolution
+from thirdopt.spectral import _SYM_TOL, EigenDecomp, _norm
 
 
 def regularized_step(objective, x, reg):
@@ -314,6 +317,24 @@ def tensordot_transform(entries, matrix):
     return out
 
 
+def eig_sym_by_value(matrix):
+    """``eig_sym`` with its exact-symmetry test on values alone, ``np.array_equal``.
+
+    Input that is not exactly symmetric is checked against ``_SYM_TOL``
+    and averaged, as in ``eig_sym``.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        asym = np.linalg.norm(m - m.T)
+        if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
+            raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+        m = (m + m.T) / 2.0
+    values, vectors = np.linalg.eigh(m)
+    return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
+
+
 def symmetrized_eigh(matrix):
     """Descending eigenvalues and eigenvectors of (M + M') / 2 by ``np.linalg.eigh``.
 
@@ -390,3 +411,64 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
             break
         t = t_next
     return t, evals
+
+
+def solve_model_arrays(model):
+    """The cubic step of a checked ``cubic._LocalModel``, assembled in numpy arrays.
+
+    The same method as ``cubic._solve_model``: masks for the bottom
+    eigenspace, ``np.where`` and ``np.errstate`` for the hard case's zero
+    divisors, and ``_secular_offset_arrays`` for the radius.  numpy's
+    warnings are silenced.
+    """
+    g, g_norm, decomp, reg, _ = model
+    lam = decomp.eigenvalues
+    v = decomp.eigenvectors
+    g_hat = v.T @ g
+    lam_min = float(lam[-1])
+    spectral = decomp.spectral_scale()
+    half_reg = 0.5 * reg
+
+    gap = lam - lam_min
+    if lam_min < 0.0:
+        r_floor = -lam_min / half_reg
+        base = gap
+    else:
+        r_floor = 0.0
+        base = lam
+    bottom = gap <= 1e-12 * spectral
+    g_bottom = _norm(g_hat[bottom])
+    hard_candidate = g_bottom <= _HARD_CASE_REL * max(1.0, g_norm)
+    g_sq = g_hat**2
+    if hard_candidate:
+        g_sq[bottom] = 0.0
+
+    t, evals = 0.0, 0
+    with np.errstate(all="ignore"):
+        if g_norm == 0.0 and lam_min >= -1e-15 * spectral:
+            s_hat = np.zeros_like(g_hat)
+        else:
+            if hard_candidate:
+                p = _norm(np.where(bottom, 0.0, g_hat / base))
+                evals = 1
+            if not hard_candidate or p >= r_floor:
+                t, solve_evals = _secular_offset_arrays(g_sq, base, half_reg, r_floor)
+                evals += solve_evals
+            s_hat = -g_hat / (base + half_reg * t)
+            if hard_candidate:
+                s_hat[bottom] = 0.0
+            if hard_candidate and p < r_floor:
+                s_hat[int(np.argmax(bottom))] += math.sqrt(max(r_floor * r_floor - p * p, 0.0))
+
+    step = v @ s_hat
+    radius = _norm(step)
+    hess_s = (v * lam) @ s_hat
+    model_value = float(g @ step + 0.5 * step @ hess_s + reg * radius**3 / 6.0)
+    residual = _norm(g + hess_s + 0.5 * reg * radius * step)
+    margin = lam_min + 0.5 * reg * radius
+    res_scale = max(1.0, g_norm, spectral * max(1.0, radius))
+    if residual > 1e-9 * res_scale or margin < -1e-9 * spectral:
+        raise ArithmeticError(
+            f"cubic subproblem certificate failed (residual {residual:.3e}, margin {margin:.3e})"
+        )
+    return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)

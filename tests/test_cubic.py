@@ -20,7 +20,7 @@ from thirdopt import (
     stationarity,
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
-from thirdopt.cubic import _secular_offset, _sum
+from thirdopt.cubic import _model_inputs, _secular_offset, _solve_model, _sum
 from thirdopt.polynomials import as_point
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     cubic_model_radius,
     grid_min_2d,
     regularized_step,
+    solve_model_arrays,
 )
 
 
@@ -295,6 +296,11 @@ def secular_inputs(draw):
         return g_hat**2, lam, half_reg, 0.0
 
 
+def as_lists(g_sq, base, half_reg, r_floor):
+    """The secular inputs as ``_secular_offset`` takes them: lists of Python floats."""
+    return g_sq.tolist(), base.tolist(), half_reg, r_floor
+
+
 def secular_outcome(solve, *args):
     """repr of one call's result, or its exception type, and its warnings.
 
@@ -332,7 +338,7 @@ class TestSecularSolve:
         @given(secular_inputs())
         def check(inputs):
             expected, caught = secular_outcome(_secular_offset_arrays, *inputs)
-            assert secular_outcome(_secular_offset, *inputs) == (expected, [])
+            assert secular_outcome(_secular_offset, *as_lists(*inputs)) == (expected, [])
             reference_warned.append(bool(caught))
 
         check()
@@ -355,7 +361,7 @@ class TestSecularSolve:
                 larger[component > bracket] += 1
                 expected = secular_outcome(_secular_offset_arrays, g_sq, base, 0.5, 0.0)
                 assert expected[0] == repr((max(component, bracket), 1))
-                assert secular_outcome(_secular_offset, g_sq, base, 0.5, 0.0) == expected
+                assert secular_outcome(_secular_offset, [0.1], [b], 0.5, 0.0) == expected
         assert min(larger.values()) >= 5
 
     @pytest.mark.parametrize("g_sq, base, half_reg, r_floor, warning", [
@@ -369,7 +375,85 @@ class TestSecularSolve:
         assert caught[0] == (RuntimeWarning, warning)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert repr(_secular_offset(g_sq, base, half_reg, r_floor)) == expected
+            assert repr(_secular_offset(*as_lists(g_sq, base, half_reg, r_floor))) == expected
+
+
+@st.composite
+def step_models(draw):
+    """(g, decomp, reg, tags) for the step assembly's bit-identity test.
+
+    On top of a ``cubic_models`` draw at n in {1, 2, 3, 6, 10}: the
+    bottom eigenvalue tied up to n times, with the gradient optionally
+    zeroed on the tied block (the hard case); optionally one eigenvalue
+    shifted to exactly zero, the bottom one (a singular psd spectrum) or
+    one above it; optionally a zero gradient; and one scale 10^e on the
+    eigenvalues, g and reg, with |e| near 150 or e = 0, which keeps the
+    radius.  ``tags`` names the options drawn.
+    """
+    decomp, g, reg = draw(cubic_models(dims=(1, 2, 3, 6, 10)))
+    lam, q_mat = decomp.eigenvalues.copy(), decomp.eigenvectors
+    g_hat = q_mat.T @ g
+    n = lam.size
+    tags = set()
+    tied = n - 1 - draw(st.integers(0, n - 1))
+    lam[tied:] = lam[-1]
+    if tied < n - 1:
+        tags.add("tied")
+    if draw(st.booleans()):
+        g_hat[tied:] = 0.0
+        tags.add("bottom-free")
+    zero = draw(st.sampled_from((None, n - 1, 0)))
+    if zero is not None:
+        lam -= lam[zero]
+        tags.add("zero-bottom" if zero == n - 1 else "zero-eigenvalue")
+    if draw(st.integers(0, 4)) == 0:
+        g_hat[:] = 0.0
+        tags.add("zero-gradient")
+    exponent = draw(st.sampled_from((0, 0, -152, -150, -148, 148, 150, 152)))
+    if exponent:
+        tags.add("scaled")
+    scale = 10.0**exponent
+    return scale * (q_mat @ g_hat), EigenDecomp(scale * lam, q_mat), scale * float(reg), tags
+
+
+def step_outcome(solve, model):
+    """The step's bytes and the repr of every field, or the exception's type."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = solve(model)
+        except (ArithmeticError, RuntimeWarning) as exc:
+            return type(exc).__name__
+    return sol.step.tobytes(), repr((sol.step.tolist(), sol.model_value, sol.radius,
+                                     sol.secular_evals))
+
+
+class TestStepAssembly:
+    """The step assembled on Python floats against the numpy array reference."""
+
+    def test_equals_reference_bit_for_bit(self):
+        seen = []
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(step_models())
+        def check(case):
+            g, decomp, reg, tags = case
+            try:
+                model = _model_inputs(g, decomp, reg)
+            except ValueError:  # a gradient norm past 1.3e154
+                seen.append("rejected")
+                return
+            expected = step_outcome(solve_model_arrays, model)
+            assert step_outcome(_solve_model, model) == expected
+            seen.extend(tags)
+            seen.append("raised" if isinstance(expected, str) else "solved")
+
+        check()
+        counts = {tag: seen.count(tag) for tag in set(seen)}
+        assert counts["solved"] >= 300
+        for tag in ("tied", "bottom-free", "zero-bottom", "zero-eigenvalue", "zero-gradient",
+                    "scaled"):
+            assert counts.get(tag, 0) >= 20, counts
 
 
 class TestCubicStep:

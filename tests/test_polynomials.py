@@ -373,6 +373,31 @@ class TestDerivatives:
             p.bundle_many(np.zeros((1, 2)), 4)
 
 
+def test_float_power_is_the_scalar_power_bit_for_bit():
+    # A stack's powers come from np.float_power, a point's from Python's **;
+    # both must be libm pow.  np.power's SIMD kernels differ in the last bit.
+    rng = np.random.default_rng(29)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.0]
+    base = np.concatenate([edges, rng.standard_normal(20000) * 10.0 ** rng.uniform(-320, 300, 20000)])
+    signs = rng.choice([-1.0, 1.0], 2000)
+    for e in range(MAX_DEGREE + 1):
+        # values around the largest whose e-th power is finite, either sign
+        top = 1.7976931348623157e308 ** (1.0 / max(e, 2))
+        x = np.concatenate([base, top * rng.uniform(0.98, 1.02, 2000) * signs])
+        got = np.empty_like(x)
+        with np.errstate(over="ignore"):
+            np.float_power(x, e, out=got)
+        expected = []
+        for v in x.tolist():
+            try:
+                expected.append((v**e).hex())
+            except OverflowError:
+                expected.append(math.copysign(math.inf, v if e % 2 else 1.0).hex())
+        assert [v.hex() for v in got.tolist()] == expected, e
+        if e >= 2:
+            assert "inf" in expected and ("-inf" in expected) == (e % 2 == 1)
+
+
 class TestOverflowingPowers:
     # monkey_saddle is -3 x0^2 x1 + x1^3: x1 ** 3 overflows above about 5.6e102
     @pytest.mark.parametrize("evaluate", [
@@ -391,12 +416,13 @@ class TestOverflowingPowers:
         with pytest.raises(ValueError, match=r"^power x0\*\*2 overflows at \|x0\| = 1e\+200$"):
             corpus("monkey_saddle").bundle(np.array([1e200, 1e200]), 2)
 
-    def test_smoothness_bounds_name_the_radius(self):
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_smoothness_bounds_name_the_radius(self, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^radius\*\*3 overflows at radius = 1e\+200$"):
-                smoothness_bounds(corpus("monkey_saddle"), 1e200)
-            assert smoothness_bounds(corpus("monkey_saddle"), 1e100).hess_lipschitz > 0
+                smoothness_bounds(corpus("monkey_saddle"), kind(1e200))
+            assert smoothness_bounds(corpus("monkey_saddle"), kind(1e100)).hess_lipschitz > 0
 
 
 class TestDerivativeBundleSymmetry:
@@ -415,20 +441,28 @@ class TestDerivativeBundleSymmetry:
                     build()
 
     def test_oracle_bundles_take_the_checked_constructor(self, monkeypatch):
-        # OracleObjective averages its hess callback's output, which is then
-        # exactly symmetric, so a check that always fails stands in for
-        # asymmetry: it reaches OracleObjective.bundle and not Polynomial.bundle
-        obj = OracleObjective(2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-                              hess=lambda x: np.array([[2.0, 1.0], [0.0, 2.0]]),
-                              third=lambda x: np.zeros((2, 2, 2)))
-        assert np.array_equal(obj.bundle(np.zeros(2), 2).hess, [[2.0, 0.5], [0.5, 2.0]])
+        # The hess callback's own matrix is checked, and averaged only once it
+        # passes; a check that always fails then reaches OracleObjective.bundle
+        # and not Polynomial.bundle
+        def oracle(hess):
+            return OracleObjective(2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
+                                   hess=lambda x: np.array(hess),
+                                   third=lambda x: np.zeros((2, 2, 2)))
+
+        with pytest.raises(ValueError, match="hessian is not symmetric"):
+            oracle([[2.0, 1.0], [0.0, 2.0]]).bundle(np.zeros(2), 2)
+        # an asymmetry of 1e-12 against the tolerance 1e-12 * max |hess_ij| = 2e-12
+        within = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
+        hess = oracle(within).bundle(np.zeros(2), 2).hess
+        assert np.array_equal(hess, (within + within.T) / 2.0)
+        assert hess[0, 1] == hess[1, 0] != 1.0
 
         def reject(bundle):
             raise ValueError("hessian is not symmetric (forced)")
 
         monkeypatch.setattr(DerivativeBundle, "__post_init__", reject)
         with pytest.raises(ValueError, match="forced"):
-            obj.bundle(np.zeros(2), 2)
+            oracle([[2.0, 1.0], [1.0, 2.0]]).bundle(np.zeros(2), 2)
         for order in range(4):
             corpus("monkey_saddle").bundle(np.ones(2), order)
 
@@ -539,6 +573,19 @@ class TestSmoothnessBounds:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             smoothness_bounds(corpus("monkey_saddle"), radius=0.0)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_numpy_radius_gives_the_python_float_constants(self, name):
+        # the radii of the bench suites, the demos and the benchmark, and the
+        # CLI's max(1, 2 ||x0||) at one start; numpy's scalar power, which an
+        # np.float64 radius used to take, is libm pow as Python's is
+        for radius in (1.0, 2.0, 3.0, 5.0, 125.0, 2.0 * math.hypot(0.3, -1.7)):
+            assert ([float(np.float64(radius) ** d) for d in range(MAX_DEGREE + 1)]
+                    == [radius**d for d in range(MAX_DEGREE + 1)])
+            want = smoothness_bounds(corpus(name), radius)
+            got = smoothness_bounds(corpus(name), np.float64(radius))
+            assert repr(got) == repr(want)
+            assert type(got.valid_radius) is float
 
     @pytest.mark.parametrize("name", ["hess_lipschitz", "third_lipschitz", "valid_radius"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

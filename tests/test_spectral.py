@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from thirdopt import (
 )
 from thirdopt.spectral import _SYM_TOL, _norm
 
-from oracles import symmetrized_eigh
+from oracles import eig_sym_by_value, symmetrized_eigh
 
 # Dimensions the bit-identity tests of the fast paths cover.
 FAST_PATH_DIMS = (1, 2, 3, 5, 6, 10, 20)
@@ -106,15 +109,76 @@ class TestEigSym:
             solve_cubic_model(np.ones(2), eig_sym(m), 1.0)
 
 
+NAN, INF = math.nan, math.inf
+
+# Matrices on which a byte compare and a value compare of M and M' can part:
+# signed zeros and NaNs; with infinities and entries past 8.9e307, which the
+# averaging turns into inf, on either side of the symmetry tolerance.
+SYMMETRY_EDGES = {
+    "zero-facing-minus-zero": [[1.0, 0.0], [-0.0, 1.0]],
+    "minus-zeros-on-the-diagonal": [[-0.0, 0.0, 2.0], [-0.0, -0.0, 1.0], [2.0, 1.0, 3.0]],
+    "inf-on-the-diagonal": [[INF, 1.0], [1.0, 1.0]],
+    "minus-inf-off-the-diagonal": [[1.0, -INF], [-INF, 1.0]],
+    "inf-facing-minus-inf": [[1.0, INF], [-INF, 1.0]],
+    "past-8.9e307": [[1e308, 2.0], [2.0, -1.7e308]],
+    "past-8.9e307-within-tol": [[1e308, 1e300], [1e300 * (1 + 1e-12), 1.0]],
+    "past-8.9e307-over-tol": [[1e308, 1e300], [-1e300, 1.0]],
+    "within-tol": [[1.0, 1.0], [1.0 + 1e-10, 1.0]],
+    "within-tol-facing-zero": [[1.0, 1e-10, 0.0], [0.0, 2.0, 0.0], [-0.0, 0.0, 3.0]],
+    "over-tol": [[1.0, 1.0], [1.1, 1.0]],
+}
+NAN_EDGES = {
+    "nan-on-the-diagonal": [[NAN, 1.0], [1.0, 1.0]],
+    "nan-facing-nan": [[1.0, NAN], [NAN, 1.0]],
+    "nan-facing-a-number": [[1.0, NAN], [2.0, 1.0]],
+    "nan-and-past-8.9e307": [[NAN, 1e308], [1e308, 1.0]],
+}
+
+
+def eig_outcome(decompose, m):
+    """The spectrum's and eigenvectors' bytes, or the exception's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            decomp = decompose(np.array(m))
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+    return decomp.eigenvalues.tobytes(), decomp.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_EDGES))
+def test_symmetry_test_decides_as_the_value_comparison(name):
+    m = SYMMETRY_EDGES[name]
+    assert eig_outcome(eig_sym, m) == eig_outcome(eig_sym_by_value, m)
+
+
+@pytest.mark.parametrize("name", sorted(NAN_EDGES))
+def test_nan_input_decomposes_as_the_value_comparison(name):
+    # A NaN facing the same NaN passes the byte compare and is not averaged;
+    # the averaging kept every entry but those past 8.9e307, which it
+    # overflowed to inf, and eigh's output is the same either way
+    m = np.array(NAN_EDGES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decomp = eig_sym(m)
+    with np.errstate(over="ignore"):
+        expected = eig_sym_by_value(m)
+    assert np.array_equal(decomp.eigenvalues, expected.eigenvalues, equal_nan=True)
+    assert np.array_equal(decomp.eigenvectors, expected.eigenvectors, equal_nan=True)
+    # eigh may keep the eigenvalues finite and put the NaNs in the vectors
+    assert not (np.isfinite(decomp.eigenvalues).all() and np.isfinite(decomp.eigenvectors).all())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(FAST_PATH_DIMS), st.integers(0, 2**32 - 1), st.integers(-160, 160))
 def test_norm_equals_numpy_norm(n, seed, exponent):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2 * n) * 10.0**exponent
-    for vector in (v, v[::2], v[::-1], v[:n]):
+    # a suffix view, as the solver norms its bottom block, is normed as a copy
+    for vector in (v, v[::2], v[::-1], v[:n], v[n:], v[2 * n - 1:]):
         # at the extreme exponents both square to inf or 0 alike
         with np.errstate(over="ignore", under="ignore"):
-            assert _norm(vector) == float(np.linalg.norm(vector))
+            assert _norm(vector) == float(np.linalg.norm(vector)) == _norm(vector.copy())
 
 
 class TestNullSpace:
