@@ -30,7 +30,7 @@ from .escape import (
     sample_direction,
 )
 from .polynomials import Polynomial, corpus, smoothness_bounds
-from .spectral import Subspace, eig_sym
+from .spectral import Subspace, _einsum, _matmul, _norm, _row_norms, _vecdot, eig_sym
 from .tensors import SymTensor3, _symmetrized
 
 
@@ -155,7 +155,7 @@ def ball_points(gaussians: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     dim >= 3.
     """
     dim = gaussians.shape[1]
-    directions = gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
+    directions = gaussians / _row_norms(gaussians)[:, None]
     if dim == 2:
         radii = np.sqrt(uniforms)
     else:
@@ -226,7 +226,7 @@ def run_decrease(seed: int) -> list:
             b = poly.bundle(x, 2)
             sol = solve_cubic_model(b.grad, eig_sym(b.hess), reg)
             z = x + sol.step
-            inside = bool(np.linalg.norm(z) <= 5.0)
+            inside = _norm(z) <= 5.0
             b_z = poly.bundle(z, 2)
             mu = stationarity(b_z.grad, eig_sym(b_z.hess), reg)
             dec_margin = b.value - reg * sol.radius**3 / 12.0 - b_z.value
@@ -265,7 +265,7 @@ def run_escape(seed: int) -> list:
     for _ in range(100):
         b = confined.bundle(x, 2)
         x = x + solve_cubic_model(b.grad, eig_sym(b.hess), cfg.hess_lipschitz).step
-        drift = max(drift, float(np.linalg.norm(x)))
+        drift = max(drift, _norm(x))
     rows.append(BenchRow("escape", "confined_monkey/cubic_only_stalls", drift <= 1e-12,
                          (("max_drift", drift),)))
 
@@ -288,10 +288,10 @@ def run_escape(seed: int) -> list:
     xtrace = minimize(xxy, np.zeros(2), xxy_fixed_point_config(seed=seed))
     report = check_third_order(xxy, xtrace.final_point)
     x_ok = (xtrace.reason == "terminal"
-            and float(np.linalg.norm(xtrace.final_point)) <= 1e-12
+            and _norm(xtrace.final_point) <= 1e-12
             and report.holds)
     rows.append(BenchRow("escape", "xxy_plus_yy/third_order_fixed_point", bool(x_ok),
-                         (("final_norm", float(np.linalg.norm(xtrace.final_point))),
+                         (("final_norm", _norm(xtrace.final_point)),
                           ("reason", xtrace.reason), ("verdict", report.verdict.value))))
     return rows
 
@@ -359,7 +359,7 @@ def run_sampler(seed: int) -> list:
         bound = tensor.frobenius_norm() / _approx_factor(SAMPLER_CONSTANT, n)
         sample = sample_direction(tensor, full, bound, rng)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
-        ok = t >= bound and abs(np.linalg.norm(sample.direction) - 1.0) <= 1e-12
+        ok = t >= bound and abs(_norm(sample.direction) - 1.0) <= 1e-12
         draws.append(sample.draws)
         rows.append(BenchRow("sampler", f"tensor{case}", bool(ok),
                              (("contraction", t), ("bound", bound), ("draws", sample.draws))))
@@ -414,8 +414,7 @@ def _taylor_pairs(rng: np.random.Generator, dim: int, count: int) -> tuple:
         x = ball_points(gx, ux)
         y = ball_points(gy, uy)
         d = y - x
-        # norm(v) of one vector is sqrt(v @ v), a BLAS dot; norm(axis=1) rounds differently
-        dist = np.sqrt(np.vecdot(d, d))
+        dist = np.sqrt(_vecdot(d, d))
         keep = dist >= 0.05
         pairs.append((x[keep], y[keep], d[keep], dist[keep]))
         missing -= int(keep.sum())
@@ -426,16 +425,13 @@ def taylor_expansion(value, grad, hess, third, d) -> np.ndarray:
     """Order-3 Taylor expansion at each of N points along the rows of ``d``.
 
     Row i equals ``value[i] + grad[i] @ d[i] + 0.5 * d[i] @ hess[i] @ d[i]
-    + SymTensor3(third[i]).trilinear(d[i], d[i], d[i]) / 6.0`` bit for bit.
-    That needs C-contiguous stacks, on which ``vecdot`` and stacked
-    ``matmul`` take the same BLAS kernels as the per-point ``@``; given a
-    transposed Hessian stack, ``matmul`` falls back to a plain loop that
-    rounds differently.
+    + SymTensor3(third[i]).trilinear(d[i], d[i], d[i]) / 6.0`` bit for bit,
+    given C-contiguous stacks.
     """
     half_d = (0.5 * d)[:, None, :]
-    quadratic = np.vecdot(np.matmul(half_d, hess)[:, 0, :], d)
-    cubic = np.einsum("pijk,pi,pj,pk->p", third, d, d, d)
-    return value + np.vecdot(grad, d) + quadratic + cubic / 6.0
+    quadratic = _vecdot(_matmul(half_d, hess)[:, 0, :], d)
+    cubic = _einsum("pijk,pi,pj,pk->p", third, d, d, d)
+    return value + _vecdot(grad, d) + quadratic + cubic / 6.0
 
 
 class _BallGrid(NamedTuple):
@@ -488,7 +484,7 @@ def _model_values(grid: _BallGrid, g, h, reg: float, lo: int, hi: int) -> np.nda
     quad += x0 * h[0, 1] * x1
     quad += x1 * h[1, 0] * x0
     quad += x1 * h[1, 1] * x1
-    return grid.pts[lo:hi] @ g + 0.5 * quad + reg / 6.0 * grid.cubed[lo:hi]
+    return _matmul(grid.pts[lo:hi], g) + 0.5 * quad + reg / 6.0 * grid.cubed[lo:hi]
 
 
 def _subproblem_grid_minimum(grid: _BallGrid, g, h, reg: float, radius: float) -> float:
@@ -533,7 +529,7 @@ def _subproblem_grid_minimum(grid: _BallGrid, g, h, reg: float, radius: float) -
     if math.isfinite(bound):
         r = grid.distinct
         half_lam = 0.5 * float(np.linalg.eigvalsh(h)[0])
-        lower = r * (r * (half_lam + reg / 6.0 * r) - float(np.linalg.norm(g)))
+        lower = r * (r * (half_lam + reg / 6.0 * r) - _norm(g))
         kept = np.flatnonzero(lower <= bound)
         lo, hi = grid.starts[kept[0]], grid.starts[kept[-1] + 1]
     else:
@@ -559,12 +555,12 @@ def run_subproblem(seed: int) -> list:
         reg = float(rng.uniform(0.5, 3.0))
         sol = solve_cubic_model(g, eig_sym(h), reg)
         grid_min = _subproblem_grid_minimum(grid, g, h, reg, sol.radius)
-        stat_res = float(np.linalg.norm(g + h @ sol.step + 0.5 * reg * sol.radius * sol.step))
+        stat_res = _norm(g + _matmul(h, sol.step) + 0.5 * reg * sol.radius * sol.step)
         eigs = np.linalg.eigvalsh(h)
         margin = float(eigs[0]) + 0.5 * reg * sol.radius
         h_scale = max(1.0, float(np.abs(eigs).max()))
         ok = (sol.model_value <= grid_min + 1e-3
-              and stat_res <= 1e-8 * max(1.0, float(np.linalg.norm(g)))
+              and stat_res <= 1e-8 * max(1.0, _norm(g))
               and margin >= -1e-8 * h_scale)
         rows.append(BenchRow("subproblem", f"instance{case}", bool(ok),
                              (("model_value", sol.model_value), ("grid_min", grid_min),

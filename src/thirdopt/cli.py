@@ -23,6 +23,7 @@ from . import bench
 from .conditions import ConditionTolerances, check_third_order
 from .escape import OptimizerConfig, minimize, write_trace
 from .polynomials import CORPUS_NAMES, Polynomial, corpus, smoothness_bounds
+from .spectral import _norm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +100,7 @@ def _cmd_run(args) -> int:
     if args.R is None or args.L is None:
         # a norm that overflows is inf, which smoothness_bounds rejects by name
         with np.errstate(over="ignore"):
-            radius = max(1.0, 2.0 * float(np.linalg.norm(x0)))
+            radius = max(1.0, 2.0 * _norm(x0))
         bounds = smoothness_bounds(poly, radius)
         reg = args.R if args.R is not None else bounds.hess_lipschitz
         lip3 = args.L if args.L is not None else bounds.third_lipschitz
@@ -122,7 +123,7 @@ def _cmd_check(args) -> int:
         raise ValueError(f"point has {point.size} entries but the problem has dimension {poly.dim}")
     tols = ConditionTolerances(**_given(args, ConditionTolerances))
     report = check_third_order(poly, point, tols)
-    print(json.dumps(report.to_dict(), separators=(",", ":")))
+    print(json.dumps(report.to_dict(), separators=(",", ":"), allow_nan=False))
     return 0 if report.holds else 3
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .escape import SAMPLER_CONSTANT, _approx_factor, sample_direction
-from .polynomials import Objective, as_point, check_positive
+from .polynomials import Objective, _all_finite, as_point, check_positive
 from .spectral import EigenDecomp, _norm, _zero_band, eig_sym, null_space
 
 CHECKER_NOTE = (
@@ -130,10 +130,16 @@ def check_third_order(
     All residual fields are populated regardless of which condition
     fails, so reports are comparable across points.  The third-derivative
     residual is ||T(V, V, V)||_F for the kernel's eigenvector columns V.
+    Raises ValueError if the gradient, Hessian or third derivative at
+    ``x`` has a non-finite entry: each condition is a comparison, which a
+    NaN residual would pass.
     """
     point = as_point(x, objective.dim).copy()
     point.flags.writeable = False
     b = objective.bundle(point, 3)
+    if not (_all_finite(b.grad) and np.isfinite(b.hess).all()
+            and np.isfinite(b.third.entries).all()):
+        raise ValueError("gradient, hessian or third derivative has non-finite entries")
     decomp = eig_sym(b.hess)
     grad_norm = _norm(b.grad)
     min_eig = float(decomp.eigenvalues[-1])

@@ -38,11 +38,9 @@ arrive as one ``tolist`` each; the gaps, the bottom block (a suffix of
 the descending spectrum), the squared components, the hard-case
 quotients and the rotated step -g_hat / (base + (reg/2) t) are
 elementwise IEEE operations, the same in Python as in numpy, with
-``_divide`` for numpy's zero divisors.  What stays on numpy is what
-rounds by the OpenBLAS kernel in use: the products with the eigenvector
-matrix (``v.T @ g``, ``v @ s_hat``, ``(v * lam) @ s_hat``), the dot
-products of the model value, and every ``_norm``, each on operands of
-the same length and values as before, so the kernel rounds them alike.
+``_divide`` for numpy's zero divisors.  The products with the
+eigenvector matrix, the model value's dot products and the norms are
+``spectral``'s reductions.
 
 The secular solve runs in Python floats too, and gives the floats and
 exceptions numpy gives on arrays of the active (nonzero) gradient
@@ -77,7 +75,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .polynomials import DerivativeBundle, _all_finite, check_positive
-from .spectral import EigenDecomp, _norm
+from .spectral import EigenDecomp, _matmul, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -301,7 +299,7 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
     g, g_norm, decomp, reg, _ = model
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
-    g_hat = v.T @ g
+    g_hat = _matmul(v.T, g)
     lam_list = lam.tolist()
     g_list = g_hat.tolist()
     n = len(lam_list)
@@ -353,17 +351,17 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
                 s_hat[k] = math.sqrt(max(r_floor * r_floor - p * p, 0.0))
 
     s_hat = np.array(s_hat)
-    step = v @ s_hat
+    step = _matmul(v, s_hat)
     radius = _norm(step)
-    hess_s = (v * lam) @ s_hat
-    model_value = float(g @ step + 0.5 * step @ hess_s + reg * radius**3 / 6.0)
+    hess_s = _matmul(v * lam, s_hat)
+    model_value = float(_matmul(g, step) + _matmul(0.5 * step, hess_s) + reg * radius**3 / 6.0)
 
     # Internal sanity certificate; scale-aware so legitimate large-norm
-    # inputs do not trip it on roundoff.
+    # inputs do not trip it on roundoff, and written so that a NaN fails it.
     residual = _norm(g + hess_s + 0.5 * reg * radius * step)
     margin = lam_min + 0.5 * reg * radius
     res_scale = max(1.0, g_norm, spectral * max(1.0, radius))
-    if residual > 1e-9 * res_scale or margin < -1e-9 * spectral:
+    if not residual <= 1e-9 * res_scale or not margin >= -1e-9 * spectral:
         raise ArithmeticError(
             f"cubic subproblem certificate failed (residual {residual:.3e}, margin {margin:.3e})"
         )

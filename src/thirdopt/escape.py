@@ -54,7 +54,7 @@ import numpy as np
 
 from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
 from .polynomials import Objective, _check_count, as_point, check_positive
-from .spectral import EigenDecomp, Subspace, _norm, eig_sym
+from .spectral import EigenDecomp, Subspace, _dot, _matmul, _norm, eig_sym
 from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
@@ -177,7 +177,7 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
     # cannot warn where the walk would not; lambda_min first, as it
     # settles most searches at small n.
     flat = third.entries.ravel()
-    cap = 2.0 * float(flat.dot(flat))
+    cap = 2.0 * float(_dot(flat, flat))
     scale = float(denom)
     if not n or float(decomp.eigenvalues[-1]) * scale > cap:
         return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
@@ -245,7 +245,7 @@ def sample_direction(
         raise ValueError("cannot sample a direction from an empty subspace")
     for draw in range(1, MAX_SAMPLER_DRAWS + 1):
         coeffs = rng.standard_normal(subspace.rank)
-        u = subspace.basis @ coeffs
+        u = _matmul(subspace.basis, coeffs)
         norm = _norm(u)
         if norm == 0.0:
             continue

@@ -44,6 +44,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from .spectral import _norm
 from .tensors import SymTensor3
 
 # Highest total degree of a term; admits the ||x||^6 family used for hard
@@ -600,9 +601,9 @@ def _derivative_frobenius_bound(poly: Polynomial, order: int, radius: float) -> 
     entry_bounds = np.bincount(entry, np.abs(mult) * radius_powers[degrees])
     top = float(entry_bounds.max(initial=0.0))
     if top == 0.0 or not math.isfinite(top) or 1e-150 <= top <= 1e150:
-        return float(np.linalg.norm(entry_bounds))
+        return _norm(entry_bounds)
     # Squared entries this small or large would under- or overflow.
-    return top * float(np.linalg.norm(entry_bounds / top))
+    return top * _norm(entry_bounds / top)
 
 
 def smoothness_bounds(poly: Polynomial, radius: float) -> SmoothnessConstants:

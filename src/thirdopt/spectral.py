@@ -11,6 +11,20 @@ directions).
 Repeated eigenvalues make individual eigenvectors non-unique, so callers
 must only rely on the spanned subspaces, such as through the Frobenius
 norm of a tensor rotated into a span's eigenvector columns.
+
+This module is also the one home of the package's float reductions.
+``_matmul`` (``@``), ``_dot`` (``np.dot``, ``ndarray.dot``), ``_vecdot``
+and ``_einsum`` are those numpy functions under a private name;
+``_norm`` (``np.linalg.norm`` of a whole array) and ``_row_norms`` (its
+``axis=1`` form) compute the floats ``np.linalg.norm`` computes.  So
+every caller gets the floats of the inline call.  OpenBLAS runs
+``_matmul``, ``_dot``, ``_vecdot`` and ``_norm``, and its kernel, chosen
+by CPU or by ``OPENBLAS_CORETYPE``, decides their last bits: SkylakeX,
+Haswell and Sandybridge differ even at n = 2.  On C-contiguous stacks,
+``_matmul`` and ``_vecdot`` round each member as it rounds alone.
+``_einsum`` and ``_row_norms`` add in numpy's own loops.  LAPACK
+(``eigh`` here, ``eigvalsh`` and ``np.roots`` in ``bench``) varies with
+the kernel too.
 """
 
 from __future__ import annotations
@@ -41,14 +55,26 @@ class EigenDecomp:
         return max(1.0, abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
 
+# The product reductions (module docstring)
+_matmul = np.matmul
+_dot = np.ndarray.dot
+_vecdot = np.vecdot
+_einsum = np.einsum
+
+
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector, computed as ``np.linalg.norm`` does.
+    """Euclidean (Frobenius) norm of a float array, computed as ``np.linalg.norm`` does.
 
     That is the square root of ``x.dot(x)`` for the contiguous ravel x,
     the same floats without ``norm``'s argument dispatch.
     """
     x = v.ravel(order="K")
     return math.sqrt(float(x.dot(x)))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)``: each row's squares summed by ``np.add.reduce``."""
+    return np.linalg.norm(rows, axis=1)
 
 
 def eig_sym(matrix) -> EigenDecomp:
@@ -68,8 +94,8 @@ def eig_sym(matrix) -> EigenDecomp:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.tobytes() != m.T.tobytes() and not np.array_equal(m, m.T):
-        asym = np.linalg.norm(m - m.T)
-        if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
+        asym = _norm(m - m.T)
+        if asym > _SYM_TOL * max(1.0, _norm(m)):
             raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
         m = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(m)
@@ -91,8 +117,9 @@ class Subspace:
         if k > dim:
             raise ValueError(f"{k} basis vectors exceed ambient dim {dim}")
         if k > 0:
-            gram = basis.T @ basis
-            if np.abs(gram - np.eye(k)).max() > _ORTHO_TOL:
+            gram = _matmul(basis.T, basis)
+            # written so that a NaN fails it
+            if not np.abs(gram - np.eye(k)).max() <= _ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal")
         self.dim = dim
         self.basis = basis

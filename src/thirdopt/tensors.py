@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import _dot, _einsum, _norm
+
 # The six orders of the last three axes, counted from the end
 _PERMUTATIONS = ((-3, -2, -1), (-3, -1, -2), (-2, -3, -1), (-2, -1, -3), (-1, -3, -2),
                  (-1, -2, -3))
@@ -79,7 +81,7 @@ class SymTensor3:
         u = self._check_vector(u)
         v = self._check_vector(v)
         w = self._check_vector(w)
-        return float(np.einsum("ijk,i,j,k->", self.entries, u, v, w))
+        return float(_einsum("ijk,i,j,k->", self.entries, u, v, w))
 
     def transform(self, matrix) -> "SymTensor3":
         """Apply one matrix to every slot: entries_pqr = T(M e_p, M e_q, M e_r).
@@ -101,11 +103,11 @@ class SymTensor3:
         cols = matrix.shape[1]
         for _ in range(3):
             a, b, c = out.shape
-            out = np.dot(out.transpose(1, 2, 0).reshape(b * c, a), matrix).reshape(b, c, cols)
+            out = _dot(out.transpose(1, 2, 0).reshape(b * c, a), matrix).reshape(b, c, cols)
         return SymTensor3._trusted(out)
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return _norm(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SymTensor3(dim={self.dim}, frobenius={self.frobenius_norm():.6g})"

@@ -188,6 +188,21 @@ class TestCheck:
     def test_point_dimension_mismatch(self):
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1
 
+    def test_non_finite_derivatives_exit_one(self, tmp_path, capsys):
+        # The derivatives at 1 are all NaN, which every condition's comparison
+        # would pass, and a NaN is not JSON.  Building the table overflows
+        # 3 * 1e308 with a RuntimeWarning, which -W error would raise before
+        # the checker sees the NaNs.
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"dim": 1, "terms": [
+            {"coeff": 1e308, "exponents": [3]}, {"coeff": -5e307, "exponents": [4]}]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["check", "--problem", str(problem), "--point", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gradient, hessian or third derivative has non-finite entries\n"
+
     @pytest.mark.parametrize("option", ["--tol-eig", "--tol-third"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_invalid_tolerance_exits_one(self, capsys, option, value):

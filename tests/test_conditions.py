@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import thirdopt.conditions
 from thirdopt import (
     ConditionTolerances,
+    DerivativeBundle,
     HessianClass,
     OptimizerConfig,
     OracleObjective,
@@ -109,6 +110,42 @@ class TestCheckThirdOrder:
     def test_tolerances_must_be_finite_and_non_negative(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} tolerance"):
             ConditionTolerances(**{name: bad})
+
+
+class FixedBundle:
+    """An objective whose bundle is the same at every point and order."""
+
+    def __init__(self, bundle):
+        self.dim = bundle.grad.shape[0]
+        self._bundle = bundle
+
+    def value(self, x):
+        return self._bundle.value
+
+    def bundle(self, x, order):
+        return self._bundle
+
+
+@pytest.mark.parametrize("part", ["grad", "hess", "third"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_derivatives_are_refused(part, bad):
+    # Each condition is a comparison; a NaN residual would fail none of them
+    # and the verdict would fall through to HOLDS
+    arrays = {"grad": np.zeros(2), "hess": np.eye(2), "third": np.zeros((2, 2, 2))}
+    arrays[part].flat[-1] = bad
+    bundle = DerivativeBundle(0.0, arrays["grad"], arrays["hess"], SymTensor3(arrays["third"]))
+    with pytest.raises(ValueError,
+                       match="^gradient, hessian or third derivative has non-finite entries$"):
+        check_third_order(FixedBundle(bundle), np.zeros(2))
+
+
+def test_overflowing_polynomial_derivatives_are_refused():
+    # 3 * 1e308 overflows as the derivative table is built, and every
+    # derivative at x = 1 is then inf - inf = NaN
+    poly = Polynomial(1, [(1e308, (3,)), (-5e307, (4,))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            check_third_order(poly, np.ones(1))
 
 
 @st.composite

@@ -582,6 +582,15 @@ class TestFiniteInputs:
                     with pytest.raises(ValueError, match="^gradient norm overflows$"):
                         entry(g, identity, 1.0)
 
+    def test_nan_eigenvectors_fail_the_certificate(self):
+        # eigh keeps the eigenvalues of this NaN matrix finite and puts the
+        # NaNs in the vectors, so the input check passes; the certificate's
+        # residual and margin are then NaN, which must not pass it
+        decomp = eig_sym(np.array([[math.nan, 1.0], [1.0, 1.0]]))
+        assert np.isfinite(decomp.eigenvalues).all()
+        with pytest.raises(ArithmeticError, match="certificate failed"):
+            solve_cubic_model(np.ones(2), decomp, 1.0)
+
     def test_largest_gradient_norm_accepted(self):
         # 1.3e154 squared stays below the largest float, so the norm is finite
         identity = eig_sym(np.eye(2))

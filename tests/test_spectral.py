@@ -18,7 +18,15 @@ from thirdopt import (
     solve_cubic_model,
     stationarity,
 )
-from thirdopt.spectral import _SYM_TOL, _norm
+from thirdopt.spectral import (
+    _SYM_TOL,
+    _dot,
+    _einsum,
+    _matmul,
+    _norm,
+    _row_norms,
+    _vecdot,
+)
 
 from oracles import eig_sym_by_value, symmetrized_eigh
 
@@ -181,6 +189,79 @@ def test_norm_equals_numpy_norm(n, seed, exponent):
             assert _norm(vector) == float(np.linalg.norm(vector)) == _norm(vector.copy())
 
 
+def same_bytes(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestReductionHelpers:
+    """Each helper gives the bytes of the numpy call it replaced.
+
+    Operands are contiguous or the views the call sites pass: suffix
+    slices such as ``g_hat[k:]``, column blocks such as
+    ``eigenvectors[:, i:]``, and transposes such as ``v.T``.
+    """
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n, n))
+        g = rng.standard_normal(n)
+        t = rng.standard_normal((n, n, n))
+        rows = rng.standard_normal((30, n))
+        return v, g, t, rows, n // 2
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matmul(self, n):
+        v, g, t, rows, k = self.operands(n)
+        hess = np.random.default_rng(-n % 7).standard_normal((30, n, n))
+        assert same_bytes(_matmul(v.T, g), v.T @ g)
+        assert same_bytes(_matmul(v, g), v @ g)
+        assert same_bytes(_matmul(v * g, g), (v * g) @ g)
+        assert same_bytes(_matmul(g, v[0]), g @ v[0])
+        assert same_bytes(_matmul(v[:, k:], g[k:]), v[:, k:] @ g[k:])
+        assert same_bytes(_matmul(v[:, k:].T, v[:, k:]), v[:, k:].T @ v[:, k:])
+        assert same_bytes(_matmul(rows, g), rows @ g)
+        assert same_bytes(_matmul(rows[:, None, :], hess), np.matmul(rows[:, None, :], hess))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_dot(self, n):
+        v, g, t, rows, k = self.operands(n)
+        flat = t.ravel()
+        assert same_bytes(_dot(flat, flat), flat.dot(flat))
+        assert same_bytes(_dot(g[k:], g[k:]), np.dot(g[k:], g[k:]))
+        unfolded = t.transpose(1, 2, 0).reshape(n * n, n)
+        assert same_bytes(_dot(unfolded, v), np.dot(unfolded, v))
+        assert same_bytes(_dot(unfolded, v[:, k:]), np.dot(unfolded, v[:, k:]))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_vecdot(self, n):
+        v, g, t, rows, k = self.operands(n)
+        assert same_bytes(_vecdot(rows, rows), np.vecdot(rows, rows))
+        assert same_bytes(_vecdot(rows[:, k:], rows[::-1, k:]), np.vecdot(rows[:, k:], rows[::-1, k:]))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_einsum(self, n):
+        v, g, t, rows, k = self.operands(n)
+        assert same_bytes(_einsum("ijk,i,j,k->", t, g, v[0], v[:, 0]),
+                          np.einsum("ijk,i,j,k->", t, g, v[0], v[:, 0]))
+        stack = np.stack([t, t.transpose(2, 0, 1), -t])
+        d = rows[:3]
+        assert same_bytes(_einsum("pijk,pi,pj,pk->p", stack, d, d, d),
+                          np.einsum("pijk,pi,pj,pk->p", stack, d, d, d))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_norm(self, n):
+        v, g, t, rows, k = self.operands(n)
+        for x in (g, g[k:], g[::-1], v, v.T, v - v.T, v[:, k:], v[:, 0], t):
+            assert same_bytes(_norm(x), np.linalg.norm(x))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_row_norms(self, n):
+        v, g, t, rows, k = self.operands(n)
+        for x in (rows, rows[:, k:], rows[::2], v.T):
+            assert same_bytes(_row_norms(x), np.linalg.norm(x, axis=1))
+
+
 class TestNullSpace:
     def test_degenerate_corpus_hessian(self):
         hess = corpus("xxy_plus_yy").bundle(np.zeros(2), 2).hess
@@ -214,6 +295,11 @@ class TestSubspace:
         # a (2, 3) basis fits the ambient dimension but has three columns
         with pytest.raises(ValueError, match="exceed ambient dim"):
             Subspace(2, np.ones((2, 3)))
+
+    def test_rejects_nan_basis(self):
+        # the Gram matrix is NaN, which a "deviation > tol" test would pass
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(2, [[math.nan], [0.0]])
 
     def test_empty_and_full(self):
         assert Subspace.empty(3).is_empty
