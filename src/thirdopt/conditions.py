@@ -131,8 +131,9 @@ def check_third_order(
     fails, so reports are comparable across points.  The third-derivative
     residual is ||T(V, V, V)||_F for the kernel's eigenvector columns V.
     Raises ValueError if the gradient, Hessian or third derivative at
-    ``x`` has a non-finite entry: each condition is a comparison, which a
-    NaN residual would pass.
+    ``x`` has a non-finite entry, or if the gradient norm or the third
+    residual overflows: each condition is a comparison, which a NaN
+    residual would pass and an infinite one report as a number.
     """
     point = as_point(x, objective.dim).copy()
     point.flags.writeable = False
@@ -141,10 +142,15 @@ def check_third_order(
             and np.isfinite(b.third.entries).all()):
         raise ValueError("gradient, hessian or third derivative has non-finite entries")
     decomp = eig_sym(b.hess)
-    grad_norm = _norm(b.grad)
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
-    third_residual = b.third.transform(kernel.basis).frobenius_norm()
+    # finite entries can still overflow a norm, which no comparison should see
+    with np.errstate(over="ignore"):
+        grad_norm = _norm(b.grad)
+        third_residual = b.third.transform(kernel.basis).frobenius_norm()
+    for name, norm in (("gradient norm", grad_norm), ("third residual", third_residual)):
+        if norm == math.inf:
+            raise ValueError(f"{name} overflows")
 
     if grad_norm > tols.grad:
         verdict = Verdict.FIRST_ORDER_FAIL

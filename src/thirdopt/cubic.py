@@ -38,19 +38,13 @@ arrive as one ``tolist`` each; the gaps, the bottom block (a suffix of
 the descending spectrum), the squared components, the hard-case
 quotients and the rotated step -g_hat / (base + (reg/2) t) are
 elementwise IEEE operations, the same in Python as in numpy, with
-``_divide`` for numpy's zero divisors.  The products with the
+``_divide`` for zero divisors.  The products with the
 eigenvector matrix, the model value's dot products and the norms are
 ``spectral``'s reductions.
 
-The secular solve runs in Python floats too, and gives the floats and
-exceptions numpy gives on arrays of the active (nonzero) gradient
-components.  Sums add in numpy's order (``_sum``).  Each component's
-lower root squares with ``x * x``, as numpy squares an array, and the
-two ||g|| bracket ends with ``**`` (libm ``pow``), as numpy squares a
-float64 scalar; the two roundings differ on about 0.1 % of inputs, and
-both are kept.  Where Python raises
-and numpy returns inf or NaN (``**`` overflowing, a zero divisor), the
-solve takes numpy's value, without numpy's warnings.
+The secular solve runs in Python floats by IEEE rules: each sum of
+non-negative terms is ``math.fsum``, correctly rounded, every square is
+``x * x``, and a zero divisor gives inf or NaN (``_divide``).
 
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
@@ -107,36 +101,16 @@ class CubicSolution:
     secular_evals: int
 
 
-def _sum(values) -> float:
-    """``float(np.add.reduce(values))`` for a sequence of floats, addition for addition.
-
-    numpy adds fewer than eight float64 terms left to right from 0.0; up
-    to 128 in eight interleaved partial sums, combined pairwise, then the
-    remainder left to right; and more as two such sums split at half the
-    length rounded down to a multiple of 8.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    end = n - n % 8
-    r = values[:8]
-    for i in range(8, end, 8):
-        r = [a + b for a, b in zip(r, values[i:i + 8])]
-    # 0.0 + turns an all -0.0 sum into numpy's 0.0
-    total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    for v in values[end:]:
-        total += v
-    return total
+def _sum(terms) -> float:
+    """The correctly rounded sum of non-negative floats: inf where it overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _divide(num: float, den: float) -> float:
-    """num / den as numpy divides float64: a zero divisor gives inf or NaN."""
+    """num / den by IEEE rules: a zero divisor gives inf or NaN."""
     if den:
         return num / den
     if num != num or num == 0.0:
@@ -144,26 +118,19 @@ def _divide(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
-def _squared(x: float) -> float:
-    """x ** 2 by libm ``pow``, as numpy squares a float64 scalar; inf on overflow."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
-def _lower_root(g_abs: float, base: float, gap_sq: float, half_reg: float, r_floor: float):
+def _lower_root(g_abs: float, base: float, half_reg: float, r_floor: float):
     """Non-negative root t of (base + half_reg t)(r_floor + t) = g_abs.
 
-    ``gap_sq`` is (base - half_reg r_floor)^2.  Since psi(t) >= g_abs /
-    (base + half_reg t) for any single gradient component (or for ||g||
-    against the largest shift), this root is a lower bound for the secular
-    root; against the smallest shift it is an upper bound.  Written in the
-    cancellation-free form of the quadratic formula, and clamped at zero
-    as ``np.maximum(t, 0.0)`` clamps: a NaN stays NaN.
+    Since psi(t) >= g_abs / (base + half_reg t) for any single gradient
+    component (or for ||g|| against the largest shift), this root is a
+    lower bound for the secular root; against the smallest shift it is an
+    upper bound.  Written in the cancellation-free form of the quadratic
+    formula, and clamped at zero; a NaN stays NaN.
     """
+    shift = half_reg * r_floor
+    gap = base - shift
     num = 2.0 * (g_abs - base * r_floor)
-    den = base + half_reg * r_floor + math.sqrt(gap_sq + 4.0 * half_reg * g_abs)
+    den = base + shift + math.sqrt(gap * gap + 4.0 * half_reg * g_abs)
     t = num / den if den else _divide(num, den)
     return 0.0 if t <= 0.0 else t
 
@@ -180,23 +147,34 @@ def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
     Returns the offset and the number of psi evaluations.  ``g_sq`` and
     ``base`` are lists of Python floats, ``half_reg`` and ``r_floor``
     Python floats.
+
+    psi is unchanged when g, the bases and half_reg are scaled by one
+    factor.  Where M = max(max(base), sqrt(half_reg ||g||)) lies outside
+    [2^-256, 2^256), they are scaled by the power of two that puts M in
+    [0.5, 1), which away from underflow leaves every float of the solve,
+    and so t, as it was.  At the root r_floor + t = psi(t) <= ||g|| /
+    (half_reg t), so each shift base + half_reg t is below 2M there, and
+    none squares to inf.
     """
     terms = [(g, b) for g, b in zip(g_sq, base) if g > 0.0]
     if not terms:
         return 0.0, 0
     gs, bases = zip(*terms)
     g_norm = math.sqrt(_sum(gs))
-    shift = half_reg * r_floor
+    m = max(max(bases), math.sqrt(half_reg) * math.sqrt(g_norm))
+    if not 2.0**-256 <= m < 2.0**256:
+        c = math.ldexp(1.0, -math.frexp(m)[1])
+        terms = [(g * c * c, b * c) for g, b in terms]
+        bases = [b * c for b in bases]
+        g_norm *= c
+        half_reg *= c
     lo = 0.0
     for g, b in terms:
-        gap = b - shift
-        t = _lower_root(math.sqrt(g), b, gap * gap, half_reg, r_floor)
-        if t > lo or t != t:  # a NaN root stays, as in numpy's max
+        t = _lower_root(math.sqrt(g), b, half_reg, r_floor)
+        if t > lo or t != t:  # a NaN root stays, as IEEE 754 maximum keeps it
             lo = t
-    b = max(bases)
-    lo = max(lo, _lower_root(g_norm, b, _squared(b - shift), half_reg, r_floor))
-    b = min(bases)
-    hi = max(lo, _lower_root(g_norm, b, _squared(b - shift), half_reg, r_floor))
+    lo = max(lo, _lower_root(g_norm, max(bases), half_reg, r_floor))
+    hi = max(lo, _lower_root(g_norm, min(bases), half_reg, r_floor))
     t, last_step = lo, math.inf
     for evals in range(1, _SECULAR_MAX_EVALS + 1):
         shift_t = half_reg * t
@@ -216,7 +194,7 @@ def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
             lo = t
         else:
             hi = t
-        dphi = half_reg * _sum(slopes) / psi**3 + 1.0 / r**2
+        dphi = half_reg * _sum(slopes) / psi**3 + 1.0 / (r * r)
         t_next = t - phi / dphi
         step = abs(t_next - t)
         if lo < t_next < hi and step < last_step:

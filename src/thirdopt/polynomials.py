@@ -105,13 +105,15 @@ class DerivativeBundle:
     third: SymTensor3
 
     def __post_init__(self):
-        # An exactly symmetric Hessian has asymmetry 0; NaN is never equal,
-        # so it takes the full check
-        if np.array_equal(self.hess, self.hess.T):
+        # An exactly symmetric Hessian has asymmetry 0, a NaN facing a NaN
+        # included, as in eig_sym; other input takes the full check, which
+        # a NaN asymmetry fails
+        if np.array_equal(self.hess, self.hess.T, equal_nan=True):
             return
         asym = np.abs(self.hess - self.hess.T).max(initial=0.0)
-        if asym > 1e-12 * max(1.0, np.abs(self.hess).max(initial=0.0)):
-            raise ValueError(f"hessian is not symmetric (asymmetry {asym:.3e})")
+        if not asym <= 1e-12 * max(1.0, np.abs(self.hess).max(initial=0.0)):
+            raise ValueError(f"hessian is not symmetric or has non-finite entries "
+                             f"(asymmetry {asym:.3e})")
 
     @classmethod
     def _trusted(cls, value: float, grad: np.ndarray, hess: np.ndarray,
@@ -292,7 +294,9 @@ class Polynomial:
         """Rows of the order-``order`` derivative: position, residual, multiplier.
 
         ``residual`` has one power-table index per support axis, in axis
-        order, padded with index 0 (``x[0] ** 0 = 1``).
+        order, padded with index 0 (``x[0] ** 0 = 1``).  A multiplier that
+        overflows, a coefficient times its falling factorial, raises
+        ValueError naming the term and the order.
         """
         # each term's (axis, exponent) over its support, padded with (0, 0)
         support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
@@ -308,11 +312,15 @@ class Polynomial:
             pos = pos[row] * self._dim + axes[term, j]
             left[np.arange(len(row)), j] -= 1
         offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
-        return (
-            pos,
-            (offsets[axes[term]] + left).T.astype(np.intp, order="C"),
-            np.array([c for _, c in self._terms])[term] * factor,
-        )
+        with np.errstate(over="ignore"):
+            mult = np.array([c for _, c in self._terms])[term] * factor
+        if not _all_finite(mult):
+            row = next(r for r, m in enumerate(mult.tolist()) if not math.isfinite(m))
+            exps, coeff = self._terms[term[row]]
+            mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
+            raise ValueError(f"order-{order} derivative of the term {coeff!r}*{mono} overflows: "
+                             f"the coefficient times {int(factor[row])}")
+        return pos, (offsets[axes[term]] + left).T.astype(np.intp, order="C"), mult
 
     def _prefixes(self) -> tuple:
         """The fused order 0..3 table, as its prefix through each order.

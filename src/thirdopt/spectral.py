@@ -81,22 +81,24 @@ def eig_sym(matrix) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
     Raises ValueError if the input deviates from symmetry by more than
-    ``_SYM_TOL`` relative to its Frobenius norm.  Other input is
+    ``_SYM_TOL`` relative to its Frobenius norm, or by NaN.  Other input is
     symmetrized first; an exactly symmetric one, such as every Hessian a
     ``DerivativeBundle`` holds, is decomposed as it is.  Exact symmetry is
     tested on the bytes first, which costs a fraction of
     ``np.array_equal``, and on the values where the bytes differ: a 0.0
-    facing a -0.0 is symmetric.  A NaN facing the same NaN passes the byte
-    test, so such a matrix is not averaged; averaging would have kept its
-    entries, except that it overflows those past 8.9e307 to inf.
+    facing a -0.0 is symmetric, and so is a NaN facing a NaN, which is
+    decomposed as it is.  A NaN facing a number has asymmetry NaN, which
+    fails the tolerance.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.tobytes() != m.T.tobytes() and not np.array_equal(m, m.T):
+    if m.tobytes() != m.T.tobytes() and not np.array_equal(m, m.T, equal_nan=True):
         asym = _norm(m - m.T)
-        if asym > _SYM_TOL * max(1.0, _norm(m)):
-            raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+        # written so that a NaN fails it
+        if not asym <= _SYM_TOL * max(1.0, _norm(m)):
+            raise ValueError(f"matrix is not symmetric or has non-finite entries "
+                             f"(asymmetry {asym:.3e})")
         m = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(m)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())

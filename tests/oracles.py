@@ -7,12 +7,14 @@ from brute-force grids, and roots from closed forms.  The exceptions are
 and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
 ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
-``_secular_offset_arrays`` solves the secular equation in numpy arrays,
+``_secular_offset_arrays`` solves the secular equation in numpy arrays
+with the library's ``math.fsum`` sums and power-of-two scaling,
 ``solve_model_arrays`` assembles the cubic step around it in numpy arrays,
 ``eig_sym_by_value`` tests symmetry with ``np.array_equal`` alone,
 ``full_escape_search`` walks every suffix without the spectral screen,
 and ``subproblem_grid_min`` evaluates the subproblem suite's model at
-every grid point.
+every grid point.  ``reference_minimize`` rebuilds the optimizer loop
+from the oracles above, with the library's constants and RNG stream.
 """
 
 import functools
@@ -24,7 +26,7 @@ import numpy as np
 import sympy as sp
 
 from thirdopt import Subspace, SymTensor3, eig_sym, solve_cubic_model
-from thirdopt.escape import PROJ_NORM_FLOOR, EscapeSubspace
+from thirdopt.escape import MAX_SAMPLER_DRAWS, PROJ_NORM_FLOOR, QUIET_WINDOW, EscapeSubspace
 from thirdopt.cubic import _HARD_CASE_REL, _SECULAR_MAX_EVALS, _SECULAR_RTOL, CubicSolution
 from thirdopt.spectral import _SYM_TOL, EigenDecomp, _norm
 
@@ -238,6 +240,145 @@ def cubic_model_radius(eigenvalues, g_hat, reg):
             hi = mid
 
 
+def _reference_derivatives(poly, x, order):
+    """Value, gradient, Hessian and (at order 3) third derivative by ``term_loop_partial``."""
+    n, row = poly.dim, x.tolist()
+    value = term_loop_partial(poly, row, ())
+    grad = np.array([term_loop_partial(poly, row, (i,)) for i in range(n)])
+    hess = np.array([[term_loop_partial(poly, row, (i, j)) for j in range(n)] for i in range(n)])
+    third = None
+    if order == 3:
+        third = np.array([[[term_loop_partial(poly, row, (i, j, k)) for k in range(n)]
+                           for j in range(n)] for i in range(n)])
+    return value, grad, hess, third
+
+
+def _near(a, b, rel=1e-9):
+    """Whether a decision between a and b lies within ``rel`` of its threshold."""
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def reference_minimize(poly, x0, config):
+    """``minimize`` rebuilt from the oracles: (rows, complete).
+
+    Derivatives come from ``term_loop_partial``, the spectrum from plain
+    ``np.linalg.eigh`` sorted descending, the step radius from
+    ``cubic_model_radius`` with the step taken in the eigenbasis, the
+    escape search from a ``triple_loop_transform`` rotation walked over
+    every suffix, and the sampler's contraction from
+    ``triple_loop_trilinear``.  The RNG stream, the trigger, escape and
+    stop rules and the hard-case thresholds are ``minimize``'s.
+
+    Each row is (iteration, phase, value, grad_norm, stationarity,
+    proj_norm, subspace_dim, step_norm).  The run stops early at the
+    first trigger, escape, sampler, hard-case or stop decision that lies
+    within 1e-9 relative of its threshold, since the library's rounding
+    may take it the other way; ``complete`` is False then, and the rows
+    are those decided before it.  A complete run appends
+    ('end', reason, final_value, final_point).
+    """
+    n = poly.dim
+    x = np.array(x0, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    q = config.sampler_constant * n**1.5
+    reg, lip3 = config.hess_lipschitz, config.third_lipschitz
+    denom = 12.0 * lip3 * q**2
+    rows = []
+
+    def spectrum(hess):
+        values, vectors = np.linalg.eigh(hess)
+        return values[::-1], vectors[:, ::-1]
+
+    f_x, grad, hess, _ = _reference_derivatives(poly, x, 2)
+    quiet = 0
+    reason = "budget"
+    for it in range(config.max_iters):
+        # The cubic step, in the eigenbasis of the Hessian at x
+        lam, vecs = spectrum(hess)
+        g_hat = vecs.T @ grad
+        spectral = max(1.0, abs(lam[0]), abs(lam[-1]))
+        bottom = lam - lam[-1] <= 1e-12 * spectral
+        g_norm = float(np.linalg.norm(grad))
+        g_bottom = float(np.linalg.norm(g_hat[bottom]))
+        if _near(g_bottom, _HARD_CASE_REL * max(1.0, g_norm)):
+            return rows, False
+        hard_candidate = g_bottom <= _HARD_CASE_REL * max(1.0, g_norm)
+        if hard_candidate:
+            g_hat[bottom] = 0.0
+        radius = cubic_model_radius(lam, g_hat, reg)
+        r_floor = max(0.0, -2.0 * float(lam[-1]) / reg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_hat = np.where(g_hat == 0.0, 0.0, -g_hat / (lam + 0.5 * reg * radius))
+        if g_norm == 0.0 and lam[-1] >= -1e-15 * spectral:
+            s_hat[:] = 0.0
+        elif hard_candidate and r_floor > 0.0:
+            # The hard case when the complement's solution at the floor
+            # falls short of it: fill the deficit along the first bottom
+            # eigenvector
+            p = float(np.linalg.norm(g_hat[~bottom] / (lam - lam[-1])[~bottom]))
+            if _near(p, r_floor):
+                return rows, False
+            if p < r_floor:
+                s_hat[int(np.argmax(bottom))] = math.sqrt(max(r_floor**2 - p**2, 0.0))
+        step = vecs @ s_hat
+        step_norm = float(np.linalg.norm(step))
+        z = x + step
+
+        # The post-cubic point: stationarity, escape search and trigger
+        f_z, grad_z, hess_z, third_z = _reference_derivatives(poly, z, 3)
+        lam_z, vecs_z = spectrum(hess_z)
+        grad_norm = float(np.linalg.norm(grad_z))
+        mu = max(math.sqrt(grad_norm / reg), max(0.0, -2.0 * float(lam_z[-1]) / (3.0 * reg)))
+        rotated_sq = triple_loop_transform(third_z, vecs_z) ** 2
+        proj_norm, rank = 0.0, 0
+        for i in range(n):
+            proj_sq = float(rotated_sq[i:, i:, i:].sum())
+            if _near(lam_z[i], proj_sq / denom):
+                return rows, False
+            if lam_z[i] <= proj_sq / denom:
+                norm = math.sqrt(proj_sq)
+                if _near(norm, PROJ_NORM_FLOOR):
+                    return rows, False
+                if norm > PROJ_NORM_FLOOR:
+                    proj_norm, rank = norm, n - i
+                break
+        threshold = q * (24.0 * grad_norm * lip3) ** (1.0 / 3.0)
+        if rank and _near(proj_norm, threshold):
+            return rows, False
+        trigger = bool(rank) and proj_norm >= threshold
+        shared = (grad_norm, mu, proj_norm, rank)
+        rows.append((it, "cubic", f_z) + shared + (step_norm,))
+
+        if trigger:
+            basis = vecs_z[:, n - rank:]
+            for _ in range(MAX_SAMPLER_DRAWS):
+                u = basis @ rng.standard_normal(rank)
+                u /= np.linalg.norm(u)
+                t = triple_loop_trilinear(third_z, u, u, u)
+                if _near(abs(t), proj_norm / q):
+                    return rows, False
+                if abs(t) >= proj_norm / q:
+                    break
+            else:
+                raise AssertionError("the reference sampler ran out of draws")
+            x = z - proj_norm / (lip3 * q) * (u if t > 0 else -u)
+            f_x, grad, hess, _ = _reference_derivatives(poly, x, 2)
+            rows.append((it, "third", f_x) + shared + (float(np.linalg.norm(x - z)),))
+            quiet = 0
+        else:
+            x, f_x, grad, hess = z, f_z, grad_z, hess_z
+            quiet += 1
+
+        if quiet >= QUIET_WINDOW and _near(mu, config.tol_mu):
+            return rows, False
+        if mu <= config.tol_mu and quiet >= QUIET_WINDOW:
+            rows.append((it, "terminal", f_x) + shared + (0.0,))
+            reason = "terminal"
+            break
+    rows.append(("end", reason, f_x, x))
+    return rows, True
+
+
 def projected(entries, basis):
     """T(P, P, P) for the orthogonal projector P = V V' onto the span of the
     orthonormal columns V of ``basis``, by one einsum over the n x n projector."""
@@ -318,7 +459,8 @@ def tensordot_transform(entries, matrix):
 
 
 def eig_sym_by_value(matrix):
-    """``eig_sym`` with its exact-symmetry test on values alone, ``np.array_equal``.
+    """``eig_sym`` with its exact-symmetry test on values alone, ``np.array_equal``
+    with a NaN equal to a NaN.
 
     Input that is not exactly symmetric is checked against ``_SYM_TOL``
     and averaged, as in ``eig_sym``.
@@ -326,10 +468,11 @@ def eig_sym_by_value(matrix):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.T, equal_nan=True):
         asym = np.linalg.norm(m - m.T)
-        if asym > _SYM_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+        if not asym <= _SYM_TOL * max(1.0, np.linalg.norm(m)):
+            raise ValueError(f"matrix is not symmetric or has non-finite entries "
+                             f"(asymmetry {asym:.3e})")
         m = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(m)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
@@ -354,11 +497,20 @@ def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
     component (or for ||g|| against the largest shift), this root is a
     lower bound for the secular root; against the smallest shift it is an
     upper bound.  Written in the cancellation-free form of the quadratic
-    formula.
+    formula, with the gap squared as gap * gap.
     """
-    disc = (base - half_reg * r_floor) ** 2 + 4.0 * half_reg * g_abs
+    gap = base - half_reg * r_floor
+    disc = gap * gap + 4.0 * half_reg * g_abs
     t = 2.0 * (g_abs - base * r_floor) / (base + half_reg * r_floor + np.sqrt(disc))
     return np.maximum(t, 0.0)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of an array of non-negative floats, inf where it overflows."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
 
 
 def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
@@ -366,18 +518,28 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
 
     ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
     with ``g_sq > 0``, whose ``base`` (shifted eigenvalue at the floor)
-    is non-negative.  Newton's method runs on the concave increasing
-    phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
-    iterates stay below the root.  A Newton step that leaves the bracket,
-    or is no shorter than the one before it, is replaced by bisection.
-    Returns the offset and the number of psi evaluations.
+    is non-negative.  Where M = max(max(base), sqrt(half_reg ||g||)) lies
+    outside [2^-256, 2^256), g, the bases and half_reg are first scaled by
+    the power of two that puts M in [0.5, 1), which leaves psi as it is.
+    Newton's method runs on the concave increasing phi(t) = 1/psi(t) -
+    1/(r_floor + t) from a lower bound, so its iterates stay below the
+    root.  A Newton step that leaves the bracket, or is no shorter than
+    the one before it, is replaced by bisection.  Sums are ``math.fsum``
+    and squares ``x * x``.  Returns the offset and the number of psi
+    evaluations.
     """
     active = g_sq > 0.0
     if not active.any():
         return 0.0, 0
     g_sq, base = g_sq[active], base[active]
+    g_norm = math.sqrt(_fsum(g_sq))
+    m = max(float(base.max()), math.sqrt(half_reg) * math.sqrt(g_norm))
+    if not 2.0**-256 <= m < 2.0**256:
+        scale = math.ldexp(1.0, -math.frexp(m)[1])
+        g_sq, base = g_sq * scale * scale, base * scale
+        g_norm *= scale
+        half_reg *= scale
     g_abs = np.sqrt(g_sq)
-    g_norm = math.sqrt(float(g_sq.sum()))
     lo = max(
         float(_offset_lower_root(g_abs, base, half_reg, r_floor).max()),
         float(_offset_lower_root(g_norm, base.max(), half_reg, r_floor)),
@@ -386,8 +548,8 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
     t, last_step = lo, math.inf
     for evals in range(1, _SECULAR_MAX_EVALS + 1):
         d = base + half_reg * t
-        w = g_sq / d**2
-        psi = math.sqrt(float(w.sum()))
+        w = g_sq / (d * d)
+        psi = math.sqrt(_fsum(w))
         r = r_floor + t
         phi = 1.0 / psi - 1.0 / r
         if abs(phi) * psi <= _SECULAR_RTOL:
@@ -396,7 +558,7 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
             lo = t
         else:
             hi = t
-        dphi = half_reg * float((w / d).sum()) / psi**3 + 1.0 / r**2
+        dphi = half_reg * _fsum(w / d) / psi**3 + 1.0 / (r * r)
         t_next = t - phi / dphi
         step = abs(t_next - t)
         if lo < t_next < hi and step < last_step:

@@ -189,19 +189,36 @@ class TestCheck:
         assert main(["check", "--problem", "monkey_saddle", "--point", "1"]) == 1
 
     def test_non_finite_derivatives_exit_one(self, tmp_path, capsys):
-        # The derivatives at 1 are all NaN, which every condition's comparison
-        # would pass, and a NaN is not JSON.  Building the table overflows
-        # 3 * 1e308 with a RuntimeWarning, which -W error would raise before
-        # the checker sees the NaNs.
+        # The gradient of 1e308 x0 x1 at (4, 4) overflows to inf, which no
+        # condition's comparison should see, and an inf is not JSON.
         problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({"dim": 1, "terms": [
-            {"coeff": 1e308, "exponents": [3]}, {"coeff": -5e307, "exponents": [4]}]}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["check", "--problem", str(problem), "--point", "1"])
+        problem.write_text(json.dumps({"dim": 2, "terms": [
+            {"coeff": 1e308, "exponents": [1, 1]}]}))
+        with np.errstate(over="ignore"):
+            code = main(["check", "--problem", str(problem), "--point", "4,4"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gradient, hessian or third derivative has non-finite entries\n"
+
+    @pytest.mark.parametrize("terms, point, message", [
+        ([(1e308, [3]), (-5e307, [4])], "1",
+         "order-1 derivative of the term 1e+308*x0^3 overflows: the coefficient times 3"),
+        ([(1e200, [1, 0]), (1e200, [0, 1])], "0,0", "gradient norm overflows"),
+        ([(1e200, [3])], "0", "third residual overflows"),
+    ], ids=["derivative-table", "gradient-norm", "third-residual"])
+    def test_overflow_exits_one_naming_it(self, tmp_path, capsys, terms, point, message):
+        # named before numpy's overflow warning, which -W error would raise
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"dim": len(terms[0][1]), "terms": [
+            {"coeff": c, "exponents": e} for c, e in terms]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--problem", str(problem), "--point", point])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("option", ["--tol-eig", "--tol-third"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,12 +141,29 @@ def test_non_finite_derivatives_are_refused(part, bad):
 
 
 def test_overflowing_polynomial_derivatives_are_refused():
-    # 3 * 1e308 overflows as the derivative table is built, and every
-    # derivative at x = 1 is then inf - inf = NaN
+    # 3 * 1e308 overflows as the derivative table is built, which names it
+    # before numpy's overflow warning
     poly = Polynomial(1, [(1e308, (3,)), (-5e307, (4,))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite entries"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^order-1 derivative of the term 1e\+308\*x0\^3 "
+                                             "overflows: the coefficient times 3$"):
             check_third_order(poly, np.ones(1))
+
+
+@pytest.mark.parametrize("poly, point, name", [
+    (Polynomial(2, [(1e200, (1, 0)), (1e200, (0, 1))]), np.zeros(2), "gradient norm"),
+    (Polynomial(2, [(1.7e308, (1, 0)), (1.7e308, (0, 1))]), np.zeros(2), "gradient norm"),
+    (Polynomial(1, [(1e200, (3,))]), np.zeros(1), "third residual"),
+    (Polynomial(2, [(1e200, (2, 1)), (1e200, (0, 3))]), np.zeros(2), "third residual"),
+], ids=["gradient-1e200", "gradient-1.7e308", "third-1-d", "third-2-d"])
+def test_overflowing_norms_are_named(poly, point, name):
+    # Every entry is finite, but the norm is inf, which the conditions
+    # would compare as a number and strict JSON refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} overflows$"):
+            check_third_order(poly, point)
 
 
 @st.composite

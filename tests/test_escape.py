@@ -57,6 +57,7 @@ from oracles import (
     projected,
     quartic_1d_fn,
     rank_one,
+    reference_minimize,
     regularized_step,
 )
 
@@ -801,3 +802,72 @@ def test_entry_point_rejects_non_finite_constant(entry, bad):
     parameter = entry.split("/")[1]
     with pytest.raises(ValueError, match=parameter):
         CONSTANT_ENTRY_POINTS[entry](bad)
+
+
+@st.composite
+def confined_cubics(draw):
+    """(poly, x0, config): a seeded cubic plus ||x||^4 at n <= 4, as in the benchmark.
+
+    The cubic has up to 2n distinct random monomials with unit-normal
+    coefficients.  The run starts at the degenerate origin or at a
+    uniform point of the unit ball, with the smoothness bounds on the
+    ball of radius max(2, ||D^3 f(0)||_F / 3), a drawn budget, seed and
+    tol_mu.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 5))
+    exps = sorted({tuple(np.bincount(rng.integers(0, n, size=3), minlength=n).tolist())
+                   for _ in range(2 * n)})
+    cubic = Polynomial(n, [(float(rng.standard_normal()), e) for e in exps])
+    r2 = Polynomial(n, [(1.0, tuple(2 * (j == i) for j in range(n))) for i in range(n)])
+    poly = cubic + r2 * r2
+    x0 = np.zeros(n)
+    if draw(st.booleans()):
+        x0 = rng.standard_normal(n)
+        x0 *= rng.random() ** (1.0 / n) / np.linalg.norm(x0)
+    radius = max(2.0, poly.bundle(np.zeros(n), 3).third.frobenius_norm() / 3.0)
+    b = smoothness_bounds(poly, radius)
+    config = OptimizerConfig(b.hess_lipschitz, b.third_lipschitz,
+                             max_iters=draw(st.integers(1, 12)), seed=draw(st.integers(0, 99)),
+                             tol_mu=10.0 ** draw(st.integers(-8, -3)))
+    return poly, x0, config
+
+
+def assert_columns_close(got, expected, rtol=1e-9):
+    """Each column within ``rtol`` of its largest magnitude in either run.
+
+    A norm that converges to zero carries the absolute rounding of the
+    point it is taken at, so its own size is no scale for it.
+    """
+    got, expected = np.array(got, dtype=float), np.array(expected, dtype=float)
+    scale = np.maximum(np.abs(got), np.abs(expected)).max(axis=0, initial=0.0)
+    assert (np.abs(got - expected) <= rtol * scale).all(), (got, expected)
+
+
+class TestReferenceLoop:
+    """``minimize`` against ``reference_minimize``, the loop rebuilt from the oracles."""
+
+    def test_matches_reference(self):
+        full = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(confined_cubics())
+        def check(case):
+            poly, x0, config = case
+            trace = minimize(poly, x0, config)
+            expected, complete = reference_minimize(poly, x0, config)
+            if complete:
+                *expected, (_, reason, final_value, final_point) = expected
+                assert len(trace.records) == len(expected) and trace.reason == reason
+                assert_columns_close([trace.final_value], [final_value])
+                # the point as one column, at the scale of its largest entry
+                assert_columns_close(trace.final_point[:, None], final_point[:, None])
+            got = [(r.iteration, r.phase, r.value, r.grad_norm, r.stationarity, r.proj_norm,
+                    r.subspace_dim, r.step_norm) for r in trace.records[:len(expected)]]
+            assert [r[:2] + r[6:7] for r in got] == [r[:2] + r[6:7] for r in expected]
+            assert_columns_close([r[2:6] + r[7:] for r in got], [r[2:6] + r[7:] for r in expected])
+            full.append(complete)
+
+        check()
+        print(f"reference loop: {sum(full)} of {len(full)} examples compared in full")
+        assert sum(full) >= 0.8 * len(full), f"only {sum(full)} of {len(full)} compared in full"

@@ -425,6 +425,23 @@ class TestOverflowingPowers:
             assert smoothness_bounds(corpus("monkey_saddle"), kind(1e100)).hess_lipschitz > 0
 
 
+class TestDerivativeTableOverflow:
+    def test_overflowing_multiplier_names_its_term_and_order(self):
+        # 360 * 1e306 overflows in the order-4 table only, which smoothness
+        # bounds alone reads; orders 0-3 keep their finite multipliers
+        poly = Polynomial(2, [(1e306, (0, 6)), (1.0, (1, 0))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert poly.bundle(np.ones(2), 3).value == 1e306 + 1.0
+            with pytest.raises(ValueError, match=r"^order-4 derivative of the term 1e\+306\*x1\^6 "
+                                                 "overflows: the coefficient times 360$"):
+                smoothness_bounds(poly, 1.0)
+            with pytest.raises(ValueError, match=r"^order-1 derivative of the term "
+                                                 r"-1\.5e\+308\*x0\^2\*x1 overflows: "
+                                                 "the coefficient times 2$"):
+                Polynomial(2, [(-1.5e308, (2, 1))]).value(np.zeros(2))
+
+
 class TestDerivativeBundleSymmetry:
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_asymmetry_above_the_relative_tolerance_is_rejected(self, scale):
@@ -439,6 +456,16 @@ class TestDerivativeBundleSymmetry:
             else:
                 with pytest.raises(ValueError, match="hessian is not symmetric"):
                     build()
+
+    def test_nan_asymmetry_is_rejected(self):
+        # a NaN facing a number has asymmetry NaN, which fails the tolerance
+        hess = np.array([[1.0, math.nan], [2.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match=r"^hessian is not symmetric or has non-finite entries \(asymmetry nan\)$"):
+            DerivativeBundle(0.0, np.zeros(2), hess, SymTensor3.zeros(2))
+        # a NaN facing a NaN is symmetric, and left to the finiteness checks
+        hess[1, 0] = math.nan
+        assert DerivativeBundle(0.0, np.zeros(2), hess, SymTensor3.zeros(2)).hess is hess
 
     def test_oracle_bundles_take_the_checked_constructor(self, monkeypatch):
         # The hess callback's own matrix is checked, and averaged only once it
