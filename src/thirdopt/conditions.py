@@ -144,12 +144,13 @@ def check_third_order(
     decomp = eig_sym(b.hess)
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
-    # finite entries can still overflow a norm, which no comparison should see
-    with np.errstate(over="ignore"):
+    # finite entries can still overflow a norm to inf, or to NaN where partial
+    # sums of both signs overflow, which no comparison should see
+    with np.errstate(over="ignore", invalid="ignore"):
         grad_norm = _norm(b.grad)
         third_residual = b.third.transform(kernel.basis).frobenius_norm()
     for name, norm in (("gradient norm", grad_norm), ("third residual", third_residual)):
-        if norm == math.inf:
+        if not norm < math.inf:
             raise ValueError(f"{name} overflows")
 
     if grad_norm > tols.grad:

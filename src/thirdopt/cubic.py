@@ -31,33 +31,19 @@ tops the step up to the required radius.  The stationarity and
 eigenvalue certificate above makes every returned solution checkable
 independently of the method.
 
-The step is assembled in Python floats, at a fraction of numpy's
-per-call overhead on vectors of a few entries, and gives the floats
-numpy gives on arrays.  The spectrum and the rotated gradient g_hat
-arrive as one ``tolist`` each; the gaps, the bottom block (a suffix of
-the descending spectrum), the squared components, the hard-case
-quotients and the rotated step -g_hat / (base + (reg/2) t) are
-elementwise IEEE operations, the same in Python as in numpy, with
-``_divide`` for zero divisors.  The products with the
-eigenvector matrix, the model value's dot products and the norms are
-``spectral``'s reductions.
-
-The secular solve runs in Python floats by IEEE rules: each sum of
-non-negative terms is ``math.fsum``, correctly rounded, every square is
-``x * x``, and a zero divisor gives inf or NaN (``_divide``).
+The step and its radius are computed in Python floats, at a fraction
+of numpy's per-call overhead on vectors of a few entries, by IEEE rules:
+elementwise operations as numpy's, ``_divide`` for zero divisors,
+``math.fsum`` for each sum of non-negative terms and ``x * x`` for each
+square.  The products with the eigenvector matrix, the model value's
+dot products and the norms are ``spectral``'s reductions.  A secular
+problem far from unit scale is solved in a power-of-two unit of radius.
 
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
-second-order stationary points.  Both take the Hessian's EigenDecomp.
-
-``_model_inputs`` owns the checks on a local model's inputs (a positive
-finite ``reg``, a gradient of the Hessian's dimension, a finite gradient
-and spectrum, a gradient norm that does not overflow) and returns them
-as a ``_LocalModel`` with the gradient's norm.  The public functions
-build one per call.  ``minimize`` builds one per point from the point's
-bundle and its one ``eig_sym``, so each iterate is checked, normed and
-decomposed once, and both the step from that point and its stationarity
-read the same model.
+second-order stationary points.  Both take the Hessian's EigenDecomp,
+and check their inputs once, into a ``_LocalModel``, which ``minimize``
+builds once per point for the step and the stationarity there.
 """
 
 from __future__ import annotations
@@ -125,9 +111,17 @@ def _lower_root(g_abs: float, base: float, half_reg: float, r_floor: float):
     component (or for ||g|| against the largest shift), this root is a
     lower bound for the secular root; against the smallest shift it is an
     upper bound.  Written in the cancellation-free form of the quadratic
-    formula, and clamped at zero; a NaN stays NaN.
+    formula, and clamped at zero; a NaN stays NaN.  The root is unchanged
+    when g_abs, base and half_reg are scaled by one factor, so where M =
+    max(base, half_reg r_floor, sqrt(half_reg g_abs)) is far from 1 they
+    are scaled by the power of two that puts M in [0.5, 1).
     """
     shift = half_reg * r_floor
+    if not (2.0**-128 <= half_reg * g_abs < 2.0**128 and base < 2.0**128 and shift < 2.0**128):
+        m = max(base, shift, math.sqrt(half_reg) * math.sqrt(g_abs))
+        if 0.0 < m < math.inf:
+            c = math.ldexp(1.0, min(-math.frexp(m)[1], 1000))
+            g_abs, base, half_reg, shift = g_abs * c, base * c, half_reg * c, shift * c
     gap = base - shift
     num = 2.0 * (g_abs - base * r_floor)
     den = base + shift + math.sqrt(gap * gap + 4.0 * half_reg * g_abs)
@@ -135,46 +129,61 @@ def _lower_root(g_abs: float, base: float, half_reg: float, r_floor: float):
     return 0.0 if t <= 0.0 else t
 
 
+def _secular_bracket(terms: list, half_reg: float, r_floor: float) -> tuple:
+    """The secular problem of ``terms``, bracketed and in floating-point range.
+
+    ``terms`` are the (g_sq, base) pairs with g_sq > 0.  Returns ``(terms,
+    half_reg, r_floor, lo, hi, unit)``: the problem with radii measured in
+    ``unit``, a power of two, and a bracket [lo, hi] of its offset t.  The
+    bracket is ``_lower_root`` on each component and on ||g|| against the
+    largest and the smallest base.  The component that sets lo has g_i /
+    (base_i + half_reg lo) = r_floor + lo = r_lo and leads psi near the
+    root.  Where r_lo, its shift g_i / r_lo or lo is far from 1, the unit
+    is the power of two that brings r_lo near sqrt(g_i) (lo / r_lo)^(-1/4),
+    and so both the shift's square and lo r_lo near g_i sqrt(lo / r_lo).
+    The bases scale by the unit, half_reg by its square, r_floor and the
+    bracket by its inverse, and g not at all; a power of two scales
+    exactly away from underflow and overflow.
+    """
+    gs, bases = zip(*terms)
+    g_norm = math.sqrt(_sum(gs))
+    lo, g_lo = 0.0, g_norm
+    for g, b in terms:
+        t = _lower_root(math.sqrt(g), b, half_reg, r_floor)
+        if t > lo or t != t:  # a NaN root stays, as IEEE 754 maximum keeps it
+            lo, g_lo = t, math.sqrt(g)
+    t = _lower_root(g_norm, max(bases), half_reg, r_floor)
+    if t > lo:
+        lo, g_lo = t, g_norm
+    hi = max(lo, _lower_root(g_norm, min(bases), half_reg, r_floor))
+    r_lo = r_floor + lo
+    if not 0.0 < r_lo < math.inf or (2.0**-128 <= r_lo < 2.0**128 and not 0.0 < lo < 2.0**-256
+                                     and 2.0**-128 <= g_lo / r_lo < 2.0**128):
+        return terms, half_reg, r_floor, lo, hi, 1.0
+    e_r = math.frexp(r_lo)[1]
+    e_g = math.frexp(g_lo)[1] // 2 - ((math.frexp(lo)[1] - e_r) // 4 if lo > 0.0 else 0)
+    unit = math.ldexp(1.0, max(-1000, min(1000, e_r - max(-300, min(300, e_g)))))
+    return ([(g, b * unit) for g, b in terms], half_reg * unit * unit,
+            r_floor / unit, lo / unit, hi / unit, unit)
+
+
 def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
     """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
 
     ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
     with ``g_sq > 0``, whose ``base`` (shifted eigenvalue at the floor)
-    is non-negative.  Newton's method runs on the concave increasing
-    phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower bound, so its
-    iterates stay below the root.  A Newton step that leaves the bracket,
-    or is no shorter than the one before it, is replaced by bisection.
-    Returns the offset and the number of psi evaluations.  ``g_sq`` and
-    ``base`` are lists of Python floats, ``half_reg`` and ``r_floor``
-    Python floats.
-
-    psi is unchanged when g, the bases and half_reg are scaled by one
-    factor.  Where M = max(max(base), sqrt(half_reg ||g||)) lies outside
-    [2^-256, 2^256), they are scaled by the power of two that puts M in
-    [0.5, 1), which away from underflow leaves every float of the solve,
-    and so t, as it was.  At the root r_floor + t = psi(t) <= ||g|| /
-    (half_reg t), so each shift base + half_reg t is below 2M there, and
-    none squares to inf.
+    is non-negative; all are Python floats.  Newton's method runs on the
+    concave increasing phi(t) = 1/psi(t) - 1/(r_floor + t) from a lower
+    bound, in ``_secular_bracket``'s unit, so its iterates stay below the
+    root; a step that leaves the bracket, or is no shorter than the one
+    before it, is replaced by bisection.  Returns t and the psi evaluations.
     """
     terms = [(g, b) for g, b in zip(g_sq, base) if g > 0.0]
     if not terms:
         return 0.0, 0
-    gs, bases = zip(*terms)
-    g_norm = math.sqrt(_sum(gs))
-    m = max(max(bases), math.sqrt(half_reg) * math.sqrt(g_norm))
-    if not 2.0**-256 <= m < 2.0**256:
-        c = math.ldexp(1.0, -math.frexp(m)[1])
-        terms = [(g * c * c, b * c) for g, b in terms]
-        bases = [b * c for b in bases]
-        g_norm *= c
-        half_reg *= c
-    lo = 0.0
-    for g, b in terms:
-        t = _lower_root(math.sqrt(g), b, half_reg, r_floor)
-        if t > lo or t != t:  # a NaN root stays, as IEEE 754 maximum keeps it
-            lo = t
-    lo = max(lo, _lower_root(g_norm, max(bases), half_reg, r_floor))
-    hi = max(lo, _lower_root(g_norm, min(bases), half_reg, r_floor))
+    terms, half_reg, r_floor, lo, hi, unit = _secular_bracket(terms, half_reg, r_floor)
+    if hi == 0.0:
+        return 0.0, 1  # the bracket closes at the floor, where psi may not be a normal float
     t, last_step = lo, math.inf
     for evals in range(1, _SECULAR_MAX_EVALS + 1):
         shift_t = half_reg * t
@@ -208,7 +217,7 @@ def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
         if t_next == t:
             break
         t = t_next
-    return t, evals
+    return t * unit, evals
 
 
 class _LocalModel(NamedTuple):

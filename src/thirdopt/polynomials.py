@@ -72,6 +72,19 @@ def _all_finite(v: np.ndarray) -> bool:
     return all(map(math.isfinite, v.tolist()))
 
 
+def _monomial(exps) -> str:
+    """``x0^2*x1`` for the exponents (2, 1); empty for all zeros."""
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
+
+
+def _readable(rows: tuple) -> list:
+    """Derivative rows without their trailing overflow message, which raises ValueError."""
+    *rows, overflow = rows
+    if overflow:
+        raise ValueError(overflow)
+    return rows
+
+
 def check_order(order: int) -> None:
     """Reject a derivative order outside 0..3."""
     if order not in (0, 1, 2, 3):
@@ -232,9 +245,7 @@ class Polynomial:
             return "Polynomial(0)"
         bits = []
         for exps, coeff in self._terms:
-            mono = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e > 0
-            )
+            mono = _monomial(exps)
             bits.append(f"{coeff:g}" + (f"*{mono}" if mono else ""))
         return "Polynomial(" + " + ".join(bits) + ")"
 
@@ -295,8 +306,9 @@ class Polynomial:
 
         ``residual`` has one power-table index per support axis, in axis
         order, padded with index 0 (``x[0] ** 0 = 1``).  A multiplier that
-        overflows, a coefficient times its falling factorial, raises
-        ValueError naming the term and the order.
+        overflows, a coefficient times its falling factorial, is inf; the
+        fourth element then names the first such term and the order, and
+        is None otherwise.
         """
         # each term's (axis, exponent) over its support, padded with (0, 0)
         support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
@@ -314,45 +326,48 @@ class Polynomial:
         offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
         with np.errstate(over="ignore"):
             mult = np.array([c for _, c in self._terms])[term] * factor
+        overflow = None
         if not _all_finite(mult):
             row = next(r for r, m in enumerate(mult.tolist()) if not math.isfinite(m))
             exps, coeff = self._terms[term[row]]
-            mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e)
-            raise ValueError(f"order-{order} derivative of the term {coeff!r}*{mono} overflows: "
-                             f"the coefficient times {int(factor[row])}")
-        return pos, (offsets[axes[term]] + left).T.astype(np.intp, order="C"), mult
+            overflow = (f"order-{order} derivative of the term {coeff!r}*{_monomial(exps)} "
+                        f"overflows: the coefficient times {int(factor[row])}")
+        return pos, (offsets[axes[term]] + left).T.astype(np.intp, order="C"), mult, overflow
 
     def _prefixes(self) -> tuple:
         """The fused order 0..3 table, as its prefix through each order.
 
-        Entry k is (positions, residual, multipliers, size): the rows of
-        orders 0..k, positions offset into the flat (f, grad, hess, third)
-        vector, and that vector's length through order k.
+        Entry k is (positions, residual, multipliers, size, overflow): the
+        rows of orders 0..k, positions offset into the flat (f, grad,
+        hess, third) vector, that vector's length through order k, and
+        the first of those orders' ``_rows`` overflow messages, or None.
         """
         if self._fused is None:
             n = self._dim
             sizes = np.cumsum([n**k for k in range(4)]).tolist()
             parts = [self._rows(k) for k in range(4)]
-            pos = np.concatenate([p + start for (p, _, _), start in zip(parts, [0] + sizes)])
-            residual = np.concatenate([r for _, r, _ in parts], axis=1)
-            mult = np.concatenate([m for _, _, m in parts])
-            ends = np.cumsum([len(m) for _, _, m in parts]).tolist()
-            self._fused = tuple((pos[:e], residual[:, :e], mult[:e], size)
-                                for e, size in zip(ends, sizes))
+            pos = np.concatenate([p[0] + start for p, start in zip(parts, [0] + sizes)])
+            residual = np.concatenate([p[1] for p in parts], axis=1)
+            mult = np.concatenate([p[2] for p in parts])
+            ends = np.cumsum([len(p[2]) for p in parts]).tolist()
+            overflows = [next(filter(None, [p[3] for p in parts[:k + 1]]), None) for k in range(4)]
+            self._fused = tuple((pos[:e], residual[:, :e], mult[:e], size, overflow)
+                                for e, size, overflow in zip(ends, sizes, overflows))
         return self._fused
 
     def _table(self, order: int) -> tuple:
         """Rows of one order: position in the n**order tensor, residual, multiplier.
 
         Orders 0..3 are slices of the fused table; order 4, which serves
-        only :func:`smoothness_bounds`, is built on first use.
+        only :func:`smoothness_bounds`, is built on first use.  An order
+        with an overflowing multiplier, or above one, raises ValueError.
         """
         if order == 4:
             if self._order4 is None:
                 self._order4 = self._rows(4)
-            return self._order4
+            return tuple(_readable(self._order4))
         prefixes = self._prefixes()
-        pos, residual, mult, size = prefixes[order]
+        pos, residual, mult, size = _readable(prefixes[order])
         start = len(prefixes[order - 1][2]) if order else 0
         return pos[start:] - (size - self._dim**order), residual[:, start:], mult[start:]
 
@@ -382,8 +397,11 @@ class Polynomial:
             raise ValueError(f"power x{i}**{e} overflows at |x{i}| = {float(big[i])!r}") from None
 
     def _at_point(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Orders 0..``order`` at one point, flat: f, grad, hess and third in turn."""
-        pos, residual, mult, size = self._prefixes()[order]
+        """Orders 0..``order`` at one point, flat: f, grad, hess and third in turn.
+
+        Raises ValueError if one of those orders has an overflowing multiplier.
+        """
+        pos, residual, mult, size = _readable(self._prefixes()[order])
         terms = mult * np.multiply.reduce(self._powers(x)[residual], axis=0)
         return np.bincount(pos, terms, minlength=size)
 

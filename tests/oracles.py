@@ -7,14 +7,16 @@ from brute-force grids, and roots from closed forms.  The exceptions are
 and the references that pin the floats of a fast path to the plainer code
 it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
 ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
-``_secular_offset_arrays`` solves the secular equation in numpy arrays
-with the library's ``math.fsum`` sums and power-of-two scaling,
+``_secular_offset_arrays`` runs the secular iteration in numpy arrays
+from the library's bracket and unit of radius,
 ``solve_model_arrays`` assembles the cubic step around it in numpy arrays,
 ``eig_sym_by_value`` tests symmetry with ``np.array_equal`` alone,
 ``full_escape_search`` walks every suffix without the spectral screen,
 and ``subproblem_grid_min`` evaluates the subproblem suite's model at
 every grid point.  ``reference_minimize`` rebuilds the optimizer loop
 from the oracles above, with the library's constants and RNG stream.
+``cubic_model_radius`` bisects on a norm taken at a power-of-two scale,
+so it checks the solver's radius independently at any scale.
 """
 
 import functools
@@ -27,7 +29,8 @@ import sympy as sp
 
 from thirdopt import Subspace, SymTensor3, eig_sym, solve_cubic_model
 from thirdopt.escape import MAX_SAMPLER_DRAWS, PROJ_NORM_FLOOR, QUIET_WINDOW, EscapeSubspace
-from thirdopt.cubic import _HARD_CASE_REL, _SECULAR_MAX_EVALS, _SECULAR_RTOL, CubicSolution
+from thirdopt.cubic import (_HARD_CASE_REL, _SECULAR_MAX_EVALS, _SECULAR_RTOL, CubicSolution,
+                            _secular_bracket, _sum)
 from thirdopt.spectral import _SYM_TOL, EigenDecomp, _norm
 
 
@@ -223,7 +226,9 @@ def cubic_model_radius(eigenvalues, g_hat, reg):
             y = np.where(g_hat == 0.0, 0.0, g_hat / d)
         if np.any((d <= 0.0) & (g_hat != 0.0)):
             return math.inf
-        return float(np.linalg.norm(y)) - r
+        # the norm of y scaled by a power of two, so that no square under- or overflows
+        scale = math.ldexp(1.0, min(1000, -math.frexp(float(np.abs(y).max()))[1]))
+        return float(np.linalg.norm(y * scale)) / scale - r
 
     if excess(r_floor) <= 0.0:
         return r_floor
@@ -417,7 +422,7 @@ def per_order_bundle(poly, x, order):
         if k > order:
             flat.append(np.zeros(n**k))
             continue
-        pos, residual, mult = poly._rows(k)
+        pos, residual, mult, _ = poly._rows(k)
         terms = mult * np.multiply.reduce(powers[residual], axis=0)
         flat.append(np.bincount(pos, terms, minlength=n**k))
     return flat[0][0], flat[1], flat[2].reshape(n, n), flat[3].reshape(n, n, n)
@@ -490,66 +495,29 @@ def symmetrized_eigh(matrix):
     return values[::-1], vectors[:, ::-1]
 
 
-def _offset_lower_root(g_abs, base, half_reg: float, r_floor: float):
-    """Non-negative root t of (base + half_reg t)(r_floor + t) = g_abs.
-
-    Since psi(t) >= g_abs / (base + half_reg t) for any single gradient
-    component (or for ||g|| against the largest shift), this root is a
-    lower bound for the secular root; against the smallest shift it is an
-    upper bound.  Written in the cancellation-free form of the quadratic
-    formula, with the gap squared as gap * gap.
-    """
-    gap = base - half_reg * r_floor
-    disc = gap * gap + 4.0 * half_reg * g_abs
-    t = 2.0 * (g_abs - base * r_floor) / (base + half_reg * r_floor + np.sqrt(disc))
-    return np.maximum(t, 0.0)
-
-
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of an array of non-negative floats, inf where it overflows."""
-    try:
-        return math.fsum(values.tolist())
-    except OverflowError:
-        return math.inf
-
-
 def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, r_floor: float):
     """Solve psi(t) = r_floor + t for the offset t >= 0 above the floor radius.
 
-    ``psi(t)^2 = sum g_sq / (base + half_reg t)^2`` over the components
-    with ``g_sq > 0``, whose ``base`` (shifted eigenvalue at the floor)
-    is non-negative.  Where M = max(max(base), sqrt(half_reg ||g||)) lies
-    outside [2^-256, 2^256), g, the bases and half_reg are first scaled by
-    the power of two that puts M in [0.5, 1), which leaves psi as it is.
-    Newton's method runs on the concave increasing phi(t) = 1/psi(t) -
-    1/(r_floor + t) from a lower bound, so its iterates stay below the
-    root.  A Newton step that leaves the bracket, or is no shorter than
-    the one before it, is replaced by bisection.  Sums are ``math.fsum``
-    and squares ``x * x``.  Returns the offset and the number of psi
+    The Newton and bisection iteration of ``cubic._secular_offset`` in
+    numpy arrays, on the components with ``g_sq > 0``: ``psi(t)^2 = sum
+    g_sq / (base + half_reg t)^2``, sums by ``cubic._sum``, squares
+    ``x * x``.  The bracket and the unit of radius are the library's
+    ``_secular_bracket``.  Returns the offset and the number of psi
     evaluations.
     """
     active = g_sq > 0.0
     if not active.any():
         return 0.0, 0
-    g_sq, base = g_sq[active], base[active]
-    g_norm = math.sqrt(_fsum(g_sq))
-    m = max(float(base.max()), math.sqrt(half_reg) * math.sqrt(g_norm))
-    if not 2.0**-256 <= m < 2.0**256:
-        scale = math.ldexp(1.0, -math.frexp(m)[1])
-        g_sq, base = g_sq * scale * scale, base * scale
-        g_norm *= scale
-        half_reg *= scale
-    g_abs = np.sqrt(g_sq)
-    lo = max(
-        float(_offset_lower_root(g_abs, base, half_reg, r_floor).max()),
-        float(_offset_lower_root(g_norm, base.max(), half_reg, r_floor)),
-    )
-    hi = max(lo, float(_offset_lower_root(g_norm, base.min(), half_reg, r_floor)))
+    terms, half_reg, r_floor, lo, hi, unit = _secular_bracket(
+        list(zip(g_sq[active].tolist(), base[active].tolist())), half_reg, r_floor)
+    if hi == 0.0:
+        return 0.0, 1
+    g_sq, base = np.array(terms).T
     t, last_step = lo, math.inf
     for evals in range(1, _SECULAR_MAX_EVALS + 1):
         d = base + half_reg * t
         w = g_sq / (d * d)
-        psi = math.sqrt(_fsum(w))
+        psi = math.sqrt(_sum(w.tolist()))
         r = r_floor + t
         phi = 1.0 / psi - 1.0 / r
         if abs(phi) * psi <= _SECULAR_RTOL:
@@ -558,21 +526,18 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
             lo = t
         else:
             hi = t
-        dphi = half_reg * _fsum(w / d) / psi**3 + 1.0 / (r * r)
+        dphi = half_reg * _sum((w / d).tolist()) / psi**3 + 1.0 / (r * r)
         t_next = t - phi / dphi
         step = abs(t_next - t)
         if lo < t_next < hi and step < last_step:
             last_step = step
         else:
-            # Newton left the bracket or stopped shrinking its steps, as it
-            # does while it crawls out of a pole of psi at the floor; the
-            # geometric midpoint halves the bracket's width in log scale.
             t_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
             last_step = math.inf
         if t_next == t:
             break
         t = t_next
-    return t, evals
+    return t * unit, evals
 
 
 def solve_model_arrays(model):

@@ -156,10 +156,16 @@ def test_overflowing_polynomial_derivatives_are_refused():
     (Polynomial(2, [(1.7e308, (1, 0)), (1.7e308, (0, 1))]), np.zeros(2), "gradient norm"),
     (Polynomial(1, [(1e200, (3,))]), np.zeros(1), "third residual"),
     (Polynomial(2, [(1e200, (2, 1)), (1e200, (0, 3))]), np.zeros(2), "third residual"),
-], ids=["gradient-1e200", "gradient-1.7e308", "third-1-d", "third-2-d"])
+    (Polynomial(2, [(0.5, (2, 0)), (-1.0, (1, 1)), (0.5, (0, 2)), (1.7e308 / 6, (3, 0)),
+                    (0.85e308, (2, 1)), (-0.85e308, (1, 2)), (-1.7e308 / 6, (0, 3))]),
+     np.zeros(2), "third residual"),
+], ids=["gradient-1e200", "gradient-1.7e308", "third-1-d", "third-2-d", "third-nan"])
 def test_overflowing_norms_are_named(poly, point, name):
     # Every entry is finite, but the norm is inf, which the conditions
-    # would compare as a number and strict JSON refuses
+    # would compare as a number and strict JSON refuses.  In third-nan the
+    # kernel of the Hessian (x - y)^2 is spanned by (1, 1) / sqrt(2), and
+    # the contraction's partial sums overflow to +inf and -inf, whose sum
+    # is a NaN residual that every comparison would pass
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} overflows$"):

@@ -22,7 +22,8 @@ from thirdopt import (
     stationarity,
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
-from thirdopt.cubic import _SECULAR_RTOL, _model_inputs, _secular_offset, _solve_model, _sum
+from thirdopt.cubic import (_SECULAR_RTOL, _model_inputs, _secular_bracket, _secular_offset,
+                            _solve_model, _sum)
 from thirdopt.polynomials import as_point
 
 from oracles import (
@@ -275,9 +276,11 @@ def secular_inputs(draw):
 
     On top of a ``cubic_models`` draw at n <= 16: a bottom eigenvalue
     repeated up to n times, optionally a spectrum shifted psd
-    (r_floor = 0), exact zeros in g_sq, and one scale s in
-    [1e-300, 1e300] on the eigenvalues, reg and g, which keeps the radius
-    and can overflow or underflow the intermediates.
+    (r_floor = 0), exact zeros in g_sq, one scale s in [1e-300, 1e300] on
+    the eigenvalues, reg and g, which keeps the radius and can overflow or
+    underflow the intermediates, and a second scale on g alone, 1 or in
+    [1e-200, 1e200], which sets the gradient's magnitude apart from the
+    shifts' and moves the radius.
     """
     decomp, g, reg = draw(cubic_models(dims=tuple(range(1, 17))))
     lam = decomp.eigenvalues.copy()
@@ -289,8 +292,9 @@ def secular_inputs(draw):
     zeros = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
     g_hat[zeros] = 0.0
     scale = 10.0 ** draw(st.integers(-300, 300))
+    spread = 10.0 ** draw(st.one_of(st.just(0), st.integers(-200, 200)))
     with np.errstate(all="ignore"):
-        lam, g_hat, half_reg = scale * lam, scale * g_hat, 0.5 * scale * float(reg)
+        lam, g_hat, half_reg = scale * lam, spread * scale * g_hat, 0.5 * scale * float(reg)
         lam_min = float(lam[-1])
         if lam_min < 0.0:
             return g_hat**2, lam - lam_min, half_reg, -lam_min / half_reg
@@ -341,24 +345,27 @@ class TestSecularSolve:
         assert _sum([big, half_ulp]) == math.inf and _sum([big, half_ulp / 2.0]) == big
 
     def test_equals_reference_bit_for_bit(self):
-        reference_warned = []
+        rescaled = []
 
         @settings(max_examples=400, deadline=None, derandomize=True)
         @given(secular_inputs())
         def check(inputs):
-            expected, caught = secular_outcome(_secular_offset_arrays, *inputs)
+            expected, _ = secular_outcome(_secular_offset_arrays, *inputs)
             assert secular_outcome(_secular_offset, *as_lists(*inputs)) == (expected, [])
-            reference_warned.append(bool(caught))
+            g_sq, base, half_reg, r_floor = as_lists(*inputs)
+            terms = [(g, b) for g, b in zip(g_sq, base) if g > 0.0]
+            if terms:
+                with np.errstate(all="ignore"):
+                    rescaled.append(_secular_bracket(terms, half_reg, r_floor)[-1] != 1.0)
 
         check()
-        # numpy warns where an intermediate overflows or divides by zero
-        assert any(reference_warned)
+        # both the problems solved as they are and the rescaled ones are compared
+        assert 50 <= sum(rescaled) <= len(rescaled) - 50
 
     @pytest.mark.parametrize("g_sq, base, half_reg, r_floor, warning", [
-        ([1.0, 5e-324], [1.0, 0.0], 0.5, 2.0, "divide by zero encountered in divide"),
-        ([math.inf, 1.0], [1.0, 0.0], 1.0, 1.0, "invalid value encountered in divide"),
-        ([1e308, 1e308], [1.0, 1.0], 1.0, 0.0, "invalid value encountered in scalar divide"),
-    ], ids=["shift-squares-to-zero", "infinite-square", "squares-sum-to-inf"])
+        ([1e-20], [5e-324], 2.0, 1e200, "divide by zero encountered in divide"),
+        ([1.0, 1.0], [1e200, 0.0], 1.0, 0.0, "overflow encountered in multiply"),
+    ], ids=["shift-squares-to-zero", "shift-squares-to-inf"])
     def test_silent_where_numpy_warns(self, g_sq, base, half_reg, r_floor, warning):
         g_sq, base = np.array(g_sq), np.array(base)
         expected, caught = secular_outcome(_secular_offset_arrays, g_sq, base, half_reg, r_floor)
@@ -391,14 +398,26 @@ class TestSecularSolve:
         check()
         assert sum(compared) >= 250
 
-    def test_huge_eigenvalue_solves(self):
-        # The shift 1e155 squares past the largest float unless scaled
+    @pytest.mark.parametrize("eigenvalues, g, reg", [
+        ([1e155], [1.0], 2.0),
+        ([1e155, 0.0], [1e-6, 1e-6], 2.0),
+        ([1e155, 0.0], [1e-8, 1e-8], 2.0),
+        ([1e155, 0.0], [1e-6, 1e-6], 2e-200),
+        ([1e308, 0.0], [1.0, 1.0], 2.0),
+        ([1.0, -1.0], [1.0, 1.0], 2e150),
+    ], ids=["radius-1e-155", "gradient-1e-6", "gradient-1e-8", "radius-1e97", "shift-1e308",
+            "floor-1e-150"])
+    def test_huge_shift_beside_the_gradient_solves(self, eigenvalues, g, reg):
+        # A shift of 1e155 or more squares past the largest float, and a
+        # radius of 1e-155 to a subnormal, unless radii are rescaled; a
+        # scale that fits the shifts alone underflows the squares of the
+        # small gradient components instead
+        decomp = eig_sym(np.diag(eigenvalues))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = solve_cubic_model(np.array([1.0]), eig_sym(np.diag([1e155])), 2.0)
-        reference = cubic_model_radius(np.array([1e155]), np.array([1.0]), 2.0)
+            sol = solve_cubic_model(np.array(g), decomp, reg)
+        reference = cubic_model_radius(decomp.eigenvalues, decomp.eigenvectors.T @ g, reg)
         assert abs(sol.radius - reference) <= _SECULAR_RTOL * reference
-        assert sol.radius == pytest.approx(1e-155, rel=1e-12)
 
 
 @st.composite

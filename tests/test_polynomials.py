@@ -436,10 +436,16 @@ class TestDerivativeTableOverflow:
             with pytest.raises(ValueError, match=r"^order-4 derivative of the term 1e\+306\*x1\^6 "
                                                  "overflows: the coefficient times 360$"):
                 smoothness_bounds(poly, 1.0)
-            with pytest.raises(ValueError, match=r"^order-1 derivative of the term "
-                                                 r"-1\.5e\+308\*x0\^2\*x1 overflows: "
-                                                 "the coefficient times 2$"):
-                Polynomial(2, [(-1.5e308, (2, 1))]).value(np.zeros(2))
+            # the value reads order 0 alone, whose multipliers are the coefficients
+            big = Polynomial(2, [(-1.5e308, (2, 1))])
+            assert big.value(np.ones(2)) == -1.5e308
+            for read in (lambda: big.bundle(np.zeros(2), 1),
+                         lambda: big.bundle_many(np.zeros((2, 2)), 3),
+                         lambda: smoothness_bounds(big, 1.0)):
+                with pytest.raises(ValueError, match=r"^order-1 derivative of the term "
+                                                     r"-1\.5e\+308\*x0\^2\*x1 overflows: "
+                                                     "the coefficient times 2$"):
+                    read()
 
 
 class TestDerivativeBundleSymmetry:
