@@ -150,17 +150,13 @@ def ball_points(gaussians: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Map rows of Gaussian draws and one uniform draw per row into the unit ball.
 
     Each radius is ``u ** (1 / dim)``: a square root at dim 2, which is
-    correctly rounded where libm ``pow`` is not, else scalar ``pow``.
-    numpy's vectorized power would round by the machine's SIMD level at
-    dim >= 3.
+    correctly rounded where libm ``pow`` is not, else ``np.float_power``,
+    which calls libm ``pow`` per element.  ``np.power`` would round by the
+    machine's SIMD level at dim >= 3.
     """
     dim = gaussians.shape[1]
     directions = gaussians / _row_norms(gaussians)[:, None]
-    if dim == 2:
-        radii = np.sqrt(uniforms)
-    else:
-        e = 1.0 / dim
-        radii = np.array([u**e for u in uniforms.tolist()])
+    radii = np.sqrt(uniforms) if dim == 2 else np.float_power(uniforms, 1.0 / dim)
     return directions * radii[:, None]
 
 
@@ -341,21 +337,18 @@ def run_sampler(seed: int) -> list:
     acceptance constant of the underlying anti-concentration bound is
     not pinned down, hence the slack over the ideal expectation of 2).
 
-    Each tensor is a Gaussian draw from its own generator, which the
-    sampler then goes on drawing from.  The 1000 draws come first, and one
-    ``_symmetrized`` over their stack gives each tensor the entries
-    ``SymTensor3`` gives it alone: the permutations are added element by
-    element in the same order.
+    One generator draws the 1000 Gaussian tensors as one stack, which one
+    ``_symmetrized`` call symmetrizes, and then every sampler call's
+    directions, case by case.
     """
     rows = []
-    base = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = 5
     full = Subspace.full(n)
-    rngs = [np.random.default_rng(base.integers(2**63)) for _ in range(1000)]
-    entries = _symmetrized(np.stack([rng.standard_normal((n, n, n)) for rng in rngs]))
+    entries = _symmetrized(rng.standard_normal((1000, n, n, n)))
     draws = []
-    for case, rng in enumerate(rngs):
-        tensor = SymTensor3._trusted(entries[case])
+    for case, tensor_entries in enumerate(entries):
+        tensor = SymTensor3._trusted(tensor_entries)
         bound = tensor.frobenius_norm() / _approx_factor(SAMPLER_CONSTANT, n)
         sample = sample_direction(tensor, full, bound, rng)
         t = tensor.trilinear(sample.direction, sample.direction, sample.direction)
@@ -372,11 +365,11 @@ def run_sampler(seed: int) -> list:
 def run_taylor(seed: int) -> list:
     """Fourth-order Taylor remainder bound on the degree <= 4 members.
 
-    1000 seeded pairs per member inside the unit ball; the remainder of
-    the order-3 expansion must stay below (L/24) ||y-x||^4 within a 1e-6
-    relative slack.  Pairs closer than 0.05 are redrawn: there the exact
-    remainder is far below float cancellation noise and the ratio would
-    measure roundoff, not the bound.
+    1000 seeded pairs per member inside the unit ball, from one generator;
+    the remainder of the order-3 expansion must stay below (L/24)
+    ||y-x||^4 within a 1e-6 relative slack.  Pairs closer than 0.05 are
+    redrawn: there the exact remainder is far below float cancellation
+    noise and the ratio would measure roundoff, not the bound.
     """
     rows = []
     rng = np.random.default_rng(seed)
@@ -388,8 +381,8 @@ def run_taylor(seed: int) -> list:
         x, y, d, dist = _taylor_pairs(rng, poly.dim, 1000)
         expansion = taylor_expansion(*poly.bundle_many(x, 3), d)
         remainder = np.abs(poly.bundle_many(y, 0)[0] - expansion)
-        # dist**4 by scalar pow: numpy's array power can differ in the last bit
-        ratio = remainder / (lip3 / 24.0 * np.array([r**4 for r in dist.tolist()]))
+        # dist**4 by libm pow per element: np.power can differ in the last bit
+        ratio = remainder / (lip3 / 24.0 * np.float_power(dist, 4))
         # the first largest ratio, or 0.0 when none is positive, as a running max
         worst = max([0.0, *ratio])
         rows.append(BenchRow("taylor", name, worst <= 1.0 + 1e-6,
@@ -400,19 +393,15 @@ def run_taylor(seed: int) -> list:
 def _taylor_pairs(rng: np.random.Generator, dim: int, count: int) -> tuple:
     """``count`` pairs of unit-ball points at least 0.05 apart: x, y, y - x, ||y - x||.
 
-    Each pair is drawn as two ``unit_ball_points(rng, dim, 1)`` calls would
-    draw it, and a pair too close is redrawn.  Draws come in chunks of the
-    pairs still missing, so the stream stops where the pair-by-pair loop
-    stops.
+    The pairs still missing are drawn as one chunk, the x points and then
+    the y points by ``unit_ball_points``, until none is missing; pairs too
+    close are dropped.
     """
     pairs = []
     missing = count
     while missing:
-        draws = [(rng.standard_normal(dim), rng.random(), rng.standard_normal(dim), rng.random())
-                 for _ in range(missing)]
-        gx, ux, gy, uy = (np.array(column) for column in zip(*draws))
-        x = ball_points(gx, ux)
-        y = ball_points(gy, uy)
+        x = unit_ball_points(rng, dim, missing)
+        y = unit_ball_points(rng, dim, missing)
         d = y - x
         dist = np.sqrt(_vecdot(d, d))
         keep = dist >= 0.05

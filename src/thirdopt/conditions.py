@@ -130,8 +130,8 @@ def check_third_order(
     All residual fields are populated regardless of which condition
     fails, so reports are comparable across points.  The third-derivative
     residual is ||T(V, V, V)||_F for the kernel's eigenvector columns V.
-    Raises ValueError if the gradient, Hessian or third derivative at
-    ``x`` has a non-finite entry, or if the gradient norm or the third
+    Raises ValueError if the value, gradient, Hessian or third derivative
+    at ``x`` has a non-finite entry, or if the gradient norm or the third
     residual overflows: each condition is a comparison, which a NaN
     residual would pass and an infinite one report as a number.
     """
@@ -141,6 +141,8 @@ def check_third_order(
     if not (_all_finite(b.grad) and np.isfinite(b.hess).all()
             and np.isfinite(b.third.entries).all()):
         raise ValueError("gradient, hessian or third derivative has non-finite entries")
+    if not math.isfinite(b.value):
+        raise ValueError(f"value {b.value} is not finite")
     decomp = eig_sym(b.hess)
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
@@ -222,9 +224,9 @@ def descent_witness(
     owner, point, b, decomp, kernel = report._model
     if objective is not owner or not np.array_equal(x, point):
         raise ValueError("report was built for another objective or point")
+    check_positive("third_lipschitz", third_lipschitz)
     if report.holds:
         return None
-    check_positive("third_lipschitz", third_lipschitz)
     n = objective.dim
     lip3 = third_lipschitz
 
@@ -260,7 +262,8 @@ def descent_witness(
         order = 3
 
     actual = b.value - objective.value(point + step * direction)
-    if actual < 0.99 * predicted:
+    # written so that a NaN fails it
+    if not actual >= 0.99 * predicted:
         raise ArithmeticError(
             f"witness decrease {actual:.3e} fell short of predicted {predicted:.3e}; "
             "the supplied derivative bounds are not valid at this point"

@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .polynomials import DerivativeBundle, _all_finite, check_positive
-from .spectral import EigenDecomp, _matmul, _norm
+from .spectral import EigenDecomp, _dot, _matmul, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -241,17 +241,22 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     """The local model of ``grad``, ``decomp`` and ``reg``, checked.
 
     Raises ValueError unless ``reg`` is positive and finite, the gradient
-    has the Hessian's dimension, the gradient and eigenvalues are finite,
-    and the gradient's norm is finite too: past about 1.3e154 it overflows,
-    and an infinite norm would pass the solver's scale-relative
-    certificate with a zero step.  A Python-float ``reg`` keeps the
-    arithmetic after it in float64, whatever scalar type the caller passed.
+    has the Hessian's dimension, the gradient, eigenvalues and
+    eigenvectors are finite (``eigh`` can return finite eigenvalues and
+    NaN vectors for a matrix with a NaN), and the gradient's norm is
+    finite too: past about 1.3e154 it overflows, and an infinite norm
+    would pass the solver's scale-relative certificate with a zero step.
+    A Python-float ``reg`` keeps the arithmetic after it in float64,
+    whatever scalar type the caller passed.
     """
     check_positive("reg", reg)
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    if not _all_finite(decomp.eigenvalues):
+    # A NaN or an infinity among the eigenvectors makes their sum of squares
+    # NaN or inf; orthonormal columns' squares sum to n
+    vectors = decomp.eigenvectors.ravel()
+    if not (_all_finite(decomp.eigenvalues) and math.isfinite(_dot(vectors, vectors))):
         raise ValueError("gradient or hessian has non-finite entries")
     # One call clears the common case: hypot is inf or NaN if an entry is
     if not math.hypot(*g.tolist()) < _NORM_SAFE:
@@ -277,6 +282,10 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
         CubicSolution whose step satisfies the stationarity equation and
         the eigenvalue certificate lambda_min(H) + (reg/2)||s|| >= 0 up
         to roundoff.
+
+    Raises ValueError on a malformed or non-finite gradient, spectrum or
+    ``reg``, and where the step's radius is too large for its cube to be
+    a float.
     """
     return _solve_model(_model_inputs(grad, decomp, reg))
 
@@ -341,7 +350,12 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
     step = _matmul(v, s_hat)
     radius = _norm(step)
     hess_s = _matmul(v * lam, s_hat)
-    model_value = float(_matmul(g, step) + _matmul(0.5 * step, hess_s) + reg * radius**3 / 6.0)
+    try:
+        cubic_term = reg * radius**3 / 6.0
+    except OverflowError:
+        # Python's ** raises once the cube passes the largest float, near radius 5.6e102
+        raise ValueError(f"model value overflows: step radius {radius:.3e}") from None
+    model_value = float(_matmul(g, step) + _matmul(0.5 * step, hess_s) + cubic_term)
 
     # Internal sanity certificate; scale-aware so legitimate large-norm
     # inputs do not trip it on roundoff, and written so that a NaN fails it.

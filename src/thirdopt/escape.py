@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
-from .polynomials import Objective, _check_count, as_point, check_positive
+from .polynomials import Objective, _all_finite, _check_count, as_point, check_positive
 from .spectral import EigenDecomp, Subspace, _dot, _matmul, _norm, eig_sym
 from .tensors import SymTensor3
 
@@ -149,10 +149,15 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     lambda_min exceeds that bound the empty subspace is returned without
     the rotation.  Either way the result is the full walk's.  The
     returned suffix's columns are checked for orthonormality, as a
-    hand-built ``decomp`` need not have it.
+    hand-built ``decomp`` need not have it.  Raises ValueError on a
+    non-finite eigenvalue, eigenvector or tensor entry, which the walk
+    would read as a suffix that does not qualify.
     """
     check_positive("third_lipschitz", third_lipschitz)
     check_positive("approx_factor", approx_factor)
+    if not (_all_finite(decomp.eigenvalues) and np.isfinite(decomp.eigenvectors).all()
+            and np.isfinite(third.entries).all()):
+        raise ValueError("hessian spectrum or third derivative has non-finite entries")
     esc = _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
     if esc.is_empty:
         return esc
@@ -238,7 +243,8 @@ def sample_direction(
     being the projected norm that also sets its step length; there the
     acceptance probability is dimension-independent up to a constant.
     After ``MAX_SAMPLER_DRAWS`` rejections, certain when the tensor
-    vanishes on the subspace, it raises :class:`SamplerBudgetError`.
+    vanishes on the subspace, it raises :class:`SamplerBudgetError`.  A
+    cubic form that is NaN or infinite raises ValueError at once.
     """
     check_positive("threshold", threshold)
     if subspace.is_empty:
@@ -251,7 +257,11 @@ def sample_direction(
             continue
         u /= norm
         t = third.trilinear(u, u, u)
-        if abs(t) >= threshold:
+        # written so that a NaN, which would fail every draw, stops here too
+        if not abs(t) < threshold:
+            if not math.isfinite(t):
+                raise ValueError(f"cubic form is {t} at a sampled direction: the tensor "
+                                 "has non-finite entries or overflows")
             return DirectionSample(direction=u if t > 0 else -u, draws=draw)
     raise SamplerBudgetError(MAX_SAMPLER_DRAWS, threshold)
 

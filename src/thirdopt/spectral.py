@@ -88,19 +88,29 @@ def eig_sym(matrix) -> EigenDecomp:
     ``np.array_equal``, and on the values where the bytes differ: a 0.0
     facing a -0.0 is symmetric, and so is a NaN facing a NaN, which is
     decomposed as it is.  A NaN facing a number has asymmetry NaN, which
-    fails the tolerance.
+    fails the tolerance.  Where ``eigh`` does not converge on a matrix with
+    a NaN, it raises ValueError too.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.tobytes() != m.T.tobytes() and not np.array_equal(m, m.T, equal_nan=True):
-        asym = _norm(m - m.T)
+        # an infinity facing itself on the diagonal gives inf - inf: NaN, which
+        # fails the tolerance below, without numpy's warning first
+        with np.errstate(invalid="ignore"):
+            asym = _norm(m - m.T)
         # written so that a NaN fails it
         if not asym <= _SYM_TOL * max(1.0, _norm(m)):
             raise ValueError(f"matrix is not symmetric or has non-finite entries "
                              f"(asymmetry {asym:.3e})")
         m = (m + m.T) / 2.0
-    values, vectors = np.linalg.eigh(m)
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        # eigh's iteration can fail to converge on a matrix with a NaN
+        if np.isfinite(m).all():
+            raise
+        raise ValueError("matrix has non-finite entries and eigh did not converge") from None
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
 
 

@@ -140,6 +140,14 @@ def test_non_finite_derivatives_are_refused(part, bad):
         check_third_order(FixedBundle(bundle), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_value_is_refused(bad):
+    # the derivatives alone would hold at this point
+    bundle = DerivativeBundle(bad, np.zeros(2), np.eye(2), SymTensor3.zeros(2))
+    with pytest.raises(ValueError, match=f"^value {bad} is not finite$"):
+        check_third_order(FixedBundle(bundle), np.zeros(2))
+
+
 def test_overflowing_polynomial_derivatives_are_refused():
     # 3 * 1e308 overflows as the derivative table is built, which names it
     # before numpy's overflow warning

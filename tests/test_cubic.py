@@ -22,8 +22,8 @@ from thirdopt import (
     stationarity,
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
-from thirdopt.cubic import (_SECULAR_RTOL, _model_inputs, _secular_bracket, _secular_offset,
-                            _solve_model, _sum)
+from thirdopt.cubic import (_SECULAR_RTOL, _LocalModel, _model_inputs, _secular_bracket,
+                            _secular_offset, _solve_model, _sum)
 from thirdopt.polynomials import as_point
 
 from oracles import (
@@ -626,12 +626,28 @@ class TestFiniteInputs:
 
     def test_nan_eigenvectors_fail_the_certificate(self):
         # eigh keeps the eigenvalues of this NaN matrix finite and puts the
-        # NaNs in the vectors, so the input check passes; the certificate's
-        # residual and margin are then NaN, which must not pass it
+        # NaNs in the vectors, which the input check refuses; past it, the
+        # certificate's residual and margin are NaN, which must not pass it
         decomp = eig_sym(np.array([[math.nan, 1.0], [1.0, 1.0]]))
         assert np.isfinite(decomp.eigenvalues).all()
+        for entry in (solve_cubic_model, stationarity):
+            with pytest.raises(ValueError, match="^gradient or hessian has non-finite entries$"):
+                entry(np.ones(2), decomp, 1.0)
+        unchecked = _LocalModel(np.ones(2), math.sqrt(2.0), decomp, 1.0)
         with pytest.raises(ArithmeticError, match="certificate failed"):
-            solve_cubic_model(np.ones(2), decomp, 1.0)
+            _solve_model(unchecked)
+
+    def test_model_value_overflow_is_named(self):
+        # the minimizer of this finite model has norm about 1.4e125, whose cube
+        # is past the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^model value overflows: step radius 1\.414e\+125$"):
+                solve_cubic_model(np.array([1e150]), eig_sym(np.diag([1.0])), 1e-100)
+        # a radius whose cube is a float still solves
+        sol = solve_cubic_model(np.array([1e150]), eig_sym(np.diag([1.0])), 1e-50)
+        assert math.isfinite(sol.model_value) and sol.radius > 1e100
 
     def test_largest_gradient_norm_accepted(self):
         # 1.3e154 squared stays below the largest float, so the norm is finite

@@ -137,6 +137,11 @@ class TestEscapeSubspace:
                 got = _outcome(lambda: escape_subspace(decomp, tensor, lip3, q))
             screened.append(not rotations)
             inside.append(0 < _walk_start(decomp, tensor, lip3, q) < decomp.dim)
+            if not np.isfinite(tensor.entries).all():
+                # refused before the walk, which reads a NaN as a suffix that
+                # does not qualify
+                assert got is ValueError
+                return
             want = _outcome(lambda: full_escape_search(decomp, tensor, _curvature_denom(lip3, q)))
             if isinstance(want, type):
                 assert got is want

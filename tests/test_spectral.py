@@ -116,6 +116,18 @@ class TestEigSym:
                                              r"\(asymmetry nan\)$"):
             decompose(m)
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    @pytest.mark.parametrize("other", [2.0, np.inf])
+    def test_infinite_diagonal_of_an_asymmetric_matrix_raises_without_warning(self, entry,
+                                                                              other):
+        # m - m.T puts inf - inf on the diagonal; its NaN fails the tolerance
+        m = np.array([[entry, 1.0], [other, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is not symmetric or has non-finite "
+                                                 r"entries \(asymmetry nan\)$"):
+                eig_sym(m)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_input_gives_a_non_finite_spectrum(self, entry, where):
