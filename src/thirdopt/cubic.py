@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .polynomials import DerivativeBundle, _all_finite, check_positive
-from .spectral import EigenDecomp, _dot, _matmul, _norm
+from .spectral import EigenDecomp, _finite_decomp, _matmul, _norm
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -253,10 +253,7 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
-    # A NaN or an infinity among the eigenvectors makes their sum of squares
-    # NaN or inf; orthonormal columns' squares sum to n
-    vectors = decomp.eigenvectors.ravel()
-    if not (_all_finite(decomp.eigenvalues) and math.isfinite(_dot(vectors, vectors))):
+    if not _finite_decomp(decomp):
         raise ValueError("gradient or hessian has non-finite entries")
     # One call clears the common case: hypot is inf or NaN if an entry is
     if not math.hypot(*g.tolist()) < _NORM_SAFE:

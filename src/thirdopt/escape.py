@@ -53,8 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
-from .polynomials import Objective, _all_finite, _check_count, as_point, check_positive
-from .spectral import EigenDecomp, Subspace, _dot, _matmul, _norm, eig_sym
+from .polynomials import Objective, _check_count, as_point, check_positive
+from .spectral import EigenDecomp, Subspace, _dot, _finite_decomp, _matmul, _norm, eig_sym
 from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
@@ -151,13 +151,13 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     returned suffix's columns are checked for orthonormality, as a
     hand-built ``decomp`` need not have it.  Raises ValueError on a
     non-finite eigenvalue, eigenvector or tensor entry, which the walk
-    would read as a suffix that does not qualify.
+    would read as a suffix that does not qualify, and on a tensor whose
+    squared norm overflows.
     """
     check_positive("third_lipschitz", third_lipschitz)
     check_positive("approx_factor", approx_factor)
-    if not (_all_finite(decomp.eigenvalues) and np.isfinite(decomp.eigenvectors).all()
-            and np.isfinite(third.entries).all()):
-        raise ValueError("hessian spectrum or third derivative has non-finite entries")
+    if not _finite_decomp(decomp):
+        raise ValueError("hessian spectrum has non-finite entries")
     esc = _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
     if esc.is_empty:
         return esc
@@ -173,7 +173,10 @@ def _curvature_denom(third_lipschitz: float, approx_factor: float) -> float:
 def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> EscapeSubspace:
     """:func:`escape_subspace` with its constants checked and folded into ``denom``.
 
-    The suffix it returns wraps ``eig_sym``'s columns unchecked.
+    The suffix it returns wraps ``eig_sym``'s columns unchecked.  A
+    tensor with a NaN or an infinity, or whose squared norm overflows,
+    raises ValueError here, so ``minimize`` refuses it as
+    ``escape_subspace`` does.
     """
     n = decomp.dim
     if third.dim != n:
@@ -183,6 +186,9 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
     # settles most searches at small n.
     flat = third.entries.ravel()
     cap = 2.0 * float(_dot(flat, flat))
+    # A NaN would fail every suffix's test and read as no subspace
+    if not math.isfinite(cap):
+        raise ValueError("third derivative has non-finite entries or its squared norm overflows")
     scale = float(denom)
     if not n or float(decomp.eigenvalues[-1]) * scale > cap:
         return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
@@ -410,7 +416,8 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     ``eig_sym``, and the checks of ``cubic._model_inputs`` with one
     gradient norm.  The step from the point, its stationarity, its
     escape subspace and its trace row all read that model, so a
-    non-finite gradient or spectrum fails at the point where it appears.
+    non-finite gradient, spectrum or third derivative fails at the point
+    where it appears.
     The escape constants are checked once per run.
     """
     n = objective.dim

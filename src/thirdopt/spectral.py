@@ -55,6 +55,22 @@ class EigenDecomp:
         return max(1.0, abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
 
+def _finite_decomp(decomp: EigenDecomp) -> bool:
+    """Whether every eigenvalue and eigenvector entry of ``decomp`` is finite.
+
+    ``eigh`` can return finite eigenvalues and NaN vectors for a matrix
+    with a NaN, so the vectors are read too.  Their sum of squares is NaN
+    or inf if an entry is; orthonormal columns' squares sum to n.
+    ``np.vdot``, unlike ``np.dot``, gives no warning where finite entries
+    above about 1e154 overflow that sum, and only then does
+    ``np.isfinite`` decide.
+    """
+    if not all(map(math.isfinite, decomp.eigenvalues.tolist())):
+        return False
+    vectors = decomp.eigenvectors
+    return math.isfinite(np.vdot(vectors, vectors)) or bool(np.isfinite(vectors).all())
+
+
 # The product reductions (module docstring)
 _matmul = np.matmul
 _dot = np.ndarray.dot

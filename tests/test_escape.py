@@ -45,6 +45,7 @@ from thirdopt.escape import (
     MAX_SAMPLER_DRAWS,
     PROJ_NORM_FLOOR,
     _curvature_denom,
+    _escape_search,
     dump_records,
     read_records,
     write_trace,
@@ -126,23 +127,27 @@ class TestEscapeSubspace:
         # around the spectral bound lambda_i * denom = 2 ||T||_F^2 and at the
         # extremes, the public search and the walk from index 0 agree to the
         # bit, exceptions included; searches the bound settles, searches it
-        # starts inside the spectrum and non-empty outcomes must all occur
-        screened, inside, non_empty = [], [], []
+        # starts inside the spectrum and non-empty outcomes must all occur.
+        # A tensor with a NaN or an infinity, which the walk reads as a
+        # suffix that does not qualify, is refused by the public search and
+        # by minimize's alike, and is counted apart from the shares
+        screened, inside, non_empty, refused = [], [], [], []
 
         @settings(max_examples=400, deadline=None, derandomize=True)
         @given(screen_cases())
         def check(case):
             decomp, tensor, lip3, q = case
+            denom = _curvature_denom(lip3, q)
             with _counting_rotations() as rotations:
                 got = _outcome(lambda: escape_subspace(decomp, tensor, lip3, q))
+            if not np.isfinite(tensor.entries).all():
+                assert got is ValueError and not rotations
+                assert _outcome(lambda: _escape_search(decomp, tensor, denom)) is ValueError
+                refused.append(True)
+                return
             screened.append(not rotations)
             inside.append(0 < _walk_start(decomp, tensor, lip3, q) < decomp.dim)
-            if not np.isfinite(tensor.entries).all():
-                # refused before the walk, which reads a NaN as a suffix that
-                # does not qualify
-                assert got is ValueError
-                return
-            want = _outcome(lambda: full_escape_search(decomp, tensor, _curvature_denom(lip3, q)))
+            want = _outcome(lambda: full_escape_search(decomp, tensor, denom))
             if isinstance(want, type):
                 assert got is want
                 return
@@ -155,6 +160,7 @@ class TestEscapeSubspace:
             non_empty.append(not want.is_empty)
 
         check()
+        assert len(refused) >= 0.1 * (len(refused) + len(screened)), len(refused)
         share = sum(screened) / len(screened)
         assert 0.2 <= share <= 0.8, share
         assert sum(inside) >= 0.1 * len(inside), sum(inside)
@@ -586,6 +592,16 @@ class TestMinimize:
             minimize(objective, np.zeros(2), confined_monkey_config())
         assert objective.orders[order] == call
 
+    def test_non_finite_third_derivative_fails_at_the_first_z(self):
+        # the escape fires at the first post-cubic z of the clean run; with a
+        # NaN third derivative there the search would find no subspace and
+        # the run would go on without the escape
+        objective = _NonFiniteAt(corpus("monkey_saddle_confined"), 3, 1, "third")
+        with pytest.raises(ValueError, match="^third derivative has non-finite entries or its "
+                                             "squared norm overflows$"):
+            minimize(objective, np.zeros(2), confined_monkey_config())
+        assert objective.orders[3] == 1
+
     def test_sampler_threshold_is_the_step_norm_over_q(self, monkeypatch):
         # the escape step's c sets the sampler threshold, the step length
         # and the promised decrease alike
@@ -635,7 +651,10 @@ class _CountingObjective:
 
 
 class _NonFiniteAt(_CountingObjective):
-    """Counting wrapper whose ``call``-th bundle of ``order`` has a NaN gradient or Hessian."""
+    """Counting wrapper whose ``call``-th bundle of ``order`` has a NaN ``field``.
+
+    ``field`` is "grad", "hess" or "third".
+    """
 
     def __init__(self, inner, order, call, field):
         super().__init__(inner)
@@ -647,6 +666,8 @@ class _NonFiniteAt(_CountingObjective):
         b = super().bundle(x, order)
         if (order, self.orders[order]) != (self.order, self.call):
             return b
+        if self.field == "third":
+            return dataclasses.replace(b, third=SymTensor3(np.full_like(b.third.entries, np.nan)))
         nan = np.full_like(getattr(b, self.field), np.nan)
         return dataclasses.replace(b, **{self.field: nan})
 

@@ -20,8 +20,10 @@ from thirdopt import (
 )
 from thirdopt.spectral import (
     _SYM_TOL,
+    EigenDecomp,
     _dot,
     _einsum,
+    _finite_decomp,
     _matmul,
     _norm,
     _row_norms,
@@ -127,6 +129,28 @@ class TestEigSym:
             with pytest.raises(ValueError, match="^matrix is not symmetric or has non-finite "
                                                  r"entries \(asymmetry nan\)$"):
                 eig_sym(m)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("where", ["eigenvalues", "eigenvectors"])
+    def test_decomposition_readers_share_one_finiteness_test(self, entry, where):
+        # a hand-built decomposition: the solver, stationarity and the
+        # escape search refuse a NaN or an infinity by one test, which
+        # neither warns nor refuses where finite entries overflow the
+        # vectors' sum of squares
+        fields = {"eigenvalues": np.array([1.0, -1.0]), "eigenvectors": np.eye(2)}
+        fields[where] = np.full_like(fields[where], 1.0)
+        fields[where].flat[-1] = entry
+        decomp = EigenDecomp(**fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _finite_decomp(decomp) is math.isfinite(entry)
+            if math.isfinite(entry):
+                return
+            for call in (lambda: solve_cubic_model(np.ones(2), decomp, 1.0),
+                         lambda: stationarity(np.ones(2), decomp, 1.0),
+                         lambda: escape_subspace(decomp, SymTensor3.zeros(2), 1.0, 1.0)):
+                with pytest.raises(ValueError, match="non-finite entries$"):
+                    call()
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
