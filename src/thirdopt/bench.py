@@ -30,7 +30,7 @@ from .escape import (
     sample_direction,
 )
 from .polynomials import Polynomial, corpus, smoothness_bounds
-from .spectral import Subspace, _einsum, _matmul, _norm, _row_norms, _vecdot, eig_sym
+from .spectral import EigenDecomp, Subspace, _einsum, _matmul, _norm, _row_norms, _vecdot, eig_sym
 from .tensors import SymTensor3, _symmetrized
 
 
@@ -424,49 +424,57 @@ def taylor_expansion(value, grad, hess, third, d) -> np.ndarray:
 
 
 class _BallGrid(NamedTuple):
-    """The 401 x 401 grid on [-3, 3]^2, cut to the radius-3 ball and sorted by norm.
+    """The 401 x 401 grid on [-3, 3]^2, cut to the radius-3 ball and grouped by radius.
 
-    ``pts`` holds the points as rows and ``x0``, ``x1`` their coordinates;
-    ``radii`` the norms in ascending order and ``cubed`` each as ``r * (r
-    * r)``.  ``distinct`` lists each radius once, and the points of
-    ``distinct[j]`` are ``starts[j]:starts[j + 1]``.
+    ``pts`` holds the points as rows and ``cubed`` each point's norm r as
+    ``r * (r * r)``.  The points i and j grid steps from the centre along
+    the two axes form one group for each i^2 + j^2.  A group's norms
+    differ by rounding alone, by less than 2^-40, and its points are
+    ``starts[k]:starts[k + 1]``.  Groups come in ascending order of
+    radius, and ``radii[k]`` is the norm of group k's first point.
     """
 
     pts: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
-    radii: np.ndarray
     cubed: np.ndarray
-    distinct: np.ndarray
+    radii: np.ndarray
     starts: np.ndarray
 
 
 def _ball_grid() -> _BallGrid:
-    """The subproblem suite's grid, sorted once per call of ``run_subproblem``."""
+    """The subproblem suite's grid, grouped once per call of ``run_subproblem``."""
     axis = np.linspace(-3.0, 3.0, 401)
-    x0, x1 = (v.ravel() for v in np.meshgrid(axis, axis))
-    # The floats of np.linalg.norm(pts, axis=1): each row's squares added once
-    norms = np.sqrt(x0 * x0 + x1 * x1)
+    sq = axis * axis
+    # Row-major, with x0 = axis[column] and x1 = axis[row] as np.meshgrid(axis,
+    # axis) gives them; each norm is the float of np.linalg.norm(pts, axis=1),
+    # which adds each row's two squares once
+    norms = sq + sq[:, None]
+    norms = np.sqrt(norms, out=norms).ravel()
     inside = np.flatnonzero(norms <= 3.0)
-    # Equal radii may come in any order: a slice always holds whole radii
-    order = inside[np.argsort(norms[inside])]
-    # The meshgrid and the full norm array are freed as the sorted copies replace them
-    radii = norms[order]
-    del norms
-    x0 = x0[order]
-    x1 = x1[order]
-    del inside, order
-    pts = np.column_stack([x0, x1])
+    steps = np.arange(-200, 201, dtype=np.int32) ** 2
+    # At most 200^2 inside the ball, so 16 bits hold it and the stable sort is
+    # numpy's radix sort; the order within a group is immaterial
+    groups = (steps + steps[:, None]).ravel()[inside].astype(np.uint16)
+    by_group = np.argsort(groups, kind="stable")
+    order = inside[by_group]
+    groups = groups[by_group]
+    starts = np.concatenate(([0], np.flatnonzero(groups[1:] != groups[:-1]) + 1, [len(order)]))
+    del groups, by_group, inside
+    plane = np.empty((401, 401, 2))
+    plane[..., 0] = axis
+    plane[..., 1] = axis[:, None]
+    pts = np.take(plane.reshape(-1, 2), order, axis=0)
+    del plane
+    cubed = norms[order]
+    radii = cubed[starts[:-1]]
     # Cubed by two multiplications, r * (r * r): the vectorized power's
     # rounding depends on the CPU's SIMD level.
-    cubed = radii * (radii * radii)
-    starts = np.concatenate(([0], np.flatnonzero(radii[1:] != radii[:-1]) + 1))
-    return _BallGrid(pts, x0, x1, radii, cubed, radii[starts], np.append(starts, len(radii)))
+    cubed *= cubed * cubed
+    return _BallGrid(pts, cubed, radii, starts)
 
 
 def _model_values(grid: _BallGrid, g, h, reg: float, lo: int, hi: int) -> np.ndarray:
     """The cubic model <g, p> + p'Hp / 2 + (reg / 6) ||p||^3 at the grid points lo:hi."""
-    x0, x1 = grid.x0[lo:hi], grid.x1[lo:hi]
+    x0, x1 = grid.pts[lo:hi].T
     # x'Hx term by term, in the order and rounding of einsum("pi,ij,pj->p")
     quad = np.zeros(hi - lo)
     quad += x0 * h[0, 0] * x0
@@ -476,22 +484,37 @@ def _model_values(grid: _BallGrid, g, h, reg: float, lo: int, hi: int) -> np.nda
     return _matmul(grid.pts[lo:hi], g) + 0.5 * quad + reg / 6.0 * grid.cubed[lo:hi]
 
 
-def _subproblem_grid_minimum(grid: _BallGrid, g, h, reg: float, radius: float) -> float:
+def _subproblem_grid_minimum(grid: _BallGrid, g, h, decomp: EigenDecomp, reg: float,
+                             radius: float) -> float:
     """The least cubic-model value over the grid, bit for bit, from the radii that can hold it.
 
-    In exact arithmetic, Cauchy-Schwarz and the Rayleigh quotient bound
-    the model at each grid point p of norm r from below::
+    ``decomp`` is ``eig_sym(h)``.  In exact arithmetic, two bounds hold
+    for the model at each grid point p of norm r.  Cauchy-Schwarz and the
+    Rayleigh quotient give::
 
         m(p) >= l(r) = -||g|| r + (lambda_min / 2) r^2 + (reg / 6) r^3
 
-    The least computed model value U on a ring of radii within 0.03 of
-    ``min(radius, 3)`` is a grid value, so it bounds the grid minimum
-    from above whatever ``radius`` is: a wrong solver only widens what is
-    kept.  With |p_i| <= r <= 3, each term of m and of l is at most 3
+    and the Lagrangian dual of the cubic model (Nesterov and Polyak,
+    *Math. Program.* 108, 2006) gives, for any mu with lambda_min + mu >
+    0, since g'p + p'(H + mu I)p / 2 >= c_mu for every p::
+
+        m(p) >= d(r) = c_mu - (mu / 2) r^2 + (reg / 6) r^3,
+        c_mu = -(1 / 2) sum_i ghat_i^2 / (lambda_i + mu),  ghat = V'g
+
+    At mu = reg r^ / 2 for the solver's radius r^, d(r) - m* = (reg / 12)
+    (r - r^)^2 (2 r + r^), so d keeps a thin band of radii about r^.  Any
+    mu is sound: a wrong radius only loosens d, and where lambda_min + mu
+    is not positive (the hard case), or mu or c_mu is not finite, d is
+    left out and l screens alone.
+
+    The least computed model value U on the ring of groups within half a
+    grid step of ``min(radius, 3)`` is a grid value, so it bounds the
+    grid minimum from above whatever ``radius`` is: a wrong solver only
+    widens what is kept.  With |p_i| <= r <= 3, each term of m and of l is at most 3
     ||g||_1, 4.5 sum |h_ij| or 4.5 reg in size (|lambda_min| <= sum
     |h_ij|).  The computed m~ takes each term through about a dozen
     roundings, the norm's included.  The computed l~ at the computed norm
-    r~ strays by a few more, plus ``eigvalsh``'s backward error, a small
+    r~ strays by a few more, plus ``eigh``'s backward error, a small
     multiple of u sum |h_ij|.  So with ``S = 1 + 3 ||g||_1 + 9 sum |h_ij|
     + 4.5 reg``, each error is below c u S for a c of a few hundred, and
     the sum that forms the bound rounds by at most 2 u S.  If q holds the
@@ -500,29 +523,53 @@ def _subproblem_grid_minimum(grid: _BallGrid, g, h, reg: float, radius: float) -
         l~(r~_q) <= l(r_q) + c u S <= m(q) + c u S <= m~(q) + 2 c u S
                  <= U + 2 c u S
 
-    and ``SCREEN_SLACK = 2^-30`` is far above (2 c + 2) u.  So the slice
-    of sorted radii from the first to the last distinct radius whose l~
-    is at most ``U + SCREEN_SLACK * S`` holds q.  Each point's value is
-    the same float in whichever slice it is evaluated: the products and
-    sums go element by element, and the BLAS matrix-vector product takes
-    each row's two-term dot alone.  ``min`` is exact, so the slice's
-    minimum is the grid's.  A bound that is not finite (an overflowing
-    input, or a NaN radius that leaves the ring empty) says nothing, and
-    the whole sorted grid is evaluated.
+    and ``SCREEN_SLACK = 2^-30`` is far above (2 c + 2) u.  For d, ``eigh``
+    returns V and lambda_i that decompose exactly, with an orthogonal Q
+    within a small multiple of u of V, a matrix H + E with ||E|| a small
+    multiple of u sum |h_ij|; and the computed ghat is Q'g' exactly for a
+    g' within a small multiple of u ||g||_1 of g.  The dual bound holds
+    exactly for the model of g' and H + E, which strays from m by at most
+    3 ||g' - g|| + 4.5 ||E||, at the computed ghat, lambda_i and mu.  A
+    computed lambda_i + mu is positive exactly when the exact sum is, and
+    the computed c_mu is within a few u |c_mu| of the exact one.  The
+    terms of d are at most |c_mu|, 4.5 |mu| and 4.5 reg in size, so with
+    ``S' = S + |c_mu| + 4.5 |mu|`` the chain above holds for d with S'.
+    Both bounds are taken at each group's first norm, which is within
+    2^-40 of each of its points' norms.  As |l'(r)| <= S and |d'(r)| <=
+    S' for r <= 3, that adds at most 2^-40 S or 2^-40 S' to the chain.
+    So q is in a group where d~ is at most ``U + SCREEN_SLACK * S'`` and
+    l~ at most ``U + SCREEN_SLACK * S``.  d is evaluated first, over
+    every group, and l over the groups from the first to the last that d
+    keeps; the slice from the first to the last group that l keeps there
+    holds q, and it is never wider than the slice l alone keeps.  Each
+    point's value is the same float in whichever slice it is evaluated:
+    the products and sums go element by element, and the BLAS
+    matrix-vector product takes each row's two-term dot alone.  ``min``
+    is exact, so the slice's minimum is the grid's.  A bound that is not
+    finite (an overflowing input, or a NaN radius that leaves the ring
+    empty) says nothing, and the whole grid is evaluated.
     """
     r0 = min(radius, 3.0)
-    lo, hi = grid.radii.searchsorted([r0 - 0.03, r0 + 0.03], side="right")
+    lo, hi = grid.starts[grid.radii.searchsorted([r0 - 0.0075, r0 + 0.0075], side="right")]
     upper = float(_model_values(grid, g, h, reg, lo, hi).min()) if lo < hi else math.inf
     scale = 1.0 + 3.0 * float(np.abs(g).sum()) + 9.0 * float(np.abs(h).sum()) + 4.5 * reg
     bound = upper + SCREEN_SLACK * scale
-    if math.isfinite(bound):
-        r = grid.distinct
-        half_lam = 0.5 * float(np.linalg.eigvalsh(h)[0])
-        lower = r * (r * (half_lam + reg / 6.0 * r) - _norm(g))
-        kept = np.flatnonzero(lower <= bound)
-        lo, hi = grid.starts[kept[0]], grid.starts[kept[-1] + 1]
-    else:
-        lo, hi = 0, len(grid.radii)
+    if not math.isfinite(bound):
+        return float(_model_values(grid, g, h, reg, 0, len(grid.cubed)).min())
+    first, last = 0, len(grid.radii)
+    lam = decomp.eigenvalues.tolist()
+    mu = 0.5 * reg * radius
+    if math.isfinite(mu) and lam[-1] + mu > 0.0:
+        g_hat = _matmul(g, decomp.eigenvectors).tolist()
+        c_mu = -0.5 * sum(gi * gi / (li + mu) for gi, li in zip(g_hat, lam))
+        dual_bound = upper + SCREEN_SLACK * (scale - c_mu + 4.5 * abs(mu))
+        if math.isfinite(dual_bound):
+            r = grid.radii
+            kept = np.flatnonzero(r * r * (reg / 6.0 * r - 0.5 * mu) + c_mu <= dual_bound)
+            first, last = kept[0], kept[-1] + 1
+    r = grid.radii[first:last]
+    kept = first + np.flatnonzero(r * (r * (0.5 * lam[-1] + reg / 6.0 * r) - _norm(g)) <= bound)
+    lo, hi = grid.starts[kept[0]], grid.starts[kept[-1] + 1]
     return float(_model_values(grid, g, h, reg, lo, hi).min())
 
 
@@ -542,8 +589,9 @@ def run_subproblem(seed: int) -> list:
         a = rng.standard_normal((2, 2))
         h = (a + a.T) / 2.0
         reg = float(rng.uniform(0.5, 3.0))
-        sol = solve_cubic_model(g, eig_sym(h), reg)
-        grid_min = _subproblem_grid_minimum(grid, g, h, reg, sol.radius)
+        decomp = eig_sym(h)
+        sol = solve_cubic_model(g, decomp, reg)
+        grid_min = _subproblem_grid_minimum(grid, g, h, decomp, reg, sol.radius)
         stat_res = _norm(g + _matmul(h, sol.step) + 0.5 * reg * sol.radius * sol.step)
         eigs = np.linalg.eigvalsh(h)
         margin = float(eigs[0]) + 0.5 * reg * sol.radius

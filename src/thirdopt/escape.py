@@ -54,7 +54,7 @@ import numpy as np
 
 from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
 from .polynomials import Objective, _check_count, as_point, check_positive
-from .spectral import EigenDecomp, Subspace, _dot, _finite_decomp, _matmul, _norm, eig_sym
+from .spectral import EigenDecomp, Subspace, _finite_decomp, _matmul, _norm, _vdot, eig_sym
 from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
@@ -175,8 +175,8 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
 
     The suffix it returns wraps ``eig_sym``'s columns unchecked.  A
     tensor with a NaN or an infinity, or whose squared norm overflows,
-    raises ValueError here, so ``minimize`` refuses it as
-    ``escape_subspace`` does.
+    raises ValueError here, with no numpy warning first, so ``minimize``
+    refuses it as ``escape_subspace`` does.
     """
     n = decomp.dim
     if third.dim != n:
@@ -184,8 +184,7 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
     # The spectral bound (module docstring), in Python floats so that it
     # cannot warn where the walk would not; lambda_min first, as it
     # settles most searches at small n.
-    flat = third.entries.ravel()
-    cap = 2.0 * float(_dot(flat, flat))
+    cap = 2.0 * float(_vdot(third.entries, third.entries))
     # A NaN would fail every suffix's test and read as no subspace
     if not math.isfinite(cap):
         raise ValueError("third derivative has non-finite entries or its squared norm overflows")

@@ -13,12 +13,15 @@ must only rely on the spanned subspaces, such as through the Frobenius
 norm of a tensor rotated into a span's eigenvector columns.
 
 This module is also the one home of the package's float reductions.
-``_matmul`` (``@``), ``_dot`` (``np.dot``, ``ndarray.dot``), ``_vecdot``
-and ``_einsum`` are those numpy functions under a private name;
-``_norm`` (``np.linalg.norm`` of a whole array) and ``_row_norms`` (its
-``axis=1`` form) compute the floats ``np.linalg.norm`` computes.  So
-every caller gets the floats of the inline call.  OpenBLAS runs
-``_matmul``, ``_dot``, ``_vecdot`` and ``_norm``, and its kernel, chosen
+``_matmul`` (``@``), ``_dot`` (``np.dot``, ``ndarray.dot``), ``_vdot``,
+``_vecdot`` and ``_einsum`` are those numpy functions under a private
+name.  ``_vdot`` flattens its arguments and calls the ddot ``_dot``
+calls, so it gives the same floats, but no warning where the sum
+overflows.  ``_norm`` (``np.linalg.norm`` of a whole array) and
+``_row_norms`` (its ``axis=1`` form) compute the floats
+``np.linalg.norm`` computes.  So every caller gets the floats of the
+inline call.  OpenBLAS runs ``_matmul``, ``_dot``, ``_vdot``,
+``_vecdot`` and ``_norm``, and its kernel, chosen
 by CPU or by ``OPENBLAS_CORETYPE``, decides their last bits: SkylakeX,
 Haswell and Sandybridge differ even at n = 2.  On C-contiguous stacks,
 ``_matmul`` and ``_vecdot`` round each member as it rounds alone.
@@ -61,19 +64,20 @@ def _finite_decomp(decomp: EigenDecomp) -> bool:
     ``eigh`` can return finite eigenvalues and NaN vectors for a matrix
     with a NaN, so the vectors are read too.  Their sum of squares is NaN
     or inf if an entry is; orthonormal columns' squares sum to n.
-    ``np.vdot``, unlike ``np.dot``, gives no warning where finite entries
+    ``_vdot``, unlike ``_dot``, gives no warning where finite entries
     above about 1e154 overflow that sum, and only then does
     ``np.isfinite`` decide.
     """
     if not all(map(math.isfinite, decomp.eigenvalues.tolist())):
         return False
     vectors = decomp.eigenvectors
-    return math.isfinite(np.vdot(vectors, vectors)) or bool(np.isfinite(vectors).all())
+    return math.isfinite(_vdot(vectors, vectors)) or bool(np.isfinite(vectors).all())
 
 
 # The product reductions (module docstring)
 _matmul = np.matmul
 _dot = np.ndarray.dot
+_vdot = np.vdot
 _vecdot = np.vecdot
 _einsum = np.einsum
 
@@ -97,8 +101,9 @@ def eig_sym(matrix) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
     Raises ValueError if the input deviates from symmetry by more than
-    ``_SYM_TOL`` relative to its Frobenius norm, or by NaN.  Other input is
-    symmetrized first; an exactly symmetric one, such as every Hessian a
+    ``_SYM_TOL`` relative to its Frobenius norm (or to 1, if larger), by
+    NaN, or by an infinity facing a number.  Other input is symmetrized
+    first; an exactly symmetric one, such as every Hessian a
     ``DerivativeBundle`` holds, is decomposed as it is.  Exact symmetry is
     tested on the bytes first, which costs a fraction of
     ``np.array_equal``, and on the values where the bytes differ: a 0.0
@@ -111,14 +116,18 @@ def eig_sym(matrix) -> EigenDecomp:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.tobytes() != m.T.tobytes() and not np.array_equal(m, m.T, equal_nan=True):
-        # an infinity facing itself on the diagonal gives inf - inf: NaN, which
-        # fails the tolerance below, without numpy's warning first
+        # Both norms are taken of m scaled down by the power of two of its
+        # largest |entry|, where neither can overflow.  An infinity facing
+        # itself on the diagonal gives inf - inf: NaN, without numpy's warning
+        # first; an infinity facing a number gives inf / inf: NaN too.
+        scale = math.ldexp(1.0, -max(math.frexp(float(np.abs(m).max()))[1], 0))
+        scaled = m * scale
         with np.errstate(invalid="ignore"):
-            asym = _norm(m - m.T)
+            asym = _norm(scaled - scaled.T)
         # written so that a NaN fails it
-        if not asym <= _SYM_TOL * max(1.0, _norm(m)):
+        if not asym / max(scale, _norm(scaled)) <= _SYM_TOL:
             raise ValueError(f"matrix is not symmetric or has non-finite entries "
-                             f"(asymmetry {asym:.3e})")
+                             f"(asymmetry {asym / scale:.3e})")
         m = (m + m.T) / 2.0
     try:
         values, vectors = np.linalg.eigh(m)

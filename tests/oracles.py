@@ -474,10 +474,14 @@ def eig_sym_by_value(matrix):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T, equal_nan=True):
-        asym = np.linalg.norm(m - m.T)
-        if not asym <= _SYM_TOL * max(1.0, np.linalg.norm(m)):
+        # Both norms of m over 2^e, where 2^(e - 1) <= max |m_ij| < 2^e, e >= 0
+        exponent = max(math.frexp(float(np.abs(m).max()))[1], 0)
+        scaled = np.ldexp(m, -exponent)
+        with np.errstate(invalid="ignore"):
+            asym = float(np.linalg.norm(scaled - scaled.T))
+        if not asym / max(2.0**-exponent, float(np.linalg.norm(scaled))) <= _SYM_TOL:
             raise ValueError(f"matrix is not symmetric or has non-finite entries "
-                             f"(asymmetry {asym:.3e})")
+                             f"(asymmetry {asym / 2.0**-exponent:.3e})")
         m = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(m)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())

@@ -182,13 +182,34 @@ def subproblem_cases(draw):
     return g, h, reg, radius
 
 
-def test_subproblem_grid_minimum_equals_full_grid():
-    evaluated, slices = [], []
-    model_values = bench._model_values
+@pytest.fixture
+def slices(monkeypatch):
+    """The number of points each ``_subproblem_grid_minimum`` call evaluates for its
+    answer, as a list that fills while the test runs.
 
-    def counted(grid, g, h, reg, lo, hi):
+    Each call evaluates its ring, then the slice it returns the minimum of,
+    or the whole grid when the ring bounds nothing.
+    """
+    evaluated, found = [], []
+    model_values, grid_minimum = bench._model_values, bench._subproblem_grid_minimum
+
+    def counted_values(grid, g, h, reg, lo, hi):
         evaluated.append(hi - lo)
         return model_values(grid, g, h, reg, lo, hi)
+
+    def counted_minimum(*args):
+        evaluated.clear()
+        got = grid_minimum(*args)
+        found.append(evaluated[-1])
+        return got
+
+    monkeypatch.setattr(bench, "_model_values", counted_values)
+    monkeypatch.setattr(bench, "_subproblem_grid_minimum", counted_minimum)
+    return found
+
+
+def test_subproblem_grid_minimum_equals_full_grid(slices):
+    solver_slices = []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(subproblem_cases())
@@ -196,24 +217,47 @@ def test_subproblem_grid_minimum_equals_full_grid():
     @example((np.zeros(2), np.zeros((2, 2)), 1e-3, 3.0))
     @example((np.array([0.3, -0.2]), np.diag([-500.0, -400.0]), 1e-3, 0.0))
     @example((np.array([2.0, 1.0]), np.array([[0.5, -1.0], [-1.0, 0.2]]), 1e3, 2.9))
+    # The minimizer p = (0.3, 0) is a grid point, where the dual bound is
+    # tight to rounding
+    @example((np.array([-0.045, 0.0]), np.zeros((2, 2)), 1.0, 0.3))
+    # The hard case: lambda_min + reg r / 2 = -1 + 1 is 0 at the solver's
+    # radius 2, so the dual bound is left out
+    @example((np.array([0.0, 1.0]), np.diag([-1.0, 2.0]), 1.0, 2.0))
+    # Near it: lambda_min + reg r / 2 is about 1e-12 at the solver's radius
+    @example((np.array([2e-12, 1.0]), np.diag([-1.0, 2.0]), 1.0, 2.000000000002028))
     def check(case):
         g, h, reg, radius = case
-        evaluated.clear()
-        got = bench._subproblem_grid_minimum(BALL_GRID, g, h, reg, radius)
-        if radius == solve_cubic_model(g, eig_sym(h), reg).radius:
-            slices.append(evaluated[-1])
+        decomp = eig_sym(h)
+        got = bench._subproblem_grid_minimum(BALL_GRID, g, h, decomp, reg, radius)
+        if radius == solve_cubic_model(g, decomp, reg).radius:
+            solver_slices.append(slices[-1])
         assert got.hex() == subproblem_grid_min(g, h, reg).hex()
 
-    bench._model_values = counted
-    try:
-        check()
-    finally:
-        bench._model_values = model_values
-    # The last evaluation of each call is its slice.  Around the solver's
-    # radius the screen must narrow it in most cases, or this test would
-    # check the full grid only
-    assert len(slices) >= 50
-    assert sum(n < len(BALL_GRID.radii) // 2 for n in slices) >= 0.8 * len(slices)
+    check()
+    # Around the solver's radius the screen must narrow the slice in most
+    # cases, or this test would check the full grid only
+    assert len(solver_slices) >= 50
+    assert sum(n < len(BALL_GRID.cubed) // 2 for n in solver_slices) >= 0.8 * len(solver_slices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subproblem_suite_evaluates_a_thin_slice(slices, seed):
+    # The dual bound keeps about 1 % of the grid on the suite's own
+    # instances; the ring bound alone kept about 30 %
+    bench.run_subproblem(seed)
+    assert len(slices) == 50
+    assert sum(slices) / len(slices) < 0.05 * len(BALL_GRID.cubed)
+
+
+def test_ball_grid_groups_differ_by_rounding_alone():
+    grid = BALL_GRID
+    assert len(grid.cubed) == len(grid.pts) == grid.starts[-1] == 125629
+    radii = np.sqrt((grid.pts * grid.pts).sum(axis=1))
+    first, last = grid.starts[:-1], grid.starts[1:]
+    spans = [float(radii[i:j].max() - radii[i:j].min()) for i, j in zip(first, last)]
+    assert max(spans) < 2.0**-40
+    assert (grid.radii == radii[first]).all() and (np.diff(grid.radii) > 2.0**-20).all()
+    assert grid.cubed.tobytes() == (radii * (radii * radii)).tobytes()
 
 
 # tracemalloc's peak for a warm run_subproblem(0) that evaluates the model at

@@ -24,6 +24,7 @@ from thirdopt import (
     ConditionTolerances,
     DerivativeBundle,
     EigenDecomp,
+    OptimizerConfig,
     OracleObjective,
     Polynomial,
     Subspace,
@@ -33,6 +34,7 @@ from thirdopt import (
     descent_witness,
     eig_sym,
     escape_subspace,
+    minimize,
     sample_direction,
     solve_cubic_model,
     stationarity,
@@ -261,3 +263,22 @@ def test_non_finite_input_fails_closed(case):
         assert case(data, inputs, bad)
 
     check()
+
+
+def overflowing_third_at_every_point():
+    """An objective whose third derivative's squared norm overflows everywhere."""
+    return OracleObjective(2, value=lambda x: 0.0, grad=lambda x: np.ones(2),
+                           hess=lambda x: np.eye(2),
+                           third=lambda x: np.full((2, 2, 2), 1e160))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eig_sym(np.array([[1e200, 1e200], [-1e200, 1.0]])),
+    lambda: eig_sym(np.array([[1.0, math.inf], [2.0, 1.0]])),
+    lambda: escape_subspace(eig_sym(np.eye(2)), SymTensor3(np.full((2, 2, 2), 1e160)), 1.0, 1.0),
+    lambda: minimize(overflowing_third_at_every_point(), np.zeros(2), OptimizerConfig(1.0, 1.0)),
+], ids=["asymmetric-norm-overflows", "inf-facing-a-number", "escape_subspace", "minimize"])
+def test_input_whose_norm_overflows_fails_closed(call):
+    # finite entries whose squares overflow a norm, and an infinity facing a
+    # number: a named ValueError, with no numpy warning first
+    assert outcome(call) is REFUSED

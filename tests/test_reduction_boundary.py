@@ -28,8 +28,6 @@ ALLOWED = {
         "the screen's values only rank grid points; the minimum is evaluated exactly",
     ("bench", "quartic_descent_target", "np.roots"):
         "LAPACK eigenvalues of the companion matrix, which no helper wraps",
-    ("bench", "_subproblem_grid_minimum", "np.linalg.eigvalsh"):
-        "LAPACK eigenvalues, which no helper wraps",
     ("bench", "run_subproblem", "np.linalg.eigvalsh"):
         "LAPACK eigenvalues, which no helper wraps",
 }
