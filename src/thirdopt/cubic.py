@@ -35,9 +35,11 @@ The step and its radius are computed in Python floats, at a fraction
 of numpy's per-call overhead on vectors of a few entries, by IEEE rules:
 elementwise operations as numpy's, ``_divide`` for zero divisors,
 ``math.fsum`` for each sum of non-negative terms and ``x * x`` for each
-square.  The products with the eigenvector matrix, the model value's
-dot products and the norms are ``spectral``'s reductions.  A secular
-problem far from unit scale is solved in a power-of-two unit of radius.
+square.  The products with the eigenvector matrix and the norms are
+``spectral``'s reductions.  A secular problem far from unit scale is
+solved in a power-of-two unit of radius.  ``_solve_step`` returns the
+step and its radius; only ``solve_cubic_model`` adds the model value,
+from two more products, since ``minimize`` reads the step alone.
 
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
@@ -289,6 +291,20 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
 
 def _solve_model(model: _LocalModel) -> CubicSolution:
     """:func:`solve_cubic_model` on a checked local model."""
+    step, radius, evals, hess_s = _solve_step(model)
+    model_value = float(_matmul(model.grad, step) + _matmul(0.5 * step, hess_s)
+                        + model.reg * radius**3 / 6.0)
+    return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
+
+
+def _solve_step(model: _LocalModel) -> tuple:
+    """The step of :func:`_solve_model` without its model value.
+
+    Returns ``(step, radius, secular_evals, hess_s)``, hess_s being H
+    times the step.  The certificate is checked here, and the radius's
+    cube, which the model value and the step's promised decrease take,
+    is checked to be a float.
+    """
     g, g_norm, decomp, reg, _ = model
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
@@ -348,11 +364,10 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
     radius = _norm(step)
     hess_s = _matmul(v * lam, s_hat)
     try:
-        cubic_term = reg * radius**3 / 6.0
+        radius**3  # the model value and minimize's decrease test take the cube
     except OverflowError:
         # Python's ** raises once the cube passes the largest float, near radius 5.6e102
         raise ValueError(f"model value overflows: step radius {radius:.3e}") from None
-    model_value = float(_matmul(g, step) + _matmul(0.5 * step, hess_s) + cubic_term)
 
     # Internal sanity certificate; scale-aware so legitimate large-norm
     # inputs do not trip it on roundoff, and written so that a NaN fails it.
@@ -363,7 +378,7 @@ def _solve_model(model: _LocalModel) -> CubicSolution:
         raise ArithmeticError(
             f"cubic subproblem certificate failed (residual {residual:.3e}, margin {margin:.3e})"
         )
-    return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
+    return step, radius, evals, hess_s
 
 
 def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:

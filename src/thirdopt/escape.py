@@ -45,6 +45,7 @@ byte-identical files and parsing then re-serializing is the identity.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubic import _LocalModel, _model_inputs, _solve_model, _stationarity
+from .cubic import _LocalModel, _model_inputs, _solve_step, _stationarity
 from .polynomials import Objective, _check_count, as_point, check_positive
 from .spectral import EigenDecomp, Subspace, _finite_decomp, _matmul, _norm, _vdot, eig_sym
 from .tensors import SymTensor3
@@ -159,8 +160,6 @@ def escape_subspace(decomp: EigenDecomp, third: SymTensor3, third_lipschitz: flo
     if not _finite_decomp(decomp):
         raise ValueError("hessian spectrum has non-finite entries")
     esc = _escape_search(decomp, third, _curvature_denom(third_lipschitz, approx_factor))
-    if esc.is_empty:
-        return esc
     return EscapeSubspace(Subspace(decomp.dim, esc.subspace.basis), esc.proj_norm,
                           esc.curvature_bound, esc.suffix_index)
 
@@ -170,10 +169,17 @@ def _curvature_denom(third_lipschitz: float, approx_factor: float) -> float:
     return 12.0 * third_lipschitz * approx_factor**2
 
 
+@functools.lru_cache(maxsize=None)
+def _no_subspace(n: int) -> EscapeSubspace:
+    """The empty escape subspace in R^n, one object per n."""
+    return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
+
+
 def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> EscapeSubspace:
     """:func:`escape_subspace` with its constants checked and folded into ``denom``.
 
-    The suffix it returns wraps ``eig_sym``'s columns unchecked.  A
+    The suffix it returns wraps ``eig_sym``'s columns unchecked, and an
+    empty result is ``_no_subspace(n)``, shared by every search.  A
     tensor with a NaN or an infinity, or whose squared norm overflows,
     raises ValueError here, with no numpy warning first, so ``minimize``
     refuses it as ``escape_subspace`` does.
@@ -190,7 +196,7 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
         raise ValueError("third derivative has non-finite entries or its squared norm overflows")
     scale = float(denom)
     if not n or float(decomp.eigenvalues[-1]) * scale > cap:
-        return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
+        return _no_subspace(n)
     eigenvalues = decomp.eigenvalues.tolist()
     start = 0
     while eigenvalues[start] * scale > cap:
@@ -209,7 +215,7 @@ def _escape_search(decomp: EigenDecomp, third: SymTensor3, denom: float) -> Esca
                 curvature_bound=bound,
                 suffix_index=i,
             )
-    return EscapeSubspace(Subspace.empty(n), 0.0, 0.0, None)
+    return _no_subspace(n)
 
 
 class SamplerBudgetError(RuntimeError):
@@ -298,7 +304,8 @@ class IterationRecord:
     point of the iteration, including on 'third' rows, where ``value`` is
     the objective after the escape step.  ``flags`` maps each of
     ``FLAG_KEYS`` to its outcome on this row (None where not applicable);
-    it is a read-only copy of the mapping the row was built from.
+    it is a read-only copy of the mapping the row was built from, or that
+    mapping itself where it is read-only already.
     """
 
     iteration: int
@@ -312,7 +319,8 @@ class IterationRecord:
     flags: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "flags", _ReadOnlyFlags(self.flags))
+        if not isinstance(self.flags, _ReadOnlyFlags):
+            object.__setattr__(self, "flags", _ReadOnlyFlags(self.flags))
 
 
 @dataclass(frozen=True)
@@ -387,10 +395,14 @@ def read_records(path) -> tuple:
                  for obj in objs)
 
 
+# A row's flags before its outcomes are set
+_NO_FLAGS = dict.fromkeys(FLAG_KEYS)
+
+
 def _row(shared: dict, phase: str, value: float, step_norm: float, **flags) -> IterationRecord:
     """A row of :func:`minimize`; ``shared`` holds the iteration's post-cubic fields."""
     return IterationRecord(phase=phase, value=value, step_norm=step_norm,
-                           flags=dict.fromkeys(FLAG_KEYS) | flags, **shared)
+                           flags=_ReadOnlyFlags(_NO_FLAGS, **flags), **shared)
 
 
 def _point_model(objective: Objective, x: np.ndarray, order: int, reg: float) -> _LocalModel:
@@ -416,12 +428,17 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     gradient norm.  The step from the point, its stationarity, its
     escape subspace and its trace row all read that model, so a
     non-finite gradient, spectrum or third derivative fails at the point
-    where it appears.
-    The escape constants are checked once per run.
+    where it appears.  The step is ``cubic._solve_step``'s: its radius
+    and certificate, without the model value, which no row records.
+    The escape constants are checked once per run.  The sampler's
+    generator, ``np.random.default_rng(config.seed)``, is seeded when
+    the first escape step fires, so a run without one seeds none; nothing
+    draws from it before then, so its stream is the one a generator
+    seeded at the start would give.
     """
     n = objective.dim
     x0 = x = as_point(x0, n)
-    rng = np.random.default_rng(config.seed)
+    rng = None
     q = config.approx_factor(n)
     reg = config.hess_lipschitz
     lip3 = config.third_lipschitz
@@ -438,25 +455,27 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     quiet = 0
 
     for it in range(config.max_iters):
-        sol = _solve_model(m_x)
-        z = x + sol.step
+        step, radius, _, _ = _solve_step(m_x)
+        z = x + step
         m_z = _point_model(objective, z, 3, reg)
         b_z = m_z.bundle
         grad_norm = m_z.grad_norm
         mu = _stationarity(m_z)
         esc = _escape_search(m_z.decomp, b_z.third, denom)
 
-        cubic_ok = bool(b_z.value <= m_x.bundle.value - reg * sol.radius**3 / 12.0 + DECREASE_TOL)
-        mu_ok = bool(sol.radius >= mu - DECREASE_TOL)
+        cubic_ok = bool(b_z.value <= m_x.bundle.value - reg * radius**3 / 12.0 + DECREASE_TOL)
+        mu_ok = bool(radius >= mu - DECREASE_TOL)
         trigger = bool((not esc.is_empty)
                        and esc.proj_norm >= _trigger_threshold(q, grad_norm, lip3))
 
         shared = dict(iteration=it, grad_norm=grad_norm, stationarity=mu,
                       proj_norm=esc.proj_norm, subspace_dim=esc.subspace.rank)
-        records.append(_row(shared, "cubic", b_z.value, sol.radius,
+        records.append(_row(shared, "cubic", b_z.value, radius,
                             cubic_decrease=cubic_ok, step_vs_mu=mu_ok, trigger=trigger))
 
         if trigger:
+            if rng is None:
+                rng = np.random.default_rng(config.seed)
             sample = sample_direction(b_z.third, esc.subspace, esc.proj_norm / q, rng)
             x = z - esc.proj_norm / (lip3 * q) * sample.direction
             m_x = _point_model(objective, x, 2, reg)

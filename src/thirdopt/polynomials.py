@@ -44,7 +44,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .spectral import _norm
+from .spectral import _norm, _symmetrize
 from .tensors import SymTensor3
 
 # Highest total degree of a term; admits the ||x||^6 family used for hard
@@ -531,7 +531,7 @@ class OracleObjective:
         # The callback's own matrix takes the asymmetry check; only a Hessian
         # that passes it is averaged
         checked = DerivativeBundle(self.value(x), grad, hess, third)
-        return replace(checked, hess=(hess + hess.T) / 2.0)
+        return replace(checked, hess=_symmetrize(hess))
 
 
 # -- finite-difference verification --------------------------------------

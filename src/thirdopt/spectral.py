@@ -97,6 +97,19 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows, axis=1)
 
 
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """(M + M') / 2 of a finite square matrix, which cannot overflow.
+
+    Where two facing entries sum past the largest float, as a diagonal
+    entry past 8.9e307 does with itself, that entry is M_ij * 0.5 +
+    M_ji * 0.5 instead: halving is exact at that size, so it is the
+    correctly rounded mean.  Every other entry has (M + M') / 2's bits.
+    """
+    with np.errstate(over="ignore"):
+        mean = (m + m.T) / 2.0
+    return np.where(np.isinf(mean), m * 0.5 + m.T * 0.5, mean)
+
+
 def eig_sym(matrix) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
@@ -128,7 +141,7 @@ def eig_sym(matrix) -> EigenDecomp:
         if not asym / max(scale, _norm(scaled)) <= _SYM_TOL:
             raise ValueError(f"matrix is not symmetric or has non-finite entries "
                              f"(asymmetry {asym / scale:.3e})")
-        m = (m + m.T) / 2.0
+        m = _symmetrize(m)
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError:

@@ -468,7 +468,8 @@ def eig_sym_by_value(matrix):
     with a NaN equal to a NaN.
 
     Input that is not exactly symmetric is checked against ``_SYM_TOL``
-    and averaged, as in ``eig_sym``.
+    and averaged, as in ``eig_sym``: each facing pair's sum halved, or
+    where that sum overflows, the sum of the halves.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -482,7 +483,9 @@ def eig_sym_by_value(matrix):
         if not asym / max(2.0**-exponent, float(np.linalg.norm(scaled))) <= _SYM_TOL:
             raise ValueError(f"matrix is not symmetric or has non-finite entries "
                              f"(asymmetry {asym / 2.0**-exponent:.3e})")
-        m = (m + m.T) / 2.0
+        with np.errstate(over="ignore"):
+            total = m + m.T
+        m = np.where(np.isfinite(total), total / 2.0, np.ldexp(m, -1) + np.ldexp(m.T, -1))
     values, vectors = np.linalg.eigh(m)
     return EigenDecomp(values[::-1].copy(), vectors[:, ::-1].copy())
 

@@ -23,7 +23,7 @@ from thirdopt import (
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
 from thirdopt.cubic import (_SECULAR_RTOL, _LocalModel, _model_inputs, _secular_bracket,
-                            _secular_offset, _solve_model, _sum)
+                            _secular_offset, _solve_model, _solve_step, _sum)
 from thirdopt.polynomials import as_point
 
 from oracles import (
@@ -245,16 +245,32 @@ class TestSecularNewton:
         assert abs(sol.radius - reference) <= 1e-10 * reference
         assert sol.secular_evals <= SECULAR_EVAL_CAP
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cubic_models())
+    def test_solution_is_the_step_and_its_model_value(self, model):
+        decomp, g, reg = model
+        checked = _model_inputs(g, decomp, reg)
+        sol = _solve_model(checked)
+        step, radius, evals, hess_s = _solve_step(checked)
+        assert step.tobytes() == sol.step.tobytes()
+        assert (radius, evals) == (sol.radius, sol.secular_evals)
+        # hess_s is H s, formed in the eigenbasis
+        h = (decomp.eigenvectors * decomp.eigenvalues) @ decomp.eigenvectors.T
+        scale = decomp.spectral_scale() * max(1.0, radius)
+        assert np.abs(hess_s - h @ step).max() <= 1e-12 * scale
+        value = float(checked.grad @ step + (0.5 * step) @ hess_s + checked.reg * radius**3 / 6.0)
+        assert repr(value) == repr(sol.model_value)
+
     def test_mean_evaluations_on_bounded_corpus(self, monkeypatch):
         evals = []
-        solve = thirdopt.escape._solve_model
+        solve = thirdopt.escape._solve_step
 
         def counting_solve(*args):
-            sol = solve(*args)
-            evals.append(sol.secular_evals)
-            return sol
+            step = solve(*args)
+            evals.append(step[2])
+            return step
 
-        monkeypatch.setattr(thirdopt.escape, "_solve_model", counting_solve)
+        monkeypatch.setattr(thirdopt.escape, "_solve_step", counting_solve)
         rng = np.random.default_rng(11)
         runs = [("monkey_saddle_confined", confined_monkey_config()),
                 ("quartic_1d", quartic_1d_config())]

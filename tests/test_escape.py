@@ -46,6 +46,7 @@ from thirdopt.escape import (
     PROJ_NORM_FLOOR,
     _curvature_denom,
     _escape_search,
+    _no_subspace,
     dump_records,
     read_records,
     write_trace,
@@ -793,6 +794,94 @@ class TestTraceFlags:
         rec = dataclasses.replace(trace.records[0], flags=flags)
         flags["cubic_decrease"] = False
         assert rec.flags["cubic_decrease"] is True
+
+    def test_row_keeps_read_only_flags_without_a_copy(self, trace):
+        flags = trace.records[0].flags
+        assert dataclasses.replace(trace.records[0], flags=flags).flags is flags
+
+
+# The bounded corpus members, each with the radius its bounds hold on
+CYCLE_RADII = {"monkey_saddle_confined": 2.0, "wine_bottle": 2.0, "inverted_wine_bottle": 2.0,
+               "quartic_plus_sixth": 2.0, "quartic_1d": 125.0}
+
+
+def _corpus_cycle(before_run=lambda: None, seed=1, starts=10):
+    """Seeded runs on the bounded corpus: the origin and unit-ball starts.
+
+    The starts come from default_rng's bit generator, built without it, so
+    that a test may count the library's own default_rng calls.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    traces = []
+    for name, radius in CYCLE_RADII.items():
+        poly = corpus(name)
+        b = smoothness_bounds(poly, radius)
+        cfg = OptimizerConfig(b.hess_lipschitz, b.third_lipschitz, seed=seed)
+        for k in range(starts):
+            d = rng.standard_normal(poly.dim)
+            x0 = np.zeros(poly.dim) if k == 0 else d / np.linalg.norm(d) * rng.random()
+            before_run()
+            traces.append(minimize(poly, x0, cfg))
+    return traces
+
+
+class TestLeanIteration:
+    """minimize computes what its trace reads and nothing more."""
+
+    @staticmethod
+    def assert_empty(esc, n):
+        assert esc.is_empty and esc.subspace.rank == 0 and esc.subspace.dim == n
+        assert esc.subspace.basis.shape == (n, 0)
+        assert (esc.proj_norm, esc.curvature_bound, esc.suffix_index) == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_every_empty_exit_returns_the_shared_subspace(self, n):
+        shared = _no_subspace(n)
+        third = np.zeros((n, n, n))
+        third[0, 0, 0] = 1.0
+        searches = {
+            # lambda_min above the spectral bound 2 ||T||_F^2 = 0
+            "screened": (np.eye(n), SymTensor3.zeros(n)),
+            # every suffix qualifies at 0 <= 0 with projected norm 0, below the floor
+            "floored": (np.zeros((n, n)), SymTensor3.zeros(n)),
+            # 1.5 <= 2 ||T||_F^2 = 2 walks, and no suffix reaches 1.5 <= ||T||_F^2
+            "walked": (1.5 * np.eye(n), SymTensor3(third)),
+        }
+        for label, (hess, tensor) in searches.items():
+            esc = _escape_search(eig_sym(hess), tensor, 1.0)
+            assert esc is shared, label
+            self.assert_empty(esc, n)
+            # the public entry point hands out a checked object of its own
+            public = escape_subspace(eig_sym(hess), tensor, 1.0, 1.0)
+            assert public is not shared and public.subspace is not shared.subspace
+            self.assert_empty(public, n)
+
+    def test_corpus_runs_seed_only_to_escape_and_keep_the_shared_empty(self, monkeypatch):
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            seeded[-1] += 1
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        empties = []
+        search = thirdopt.escape._escape_search
+
+        def spying_search(*args):
+            esc = search(*args)
+            empties.append(esc is _no_subspace(esc.subspace.dim))
+            return esc
+
+        monkeypatch.setattr(thirdopt.escape, "_escape_search", spying_search)
+        shared = _no_subspace(2)
+        traces = _corpus_cycle(lambda: seeded.append(0))
+        assert seeded == [1 if t.third_records() else 0 for t in traces]
+        assert 0 < sum(seeded) < len(traces)
+        assert sum(empties) > len(empties) / 2
+        # every run read the shared empty subspace and left it as it was
+        assert _no_subspace(2) is shared
+        self.assert_empty(shared, 2)
 
 
 def _quadratic_trace():

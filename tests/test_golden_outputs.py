@@ -9,7 +9,9 @@ deliberate output change lands, and record that change in CHANGES.md.
 """
 
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
 from thirdopt import CORPUS_NAMES
@@ -156,3 +158,33 @@ def test_check_is_byte_identical(tmp_path, capsys, name, where):
     else:
         point = _final_point(_run(tmp_path, capsys, name, 0)[1])
     assert _sha256(_check(capsys, name, point)) == CHECK_SHA256[name, where]
+
+
+def test_runs_compute_only_what_the_trace_reads(tmp_path, capsys, monkeypatch):
+    # minimize reads the cubic step and its radius alone, and seeds its
+    # generator at the first escape step.  With the solver's model-value
+    # body refused in every module that holds it, each run still gives its
+    # pinned bytes, and only a run with an escape step seeds a generator.
+    def refuse(model):
+        raise AssertionError("minimize formed the cubic model's value")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thirdopt") and hasattr(module, "_solve_model"):
+            monkeypatch.setattr(module, "_solve_model", refuse)
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    escaped = 0
+    for (name, seed), pins in sorted(RUN_SHA256.items()):
+        seeded.clear()
+        trace, stdout = _run(tmp_path, capsys, name, seed)
+        assert (_sha256(trace), _sha256(stdout)) == pins
+        escapes = b'"phase":"third"' in trace
+        assert seeded == ([seed] if escapes else []), name
+        escaped += escapes
+    assert 0 < escaped < len(RUN_SHA256)

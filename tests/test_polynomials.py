@@ -742,3 +742,17 @@ class TestOracleObjective:
                               lambda x: np.zeros((2, 2, 2)))
         with pytest.raises(ValueError, match="order"):
             obj.bundle(np.zeros(2), order)
+
+    def test_hessian_past_8_9e307_is_averaged_without_overflow(self):
+        # A diagonal entry past 8.9e307 overflows when added to itself; the
+        # asymmetry is within the tolerance.  The mean keeps the diagonal and
+        # gives the off-diagonal pair (a + b) / 2's bits.
+        hess = np.array([[1e308, 1e300], [1e300 * (1 + 1e-12), 1.0]])
+        oracle = OracleObjective(2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
+                                 hess=lambda x: hess, third=lambda x: np.zeros((2, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = oracle.bundle(np.zeros(2), 2).hess
+        assert mean[0, 0] == 1e308 and mean[1, 1] == 1.0
+        assert mean[0, 1] == mean[1, 0] == (hess[0, 1] + hess[1, 0]) / 2.0
+

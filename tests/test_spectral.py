@@ -166,8 +166,8 @@ class TestEigSym:
 NAN, INF = math.nan, math.inf
 
 # Matrices on which a byte compare and a value compare of M and M' can part:
-# signed zeros and NaNs; with infinities and entries past 8.9e307, which the
-# averaging turns into inf, on either side of the symmetry tolerance.
+# signed zeros and NaNs; with infinities and entries past 8.9e307, whose sum
+# with their facing entry overflows, on either side of the symmetry tolerance.
 SYMMETRY_EDGES = {
     "zero-facing-minus-zero": [[1.0, 0.0], [-0.0, 1.0]],
     "minus-zeros-on-the-diagonal": [[-0.0, 0.0, 2.0], [-0.0, -0.0, 1.0], [2.0, 1.0, 3.0]],
@@ -203,6 +203,16 @@ def eig_outcome(decompose, m):
 def test_symmetry_test_decides_as_the_value_comparison(name):
     m = SYMMETRY_EDGES[name]
     assert eig_outcome(eig_sym, m) == eig_outcome(eig_sym_by_value, m)
+
+
+def test_entry_past_8_9e307_is_averaged_without_overflow():
+    # the diagonal's 1e308 + 1e308 overflows; its mean is 1e308 all the same
+    m = np.array(SYMMETRY_EDGES["past-8.9e307-within-tol"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decomp = eig_sym(m)
+    assert np.isfinite(decomp.eigenvalues).all() and np.isfinite(decomp.eigenvectors).all()
+    assert decomp.eigenvalues[0] == pytest.approx(1e308, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(NAN_EDGES))
