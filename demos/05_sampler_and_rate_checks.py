@@ -8,7 +8,7 @@ the draw counts and then checks the quality envelope on a full run.
 import numpy as np
 
 from thirdopt import Subspace, SymTensor3, corpus, minimize, rate_report, sample_direction
-from thirdopt.bench import confined_monkey_config, grid_minimum_2d
+from thirdopt.bench import GRID_MINIMA, confined_monkey_config
 
 print("Sampler on 300 random symmetric 5-tensors (full space, constant 8):")
 rng = np.random.default_rng(0)
@@ -37,7 +37,7 @@ print()
 print("Rate envelope on a 100-iteration confined monkey saddle run:")
 confined = corpus("monkey_saddle_confined")
 trace = minimize(confined, np.zeros(2), confined_monkey_config(max_iters=100))
-f_star = grid_minimum_2d(confined, -2.0, 2.0, 1001)
+f_star = GRID_MINIMA["monkey_saddle_confined"]
 report = rate_report(trace, f_star)
 print(f"  lower bound from a 1001x1001 grid: {f_star:.8f}")
 print(f"  stationarity bound (12 gap / (reg t))^(1/3): {report.mu_bound:.4f}")

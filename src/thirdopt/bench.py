@@ -29,7 +29,7 @@ from .escape import (
     rate_report,
     sample_direction,
 )
-from .polynomials import Polynomial, corpus, smoothness_bounds
+from .polynomials import corpus, smoothness_bounds
 from .spectral import EigenDecomp, Subspace, _einsum, _matmul, _norm, _row_norms, _vecdot, eig_sym
 from .tensors import SymTensor3, _symmetrized
 
@@ -55,90 +55,23 @@ def write_csv(rows, path) -> None:
 
 # -- shared oracles ---------------------------------------------------------
 
-# Relative gap allowed between a grid minimum's screen and the exact values;
-# see _grid_minimum and _subproblem_grid_minimum.
+# Relative gap allowed between _subproblem_grid_minimum's screen and the
+# exact values.
 SCREEN_SLACK = 2.0**-30
-# Most grid points a grid minimum evaluates exactly at once.
-SCREEN_CHUNK = 2**16
 
-
-def grid_minimum_2d(poly: Polynomial, lo: float, hi: float, points: int) -> float:
-    """Minimum of a 2-D polynomial over the square grid ``linspace(lo, hi, points)`` squared."""
-    return _grid_minimum(poly, 2, lo, hi, points)
-
-
-def grid_minimum_1d(poly: Polynomial, lo: float, hi: float, points: int) -> float:
-    """Minimum of a 1-D polynomial over ``linspace(lo, hi, points)``."""
-    return _grid_minimum(poly, 1, lo, hi, points)
-
-
-def _grid_minimum(poly: Polynomial, dim: int, lo: float, hi: float, points: int) -> float:
-    """The least of ``poly.value`` over the grid with ``dim`` copies of one axis.
-
-    Returns that float bit for bit, but evaluates exactly only where the
-    minimum can be.  A screen approximates the grid from the Vandermonde
-    matrix ``V[:, e] = axis ** e`` (repeated multiplication) and the
-    coefficients ``C`` with a matmul chain, ``V @ C`` in 1-D and
-    ``(V @ C) @ V.T`` in 2-D.  With ``R = max |axis|`` and ``M = sum |c| *
-    R ** d`` over the terms, ``d`` a term's degree, ``M`` bounds the terms'
-    absolute sum at every grid point.  Either path takes each of at most
-    28 terms of degree at most 6 through at most k = 31 roundings, so it
-    strays from the true value by at most ``gamma_k * M``, about 3.4e-15 M
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).  For
-    the exact engine this assumes libm ``pow`` is within an ulp of
-    ``x ** e``, as glibc's is.  ``SCREEN_SLACK`` is far above both, so
-    ``|screen - exact| <= slack * M`` at every point.  If ``p`` minimises
-    the exact values and the screen is least at ``q``::
-
-        screen(p) <= exact(p) + slack M <= exact(q) + slack M
-                  <= screen(q) + 2 slack M
-
-    So the points whose screened value is at most ``screen.min() + 2 slack
-    M`` include ``p``, and their least exact value is the grid's.  A loose
-    slack only admits more candidates.  When ``2 M`` overflows, the bound
-    says nothing and every point is evaluated exactly, which returns the
-    same ``inf`` or ``nan`` as evaluating the grid point by point.
-    """
-    if poly.dim != dim:
-        raise ValueError(f"expected a {dim}-D polynomial, got dimension {poly.dim}")
-    for name, bound in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(bound):
-            raise ValueError(f"{name} must be finite, got {bound}")
-    if points < 1:
-        raise ValueError(f"points must be at least 1, got {points}")
-    axis = np.linspace(lo, hi, points)
-    terms = poly.terms
-    reach = float(np.abs(axis).max())
-    scale = sum(abs(c) * math.prod(reach**e for e in exps) for c, exps in terms)
-    if math.isfinite(2.0 * scale):
-        top = max((max(exps) for _, exps in terms), default=0)
-        # V transposed, so each power is a contiguous row
-        powers = np.ones((top + 1, points))
-        for e in range(1, top + 1):
-            powers[e] = powers[e - 1] * axis
-        coeffs = np.zeros((top + 1,) * dim)
-        for c, exps in terms:
-            coeffs[exps] = c
-        screen = powers.T @ coeffs
-        if dim == 2:
-            screen = screen @ powers
-        keep = np.flatnonzero(screen <= screen.min() + 2.0 * SCREEN_SLACK * scale)
-    else:
-        keep = np.arange(points**dim)
-    candidates = np.column_stack([axis[i] for i in np.unravel_index(keep, (points,) * dim)])
-    # bundle_many's work arrays grow with the points times the table's rows,
-    # so a large candidate set (every point, for a constant polynomial) goes
-    # in chunks
-    least = [poly.bundle_many(candidates[k:k + SCREEN_CHUNK], 0)[0].min()
-             for k in range(0, len(candidates), SCREEN_CHUNK)]
-    return float(np.min(least))
-
-
-def quartic_descent_target() -> float:
-    """Largest stationary point of x^2 - 100 x^3 + x^4 (its global minimizer)."""
-    roots = np.roots([4.0, -300.0, 2.0, 0.0])
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    return float(real.max())
+# f* of the escape and rate suites: each member's least value on a fixed grid,
+# as Polynomial.bundle_many evaluates it at every grid point.  The 2-D members'
+# grid is linspace(-2, 2, 1001) squared, quartic_1d's is linspace(-20, 110,
+# 130001).  tests/test_bench.py recomputes each value bit for bit and checks
+# it against the member's closed-form minimum: -27/256, 0, 0 and f(t*) for
+# t* = (300 + sqrt(89968)) / 8.  The wine bottles' values lie below 0 by
+# rounding alone.
+GRID_MINIMA = {
+    "monkey_saddle_confined": float.fromhex("-0x1.affb4c54c44d8p-4"),
+    "wine_bottle": float.fromhex("-0x1.0000000000000p-53"),
+    "inverted_wine_bottle": float.fromhex("-0x1.d400000000000p-56"),
+    "quartic_1d": float.fromhex("-0x1.41b184ff5ebacp+23"),
+}
 
 
 def unit_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -265,7 +198,7 @@ def run_escape(seed: int) -> list:
     rows.append(BenchRow("escape", "confined_monkey/cubic_only_stalls", drift <= 1e-12,
                          (("max_drift", drift),)))
 
-    delta = -grid_minimum_2d(confined, -2.0, 2.0, 1001)
+    delta = -GRID_MINIMA["monkey_saddle_confined"]
     trace = minimize(confined, np.zeros(2), cfg)
     escaped = trace.final_value <= -delta
     rows.append(BenchRow("escape", "confined_monkey/full_algorithm_escapes", bool(escaped),
@@ -274,7 +207,8 @@ def run_escape(seed: int) -> list:
 
     quartic = corpus("quartic_1d")
     qtrace = minimize(quartic, np.zeros(1), quartic_1d_config(seed=seed))
-    target = quartic_descent_target()
+    # The largest root of f'(x) = x (4 x^2 - 300 x + 2), the global minimizer
+    target = (300.0 + math.sqrt(89968.0)) / 8.0
     q_ok = qtrace.final_value < 0.0 and abs(float(qtrace.final_point[0]) - target) <= 1e-2
     rows.append(BenchRow("escape", "quartic_1d/escapes_to_global_min", bool(q_ok),
                          (("final_x", float(qtrace.final_point[0])), ("target", target),
@@ -293,34 +227,21 @@ def run_escape(seed: int) -> list:
 
 
 def run_rate(seed: int) -> list:
-    """Finite-budget quality envelope over t = 100 iterations."""
+    """Finite-budget quality envelope over t = 100 iterations, with f* from ``GRID_MINIMA``."""
     rows = []
-    cases = []
-
-    confined = corpus("monkey_saddle_confined")
-    cases.append(("monkey_saddle_confined", confined, np.zeros(2),
-                  confined_monkey_config(max_iters=100, seed=seed),
-                  grid_minimum_2d(confined, -2.0, 2.0, 1001)))
-
-    wine = corpus("wine_bottle")
-    wb = smoothness_bounds(wine, radius=3.0)
-    cases.append(("wine_bottle", wine, np.array([1.2, -0.7]),
-                  OptimizerConfig(wb.hess_lipschitz, wb.third_lipschitz, max_iters=100, seed=seed),
-                  grid_minimum_2d(wine, -2.0, 2.0, 1001)))
-
-    inverted = corpus("inverted_wine_bottle")
-    ib = smoothness_bounds(inverted, radius=3.0)
-    cases.append(("inverted_wine_bottle", inverted, np.array([0.4, 0.3]),
-                  OptimizerConfig(ib.hess_lipschitz, ib.third_lipschitz, max_iters=100, seed=seed),
-                  grid_minimum_2d(inverted, -2.0, 2.0, 1001)))
-
-    quartic = corpus("quartic_1d")
-    cases.append(("quartic_1d", quartic, np.zeros(1), quartic_1d_config(max_iters=100, seed=seed),
-                  grid_minimum_1d(quartic, -20.0, 110.0, 130001)))
-
-    for name, poly, x0, cfg, f_star in cases:
-        trace = minimize(poly, x0, cfg)
-        report = rate_report(trace, f_star)
+    wb = smoothness_bounds(corpus("wine_bottle"), radius=3.0)
+    ib = smoothness_bounds(corpus("inverted_wine_bottle"), radius=3.0)
+    cases = (
+        ("monkey_saddle_confined", np.zeros(2), confined_monkey_config(max_iters=100, seed=seed)),
+        ("wine_bottle", np.array([1.2, -0.7]),
+         OptimizerConfig(wb.hess_lipschitz, wb.third_lipschitz, max_iters=100, seed=seed)),
+        ("inverted_wine_bottle", np.array([0.4, 0.3]),
+         OptimizerConfig(ib.hess_lipschitz, ib.third_lipschitz, max_iters=100, seed=seed)),
+        ("quartic_1d", np.zeros(1), quartic_1d_config(max_iters=100, seed=seed)),
+    )
+    for name, x0, cfg in cases:
+        trace = minimize(corpus(name), x0, cfg)
+        report = rate_report(trace, GRID_MINIMA[name])
         rows.append(BenchRow("rate", name, report.satisfied,
                              (("mu_bound", report.mu_bound),
                               ("static_proj_bound", report.static_proj_bound),
@@ -459,12 +380,13 @@ def _ball_grid() -> _BallGrid:
     groups = groups[by_group]
     starts = np.concatenate(([0], np.flatnonzero(groups[1:] != groups[:-1]) + 1, [len(order)]))
     del groups, by_group, inside
-    plane = np.empty((401, 401, 2))
-    plane[..., 0] = axis
-    plane[..., 1] = axis[:, None]
-    pts = np.take(plane.reshape(-1, 2), order, axis=0)
-    del plane
     cubed = norms[order]
+    del norms
+    # Filled column by column, so at most one index and one value array of
+    # the points' length are alive beside it
+    pts = np.empty((len(order), 2))
+    pts[:, 0] = axis[order % 401]
+    pts[:, 1] = axis[order // 401]
     radii = cubed[starts[:-1]]
     # Cubed by two multiplications, r * (r * r): the vectorized power's
     # rounding depends on the CPU's SIMD level.
@@ -593,12 +515,10 @@ def run_subproblem(seed: int) -> list:
         sol = solve_cubic_model(g, decomp, reg)
         grid_min = _subproblem_grid_minimum(grid, g, h, decomp, reg, sol.radius)
         stat_res = _norm(g + _matmul(h, sol.step) + 0.5 * reg * sol.radius * sol.step)
-        eigs = np.linalg.eigvalsh(h)
-        margin = float(eigs[0]) + 0.5 * reg * sol.radius
-        h_scale = max(1.0, float(np.abs(eigs).max()))
+        margin = float(decomp.eigenvalues[-1]) + 0.5 * reg * sol.radius
         ok = (sol.model_value <= grid_min + 1e-3
               and stat_res <= 1e-8 * max(1.0, _norm(g))
-              and margin >= -1e-8 * h_scale)
+              and margin >= -1e-8 * decomp.spectral_scale())
         rows.append(BenchRow("subproblem", f"instance{case}", bool(ok),
                              (("model_value", sol.model_value), ("grid_min", grid_min),
                               ("stat_residual", stat_res), ("psd_margin", margin))))

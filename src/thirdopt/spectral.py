@@ -25,8 +25,8 @@ inline call.  OpenBLAS runs ``_matmul``, ``_dot``, ``_vdot``,
 by CPU or by ``OPENBLAS_CORETYPE``, decides their last bits: SkylakeX,
 Haswell and Sandybridge differ even at n = 2.  On C-contiguous stacks,
 ``_matmul`` and ``_vecdot`` round each member as it rounds alone.
-``_einsum`` and ``_row_norms`` add in numpy's own loops.  LAPACK
-(``eigh`` here, ``eigvalsh`` and ``np.roots`` in ``bench``) varies with
+``_einsum`` and ``_row_norms`` add in numpy's own loops.  LAPACK's
+``eigh``, which ``eig_sym`` calls and no other module does, varies with
 the kernel too.
 """
 

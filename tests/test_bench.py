@@ -1,4 +1,4 @@
-"""The batched taylor suite and the screened grid minima against their definitions.
+"""The batched taylor suite, the suites' grid minima and the screened subproblem grid.
 
 ``run_taylor`` draws its pairs in chunks and expands every member's 1000
 pairs as stacks.  Its CSV is pinned; these tests state the pairs'
@@ -6,23 +6,24 @@ contract and that the stacked expansion is the per-pair ``@`` expression,
 bit for bit.  Every row of the sampler and taylor suites passes at seeds
 0 to 10.
 
-``grid_minimum_1d`` and ``grid_minimum_2d`` evaluate exactly only the
-points a cheap screen keeps; the least exact value must still be the
-least ``value`` over the whole grid, bit for bit.  The subproblem suite's
-grid minimum evaluates its model only on a slice of radii, and must equal
-the model's least value over every grid point, bit for bit.
+``bench.GRID_MINIMA``, the escape and rate suites' f*, are constants:
+each must be its member's least value over every point of its grid, bit
+for bit, and lie within the grid's gap of the closed-form minimum.  The
+subproblem suite's grid minimum evaluates its model only on a slice of
+radii, and must equal the model's least value over every grid point, bit
+for bit.
 """
 
-import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thirdopt import Polynomial, bench, corpus, eig_sym, solve_cubic_model
+from thirdopt import bench, corpus, eig_sym, solve_cubic_model
 
 from oracles import subproblem_grid_min
 
@@ -82,77 +83,51 @@ def test_stacked_expansion_equals_per_pair_expression(name):
         assert expansion[i].tobytes() == np.float64(want).tobytes(), i
 
 
-GRID_MINIMA = {1: bench.grid_minimum_1d, 2: bench.grid_minimum_2d}
+def least_grid_value(poly, axis):
+    """The least of ``poly.bundle_many(points, 0)`` over the grid of ``poly.dim``
+    copies of ``axis``, every point evaluated, 2**16 points at a time."""
+    shape = (len(axis),) * poly.dim
+    size = math.prod(shape)
+    least = math.inf
+    for k in range(0, size, 2**16):
+        index = np.unravel_index(np.arange(k, min(k + 2**16, size)), shape)
+        points = np.column_stack([axis[i] for i in index])
+        least = min(least, float(poly.bundle_many(points, 0)[0].min()))
+    return least
 
 
-def pointwise_minimum(poly, lo, hi, points):
-    axis = np.linspace(lo, hi, points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.min([poly.value(pt) for pt in itertools.product(axis, repeat=poly.dim)]))
+# Each GRID_MINIMA entry's grid axis, its member's minimum as a (lower, upper)
+# pair of Fractions, and how far above it the grid's least value may sit since
+# no grid point is a minimizer.  f = r^4 - r^3 sin(3 theta) for the confined
+# saddle; f = (r^2 - 1)^2 and r^2 (r^2 - 1)^2 for the wine bottles.  The
+# quartic's minimizer t* = (300 + sqrt(89968)) / 8 is a root of 4 t^2 - 300 t
+# + 2, so t*^2 = 75 t* - 1/2, which reduces f(t*) = t*^2 - 100 t*^3 + t*^4 to
+# 937.25 - 140575 t*; SQRT_89968 brackets the root 1e-30 apart.
+SQRT_89968 = tuple(Fraction(math.isqrt(89968 * 10**60) + k, 10**30) for k in (0, 1))
+SQUARE_AXIS = np.linspace(-2.0, 2.0, 1001)
+REFERENCE_MINIMA = {
+    "monkey_saddle_confined": (SQUARE_AXIS, (Fraction(-27, 256),) * 2, 4.5e-6),
+    "wine_bottle": (SQUARE_AXIS, (Fraction(0),) * 2, 0.0),
+    "inverted_wine_bottle": (SQUARE_AXIS, (Fraction(0),) * 2, 0.0),
+    "quartic_1d": (np.linspace(-20.0, 110.0, 130001),
+                   tuple(Fraction(937.25) - 140575 * (300 + r) / 8 for r in reversed(SQRT_89968)),
+                   1.25e-3),
+}
 
 
-@st.composite
-def grid_cases(draw):
-    """A polynomial in 1 or 2 variables and a grid ``(lo, hi, points)``.
-
-    Half the polynomials have up to 8 terms of degree <= 6, maybe offset
-    by 1e8.  The other half are the square of a product of two factors
-    ``x_i - r``, each ``r`` a grid value: their least grid values are
-    rounding noise about 0, near-ties that the screen and the exact engine
-    round differently.
-    """
-    n = draw(st.integers(1, 2))
-    lo, hi, points = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.integers(1, 25))
-    if draw(st.booleans()):
-        monomial_axes = st.lists(st.integers(0, n - 1), max_size=6)
-        exps = {tuple(a.count(i) for i in range(n))
-                for a in draw(st.lists(monomial_axes, max_size=8))}
-        poly = Polynomial(n, [(draw(st.floats(-1.0, 1.0)), e) for e in sorted(exps)])
-        poly = poly + draw(st.sampled_from([0.0, 1e8]))
-    else:
-        grid_value = st.sampled_from(np.linspace(lo, hi, points).tolist())
-        factors = [Polynomial.variable(n, draw(st.integers(0, n - 1))) - draw(grid_value)
-                   for _ in range(2)]
-        poly = (factors[0] * factors[1]) ** 2
-    return poly, lo, hi, points
+@pytest.mark.parametrize("name", sorted(bench.GRID_MINIMA))
+def test_grid_minimum_is_the_least_value_on_its_grid(name):
+    axis = REFERENCE_MINIMA[name][0]
+    assert least_grid_value(corpus(name), axis).hex() == bench.GRID_MINIMA[name].hex()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(grid_cases())
-@example((Polynomial.zero(2), -1.0, 1.0, 9))
-@example((Polynomial.constant(1, -1.5), -2.0, 2.0, 25))
-@example((corpus("wine_bottle"), -2.0, 2.0, 101))
-@example((1e8 + Polynomial(2, [(1e-9, (1, 0)), (-1e-9, (1, 1)), (3e-9, (0, 2))]), -2.0, 2.0, 41))
-@example((1e8 - Polynomial(1, [(1e-9, (3,)), (2e-9, (1,))]), -2.0, 2.0, 401))
-@example((corpus("monkey_saddle_confined"), 0.3, 5.0, 1))
-@example((corpus("quartic_1d"), -20.0, 110.0, 1))
-def test_grid_minimum_equals_pointwise_minimum(case):
-    poly, lo, hi, points = case
-    got = GRID_MINIMA[poly.dim](poly, lo, hi, points)
-    assert got.hex() == pointwise_minimum(poly, lo, hi, points).hex()
-
-
-@pytest.mark.parametrize("poly, want", [
-    (Polynomial(1, [(-1e300, (6,)), (1.0, (1,))]), -math.inf),
-    (Polynomial(2, [(1e300, (6, 0)), (-1e300, (0, 6))]), math.nan),
-], ids=["inf", "nan"])
-def test_overflowing_grid_evaluates_every_point(poly, want):
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = GRID_MINIMA[poly.dim](poly, -1e3, 1e3, 11)
-    assert got.hex() == want.hex() == pointwise_minimum(poly, -1e3, 1e3, 11).hex()
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: bench.grid_minimum_2d(corpus("quartic_1d"), -1.0, 1.0, 5),
-     "expected a 2-D polynomial, got dimension 1"),
-    (lambda: bench.grid_minimum_1d(corpus("quartic_1d"), math.nan, 1.0, 5), "lo must be finite"),
-    (lambda: bench.grid_minimum_2d(corpus("wine_bottle"), -1.0, math.inf, 5), "hi must be finite"),
-    (lambda: bench.grid_minimum_1d(corpus("quartic_1d"), -1.0, 1.0, 0),
-     "points must be at least 1, got 0"),
-], ids=["dim", "lo", "hi", "points"])
-def test_grid_minimum_rejects_malformed_input(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
+@pytest.mark.parametrize("name", sorted(bench.GRID_MINIMA))
+def test_grid_minimum_is_near_the_closed_form_minimum(name):
+    _, (lower, upper), gap = REFERENCE_MINIMA[name]
+    value = Fraction(bench.GRID_MINIMA[name])
+    assert value - lower <= gap
+    # below the minimum by rounding alone, as wine_bottle's -2^-53 is
+    assert upper - value <= 2.0**-50 * max(1, abs(upper))
 
 
 BALL_GRID = bench._ball_grid()

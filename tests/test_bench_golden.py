@@ -46,8 +46,8 @@ def test_taylor_csv_is_byte_identical_at_more_seeds(tmp_path, capsys, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TAYLOR_SHA256[seed]
 
 
-# The escape and rate suites take their lower bounds f* from grid minima,
-# which evaluate exactly only the points a screen keeps.  The rate CSV comes
+# The escape and rate suites take their lower bounds f* from the constants
+# bench.GRID_MINIMA, each a least value on a fixed grid.  The rate CSV comes
 # out the same at seeds 0, 4 and 6: its rows read only f* and quantities the
 # seeded draws leave alone.
 GRID_MINIMUM_SHA256 = {

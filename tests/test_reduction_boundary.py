@@ -1,4 +1,4 @@
-"""Every float reduction outside ``spectral.py``, pinned.
+"""No float reduction outside ``spectral.py``.
 
 ``spectral.py`` holds the helpers (``_matmul``, ``_dot``, ``_vecdot``,
 ``_einsum``, ``_norm``, ``_row_norms``) through which the package sums
@@ -6,7 +6,8 @@ products of floats, so how those sums round, which depends on the
 OpenBLAS kernel, is decided in that one file.  The scan fails when
 another module spells such a reduction itself: the ``@`` operator, a
 call of a numpy product function or method, or a ``linalg`` or ``roots``
-call.  Each exception below states its reason.
+call.  ``ALLOWED`` is empty, so LAPACK, too, is called only in
+``spectral.py``.
 """
 
 import ast
@@ -20,17 +21,9 @@ PACKAGE = Path(thirdopt.__file__).parent
 # or decompose a matrix, when called
 REDUCTIONS = {"dot", "vdot", "inner", "matmul", "vecdot", "einsum", "tensordot", "roots"}
 
-# (module, enclosing function, reduction) of each allowed spelling, and why
-ALLOWED = {
-    ("bench", "_grid_minimum", "powers.T @ coeffs"):
-        "the screen's values only rank grid points; the minimum is evaluated exactly",
-    ("bench", "_grid_minimum", "screen @ powers"):
-        "the screen's values only rank grid points; the minimum is evaluated exactly",
-    ("bench", "quartic_descent_target", "np.roots"):
-        "LAPACK eigenvalues of the companion matrix, which no helper wraps",
-    ("bench", "run_subproblem", "np.linalg.eigvalsh"):
-        "LAPACK eigenvalues, which no helper wraps",
-}
+# (module, enclosing function, reduction) of each allowed spelling, and why;
+# there is none
+ALLOWED = {}
 
 
 def _reductions(tree: ast.Module, module: str) -> set:
