@@ -29,7 +29,7 @@ from .escape import (
     rate_report,
     sample_direction,
 )
-from .polynomials import corpus, smoothness_bounds
+from .polynomials import CORPUS_NAMES, corpus, smoothness_bounds
 from .spectral import EigenDecomp, Subspace, _einsum, _matmul, _norm, _row_norms, _vecdot, eig_sym
 from .tensors import SymTensor3, _symmetrized
 
@@ -146,8 +146,7 @@ def run_decrease(seed: int) -> list:
     """
     rows = []
     rng = np.random.default_rng(seed)
-    for name in ("monkey_saddle", "monkey_saddle_confined", "xxy_plus_yy",
-                 "quartic_1d", "wine_bottle", "inverted_wine_bottle", "quartic_plus_sixth"):
+    for name in CORPUS_NAMES:
         poly = corpus(name)
         bounds = smoothness_bounds(poly, radius=5.0)
         reg = bounds.hess_lipschitz

@@ -23,16 +23,19 @@ permutations of an index sum the same floats in the same order, and the
 Hessian and third derivative are exactly symmetric;
 :meth:`Polynomial.bundle` skips :class:`DerivativeBundle`'s check.
 
-Orders 0..3 share one fused table: order k's rows follow order k-1's,
-with positions offset by 1 + n + ... + n**(k-1), so the rows through
-order k are a prefix of the table and fill a prefix of the flat vector
-(f, grad, hess, third).  :meth:`Polynomial.value` and
-:meth:`Polynomial.bundle` read that prefix at one point with one gather,
-one product and one ``bincount``; :meth:`Polynomial.bundle_many` reads
-each order's slice at every row of an ``(N, n)`` stack.  Each position
-still adds the same rows in the same order on both paths, so row i of a
-stack equals the bundle at that row bit for bit.  Order 4 serves only
-:func:`smoothness_bounds` and is built on its own.
+One pass builds the rows of orders 0..4, each order's rows the last
+order's differentiated once more.  Orders 0..3 share one fused table:
+order k's rows follow order k-1's, with positions offset by
+1 + n + ... + n**(k-1), so the rows through order k are a prefix of the
+table and fill a prefix of the flat vector (f, grad, hess, third).
+Order 4 serves only :func:`smoothness_bounds` and is kept apart.  One
+evaluator reads that prefix, with one gather, one product and one
+``bincount``, at one point for :meth:`Polynomial.value` and
+:meth:`Polynomial.bundle`, and at every row of an ``(N, n)`` stack for
+:meth:`Polynomial.bundle_many`, point p's bins offset by p times the
+prefix's length.  Each position adds the same rows in the same order on
+both paths, so row i of a stack equals the bundle at that row bit for
+bit.
 """
 
 from __future__ import annotations
@@ -98,8 +101,8 @@ def check_positive(name: str, value: float) -> None:
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a value that is not an integer (numpy's included) of at least ``minimum``, 0 or 1."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """Reject a value that is not an integer (numpy's included, bool not) of at least ``minimum``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         kind = "positive" if minimum else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
@@ -174,7 +177,8 @@ class Polynomial:
             exps = tuple(exponents)
             if len(exps) != dim:
                 raise ValueError(f"exponent list {exps} does not have length {dim}")
-            if any((not isinstance(e, (int, np.integer))) or e < 0 for e in exps):
+            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) or e < 0
+                   for e in exps):
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
             exps = tuple(int(e) for e in exps)
             if sum(exps) > MAX_DEGREE:
@@ -299,40 +303,7 @@ class Polynomial:
 
     def value(self, x) -> float:
         x = as_point(x, self._dim)
-        return float(self._at_point(x, 0)[0])
-
-    def _rows(self, order: int) -> tuple:
-        """Rows of the order-``order`` derivative: position, residual, multiplier.
-
-        ``residual`` has one power-table index per support axis, in axis
-        order, padded with index 0 (``x[0] ** 0 = 1``).  A multiplier that
-        overflows, a coefficient times its falling factorial, is inf; the
-        fourth element then names the first such term and the order, and
-        is None otherwise.
-        """
-        # each term's (axis, exponent) over its support, padded with (0, 0)
-        support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
-        width = max(map(len, support), default=0)
-        padded = np.array([s + [(0, 0)] * (width - len(s)) for s in support], dtype=np.intp)
-        axes, left = padded.reshape(len(support), width, 2).transpose(2, 0, 1)
-        term = np.arange(len(support))
-        pos, factor = np.zeros_like(term), np.ones_like(term)
-        for _ in range(order):
-            # differentiate every row along every support axis it still has
-            row, j = np.nonzero(left)
-            term, factor, left = term[row], factor[row] * left[row, j], left[row]
-            pos = pos[row] * self._dim + axes[term, j]
-            left[np.arange(len(row)), j] -= 1
-        offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
-        with np.errstate(over="ignore"):
-            mult = np.array([c for _, c in self._terms])[term] * factor
-        overflow = None
-        if not _all_finite(mult):
-            row = next(r for r, m in enumerate(mult.tolist()) if not math.isfinite(m))
-            exps, coeff = self._terms[term[row]]
-            overflow = (f"order-{order} derivative of the term {coeff!r}*{_monomial(exps)} "
-                        f"overflows: the coefficient times {int(factor[row])}")
-        return pos, (offsets[axes[term]] + left).T.astype(np.intp, order="C"), mult, overflow
+        return float(self._evaluate(self._powers(x), 0)[0])
 
     def _prefixes(self) -> tuple:
         """The fused order 0..3 table, as its prefix through each order.
@@ -340,12 +311,47 @@ class Polynomial:
         Entry k is (positions, residual, multipliers, size, overflow): the
         rows of orders 0..k, positions offset into the flat (f, grad,
         hess, third) vector, that vector's length through order k, and
-        the first of those orders' ``_rows`` overflow messages, or None.
+        the first of those orders' overflow messages, or None.  One pass
+        builds orders 0..4, each the last differentiated once more, and
+        keeps order 4's (positions, residual, multipliers, overflow) in
+        ``_order4``.
+
+        ``residual`` has one power-table index per support axis, in axis
+        order, padded with index 0 (``x[0] ** 0 = 1``).  A multiplier
+        that overflows, a coefficient times its falling factorial, is
+        inf; the overflow message names the first such term and order.
         """
         if self._fused is None:
             n = self._dim
+            # each term's (axis, exponent) over its support, padded with (0, 0)
+            support = [[(i, e) for i, e in enumerate(exps) if e] for exps, _ in self._terms]
+            width = max(map(len, support), default=0)
+            padded = np.array([s + [(0, 0)] * (width - len(s)) for s in support], dtype=np.intp)
+            axes, left = padded.reshape(len(support), width, 2).transpose(2, 0, 1)
+            offsets = np.array([k for k, (_, e) in enumerate(self._slots) if e == 0])
+            coeffs = np.array([c for _, c in self._terms])
+            term = np.arange(len(support))
+            pos, factor = np.zeros_like(term), np.ones_like(term)
+            parts = []
+            for order in range(5):
+                if order:
+                    # differentiate every row along every support axis it still has
+                    row, j = np.nonzero(left)
+                    term, factor, left = term[row], factor[row] * left[row, j], left[row]
+                    pos = pos[row] * n + axes[term, j]
+                    left[np.arange(len(row)), j] -= 1
+                with np.errstate(over="ignore"):
+                    mult = coeffs[term] * factor
+                overflow = None
+                if not _all_finite(mult):
+                    r = next(r for r, m in enumerate(mult.tolist()) if not math.isfinite(m))
+                    exps, coeff = self._terms[term[r]]
+                    overflow = (f"order-{order} derivative of the term {coeff!r}*{_monomial(exps)} "
+                                f"overflows: the coefficient times {int(factor[r])}")
+                residual = (offsets[axes[term]] + left).T.astype(np.intp, order="C")
+                parts.append((pos, residual, mult, overflow))
+            *parts, self._order4 = parts
             sizes = np.cumsum([n**k for k in range(4)]).tolist()
-            parts = [self._rows(k) for k in range(4)]
             pos = np.concatenate([p[0] + start for p, start in zip(parts, [0] + sizes)])
             residual = np.concatenate([p[1] for p in parts], axis=1)
             mult = np.concatenate([p[2] for p in parts])
@@ -359,14 +365,12 @@ class Polynomial:
         """Rows of one order: position in the n**order tensor, residual, multiplier.
 
         Orders 0..3 are slices of the fused table; order 4, which serves
-        only :func:`smoothness_bounds`, is built on first use.  An order
-        with an overflowing multiplier, or above one, raises ValueError.
+        only :func:`smoothness_bounds`, is kept apart.  An order with an
+        overflowing multiplier, or above one, raises ValueError.
         """
-        if order == 4:
-            if self._order4 is None:
-                self._order4 = self._rows(4)
-            return tuple(_readable(self._order4))
         prefixes = self._prefixes()
+        if order == 4:
+            return tuple(_readable(self._order4))
         pos, residual, mult, size = _readable(prefixes[order])
         start = len(prefixes[order - 1][2]) if order else 0
         return pos[start:] - (size - self._dim**order), residual[:, start:], mult[start:]
@@ -396,27 +400,23 @@ class Polynomial:
                 i, e = next((i, e) for i, e in self._slots if big[i] ** e == math.inf)
             raise ValueError(f"power x{i}**{e} overflows at |x{i}| = {float(big[i])!r}") from None
 
-    def _at_point(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Orders 0..``order`` at one point, flat: f, grad, hess and third in turn.
+    def _evaluate(self, powers: np.ndarray, order: int) -> np.ndarray:
+        """Orders 0..``order``, flat (f, grad, hess, third in turn), from ``_powers``.
 
-        Raises ValueError if one of those orders has an overflowing multiplier.
+        ``powers`` is one point's ``(slots,)`` or a stack's ``(N, slots)``;
+        the result is ``(size,)`` or ``(N, size)``.  Each row's residual
+        powers are multiplied in table order, then by the row's
+        multiplier.  Point p's rows go to bins offset by ``p * size``, so
+        every position of every point adds its rows in table order, as at
+        one point.  Raises ValueError if one of those orders has an
+        overflowing multiplier.
         """
         pos, residual, mult, size = _readable(self._prefixes()[order])
-        terms = mult * np.multiply.reduce(self._powers(x)[residual], axis=0)
-        return np.bincount(pos, terms, minlength=size)
-
-    def _derivative(self, order: int, powers: np.ndarray) -> np.ndarray:
-        """The order-``order`` derivative, flattened, at each row of a ``(N, slots)`` power stack.
-
-        Each row's residual powers are multiplied in table order, then by
-        the row's multiplier.  Point p's rows go to bins offset by
-        ``p * n**order``, so every position of every point still adds its
-        rows in table order, as :meth:`_at_point` does for one point.
-        """
-        pos, residual, mult = self._table(order)
-        terms = mult * np.multiply.reduce(powers[..., residual], axis=-2)
-        size = self._dim**order
+        if powers.ndim == 1:
+            terms = mult * np.multiply.reduce(powers[residual], axis=0)
+            return np.bincount(pos, terms, minlength=size)
         count = len(powers)
+        terms = mult * np.multiply.reduce(powers[:, residual], axis=1)
         bins = (pos + size * np.arange(count)[:, None]).ravel()
         return np.bincount(bins, terms.ravel(), minlength=count * size).reshape(count, size)
 
@@ -427,7 +427,7 @@ class Polynomial:
         """
         check_order(order)
         n = self._dim
-        flat = self._at_point(as_point(x, n), order)
+        flat = self._evaluate(self._powers(as_point(x, n)), order)
         grad = flat[1:1 + n] if order >= 1 else np.zeros(n)
         hess = flat[1 + n:1 + n + n * n] if order >= 2 else np.zeros(n * n)
         third = flat[1 + n + n * n:] if order == 3 else np.zeros(n**3)
@@ -451,10 +451,11 @@ class Polynomial:
         if not np.isfinite(points).all():
             raise ValueError("points have non-finite entries")
         count = len(points)
-        powers = self._powers(points)
+        flat = self._evaluate(self._powers(points), order)
+        ends = np.cumsum([n**k for k in range(4)]).tolist()
         value, grad, hess, third = [
-            self._derivative(k, powers) if k <= order else np.zeros((count, n**k))
-            for k in range(4)
+            flat[:, end - n**k:end].copy() if k <= order else np.zeros((count, n**k))
+            for k, end in enumerate(ends)
         ]
         return (value.reshape(count), grad, hess.reshape(count, n, n),
                 third.reshape(count, n, n, n))
@@ -474,11 +475,18 @@ class Polynomial:
         dim = data["dim"]
         if not isinstance(dim, int):
             raise ValueError('"dim" must be an integer')
+        if not isinstance(data["terms"], list):
+            raise ValueError('"terms" must be a list')
         terms = []
         for entry in data["terms"]:
             if not isinstance(entry, dict) or "coeff" not in entry or "exponents" not in entry:
                 raise ValueError('each term must have "coeff" and "exponents"')
-            terms.append((entry["coeff"], entry["exponents"]))
+            coeff, exponents = entry["coeff"], entry["exponents"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+                raise ValueError(f'"coeff" must be a number, got {coeff!r}')
+            if not isinstance(exponents, list):
+                raise ValueError(f'"exponents" must be a list, got {exponents!r}')
+            terms.append((coeff, exponents))
         return cls(dim, terms)
 
 

@@ -409,10 +409,12 @@ def triple_loop_transform(entries, matrix):
 def per_order_bundle(poly, x, order):
     """Value and derivatives of a Polynomial at one point, one order at a time.
 
-    The float order the fused derivative table has to keep: scalar powers
-    ``x[i] ** e``, then for each order k <= ``order`` its own rows, each
-    residual product in table order times the multiplier, added by one
-    ``bincount`` over the n**k entries.  Orders above ``order`` are zero.
+    The float order the fused evaluation has to keep: scalar powers
+    ``x[i] ** e``, then for each order k <= ``order`` its own rows, read
+    through ``poly._table(k)`` as the fused table's slice for that order,
+    each residual product in table order times the multiplier, added by
+    one ``bincount`` over the n**k entries.  Orders above ``order`` are
+    zero.
     """
     n = poly.dim
     row = [float(v) for v in x]
@@ -422,7 +424,7 @@ def per_order_bundle(poly, x, order):
         if k > order:
             flat.append(np.zeros(n**k))
             continue
-        pos, residual, mult, _ = poly._rows(k)
+        pos, residual, mult = poly._table(k)
         terms = mult * np.multiply.reduce(powers[residual], axis=0)
         flat.append(np.bincount(pos, terms, minlength=n**k))
     return flat[0][0], flat[1], flat[2].reshape(n, n), flat[3].reshape(n, n, n)

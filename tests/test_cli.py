@@ -220,6 +220,15 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_malformed_problem_json_exits_one_naming_the_field(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"dim": 1, "terms": [{"coeff": None, "exponents": [1]}]}))
+        code = main(["check", "--problem", str(problem), "--point", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: "coeff" must be a number, got None\n'
+
     @pytest.mark.parametrize("option", ["--tol-eig", "--tol-third"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_invalid_tolerance_exits_one(self, capsys, option, value):

@@ -450,10 +450,12 @@ class TestMinimize:
         (lambda: OptimizerConfig(1.0, 1.0, max_iters=np.int64(0)), "max_iters"),
         (lambda: OptimizerConfig(1.0, 1.0, seed=1.5), "seed"),
         (lambda: OptimizerConfig(1.0, 1.0, seed=-1), "seed"),
+        (lambda: OptimizerConfig(1.0, 1.0, max_iters=True), "max_iters"),
+        (lambda: OptimizerConfig(1.0, 1.0, seed=False), "seed"),
         (lambda: OracleObjective(0, None, None, None, None), "dimension"),
         (lambda: OracleObjective(2.0, None, None, None, None), "dimension"),
-    ], ids=["max-iters-float", "max-iters-zero", "seed-float", "seed-negative", "dim-zero",
-            "dim-float"])
+    ], ids=["max-iters-float", "max-iters-zero", "seed-float", "seed-negative", "max-iters-bool",
+            "seed-bool", "dim-zero", "dim-float"])
     def test_run_parameters_fail_at_construction(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be a"):
             make()

@@ -446,6 +446,10 @@ class TestDerivativeTableOverflow:
                                                      r"-1\.5e\+308\*x0\^2\*x1 overflows: "
                                                      "the coefficient times 2$"):
                     read()
+            # a stack reads only the prefix through the order it is asked for
+            value, grad, hess, third = poly.bundle_many(np.ones((2, 2)), 3)
+            assert value.tolist() == [1e306 + 1.0] * 2 and grad.tolist() == [[1.0, 6e306]] * 2
+            assert big.bundle_many(np.ones((2, 2)), 0)[0].tolist() == [-1.5e308] * 2
 
 
 class TestDerivativeBundleSymmetry:
@@ -697,10 +701,19 @@ class TestJson:
             Polynomial.from_dict(data)
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            Polynomial.from_dict({"dim": 2})
-        with pytest.raises(ValueError):
-            Polynomial.from_dict({"dim": 2, "terms": [{"coeff": 1.0}]})
+        for data, message in [
+            ({"dim": 2}, '"dim" and "terms"'),
+            ({"dim": 2, "terms": [{"coeff": 1.0}]}, '"coeff" and "exponents"'),
+            ({"dim": 1, "terms": [{"coeff": None, "exponents": [1]}]}, '^"coeff" must be a number'),
+            ({"dim": 1, "terms": [{"coeff": 1.0, "exponents": 2}]}, '^"exponents" must be a list'),
+            ({"dim": 1, "terms": 5}, '^"terms" must be a list'),
+            ({"dim": True, "terms": [{"coeff": "3", "exponents": [True]}]},
+             '^"coeff" must be a number'),
+            ({"dim": 1, "terms": [{"coeff": 3, "exponents": [True]}]}, "^exponents must be"),
+            ({"dim": True, "terms": []}, "^dimension must be a positive integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Polynomial.from_dict(data)
 
 
 class TestOracleObjective:
