@@ -212,6 +212,10 @@ class Polynomial:
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Polynomial":
+        _check_count("dimension", dim, 1)
+        _check_count("index", index, 0)
+        if index >= dim:
+            raise ValueError(f"index must be below the dimension {dim}, got {index!r}")
         exps = [0] * dim
         exps[index] = 1
         return cls(dim, [(1.0, tuple(exps))])
@@ -412,6 +416,9 @@ class Polynomial:
         overflowing multiplier.
         """
         pos, residual, mult, size = _readable(self._prefixes()[order])
+        if not len(mult):
+            # a polynomial without terms; bincount would count in int64
+            return np.zeros(powers.shape[:-1] + (size,))
         if powers.ndim == 1:
             terms = mult * np.multiply.reduce(powers[residual], axis=0)
             return np.bincount(pos, terms, minlength=size)
@@ -454,7 +461,7 @@ class Polynomial:
         flat = self._evaluate(self._powers(points), order)
         ends = np.cumsum([n**k for k in range(4)]).tolist()
         value, grad, hess, third = [
-            flat[:, end - n**k:end].copy() if k <= order else np.zeros((count, n**k))
+            flat[:, end - n**k:end].astype(float) if k <= order else np.zeros((count, n**k))
             for k, end in enumerate(ends)
         ]
         return (value.reshape(count), grad, hess.reshape(count, n, n),

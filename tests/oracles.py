@@ -1,11 +1,12 @@
 """Independent oracles used to derive and verify expected test values.
 
 Everything here deliberately avoids the library's own computation paths:
-derivatives come from sympy, contractions from explicit loops, minima
-from brute-force grids, and roots from closed forms.  The exceptions are
-``regularized_step``, a shared helper that takes the library's cubic step,
-and the references that pin the floats of a fast path to the plainer code
-it replaced: ``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
+derivatives and their bounds come from exact rational arithmetic on the
+terms, contractions from explicit loops, minima from brute-force grids,
+and roots from closed forms.  The exceptions are ``regularized_step``, a
+shared helper that takes the library's cubic step, and the references
+that pin the floats of a fast path to the plainer code it replaced:
+``per_order_bundle`` reads a ``Polynomial``'s derivative rows,
 ``tensordot_transform`` and ``symmetrized_eigh`` are numpy calls,
 ``_secular_offset_arrays`` runs the secular iteration in numpy arrays
 from the library's bracket and unit of radius,
@@ -19,15 +20,16 @@ from the oracles above, with the library's constants and RNG stream.
 so it checks the solver's radius independently at any scale.
 """
 
+import decimal
 import functools
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
-from thirdopt import Subspace, SymTensor3, eig_sym, solve_cubic_model
+from thirdopt import Polynomial, Subspace, SymTensor3, eig_sym, solve_cubic_model
 from thirdopt.escape import MAX_SAMPLER_DRAWS, PROJ_NORM_FLOOR, QUIET_WINDOW, EscapeSubspace
 from thirdopt.cubic import (_HARD_CASE_REL, _SECULAR_MAX_EVALS, _SECULAR_RTOL, CubicSolution,
                             _secular_bracket, _sum)
@@ -40,36 +42,15 @@ def regularized_step(objective, x, reg):
     return x + solve_cubic_model(b.grad, eig_sym(b.hess), reg).step
 
 
-def sympy_bundle(poly, x):
-    """Symbolic value/grad/hess/third of a Polynomial at x, via sympy."""
-    n = poly.dim
-    syms = sp.symbols(f"v0:{n}")
-    expr = sp.Integer(0)
-    for coeff, exps in poly.terms:
-        term = sp.Float(coeff, 25)
-        for s, e in zip(syms, exps):
-            term *= s**e
-        expr += term
-    subs = {s: sp.Float(float(v), 25) for s, v in zip(syms, x)}
-    value = float(expr.subs(subs))
-    grad = np.array([float(sp.diff(expr, s).subs(subs)) for s in syms])
-    hess = np.array(
-        [[float(sp.diff(expr, a, b).subs(subs)) for b in syms] for a in syms]
-    )
-    third = np.array(
-        [[[float(sp.diff(expr, a, b, c).subs(subs)) for c in syms] for b in syms] for a in syms]
-    )
-    return value, grad, hess, third
-
-
-def term_loop_partial(poly, x, axes):
+def term_loop_partial(poly, x, axes, number=float):
     """One derivative entry by a loop over the terms, in the library's float order.
 
     Per term: the integer falling-factorial multiplier times the coefficient,
     times the residual monomial multiplied up in axis order from scalar
-    powers, added to the entry in term order.
+    powers, added to the entry in term order.  Arithmetic is in ``number``:
+    with ``Fraction`` coordinates and ``number=Fraction`` the entry is exact.
     """
-    total = 0.0
+    total = number(0)
     for coeff, exps in poly.terms:
         left, factor = list(exps), 1
         for a in axes:
@@ -77,39 +58,42 @@ def term_loop_partial(poly, x, axes):
             left[a] -= 1
         if factor == 0:
             continue
-        mono = 1.0
+        mono = number(1)
         for i, e in enumerate(left):
             if e:
                 mono *= x[i] ** e
-        total += coeff * factor * mono
+        total += number(coeff) * factor * mono
     return total
 
 
-def sympy_frobenius_bound(poly, order, radius):
+def exact_bundle(poly, x):
+    """Value, grad, hess and third of a Polynomial at x, each entry exact and rounded once."""
+    n, point = poly.dim, [Fraction(float(v)) for v in x]
+
+    def partials(k):
+        entries = [float(term_loop_partial(poly, point, index, Fraction))
+                   for index in itertools.product(range(n), repeat=k)]
+        return np.array(entries).reshape((n,) * k)
+
+    return float(partials(0)), partials(1), partials(2), partials(3)
+
+
+def exact_frobenius_bound(poly, order, radius):
     """Term-wise bound of sup ||D^order f||_F on a ball, in exact arithmetic.
 
-    For each ordered index tuple, every term's symbolic partial c * x^a is
-    bounded by |c| radius^|a| on the ball; an entry's bound is the sum over
-    terms, and the result is the Frobenius norm of the entry bounds.
-    Partials commute, so entry bounds are memoized by the sorted tuple.
+    For each ordered index tuple, every term's partial c * x^a is bounded
+    by |c| radius^|a| on the ball; an entry's bound is the sum over terms,
+    the term loop on the polynomial with |c| at the corner (radius, ...,
+    radius).  The squares of the entry bounds are summed exactly and the
+    square root is taken to 40 digits.
     """
-    syms = sp.symbols(f"v0:{poly.dim}")
-    r = sp.Rational(radius)
-    monomials = [sp.Rational(c) * sp.prod([s**e for s, e in zip(syms, exps)])
-                 for c, exps in poly.terms]
-
-    @functools.cache
-    def entry_bound(index):
-        bound = sp.Integer(0)
-        for mono in monomials:
-            partial = sp.Poly(sp.diff(mono, *(syms[i] for i in index)), *syms)
-            if not partial.is_zero:
-                bound += abs(partial.LC()) * r**partial.total_degree()
-        return bound
-
-    total = sum(entry_bound(tuple(sorted(index)))**2
+    absolute = Polynomial(poly.dim, [(abs(c), e) for c, e in poly.terms])
+    corner = [Fraction(radius)] * poly.dim
+    total = sum(term_loop_partial(absolute, corner, index, Fraction) ** 2
                 for index in itertools.product(range(poly.dim), repeat=order))
-    return float(sp.sqrt(total).evalf(30))
+    context = decimal.Context(prec=40)
+    square = context.divide(decimal.Decimal(total.numerator), decimal.Decimal(total.denominator))
+    return float(context.sqrt(square))
 
 
 def rank_one(v):
@@ -143,11 +127,6 @@ def grid_min_2d(fn, lo, hi, points):
     axis = np.linspace(lo, hi, points)
     xx, yy = np.meshgrid(axis, axis)
     return float(fn(xx, yy).min())
-
-
-def grid_min_1d(fn, lo, hi, points):
-    axis = np.linspace(lo, hi, points)
-    return float(fn(axis).min())
 
 
 def quartic_1d_positive_root():

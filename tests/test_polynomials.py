@@ -23,7 +23,7 @@ from thirdopt import (
 )
 from thirdopt.polynomials import MAX_DEGREE, _derivative_frobenius_bound
 
-from oracles import per_order_bundle, sympy_bundle, sympy_frobenius_bound, term_loop_partial
+from oracles import exact_bundle, exact_frobenius_bound, per_order_bundle, term_loop_partial
 
 # Dimensions the bit-identity tests of the fast paths cover.
 FAST_PATH_DIMS = (1, 2, 3, 5, 6, 10, 20)
@@ -164,7 +164,14 @@ class TestConstruction:
         (lambda: Polynomial.from_dict({"dim": 2.0, "terms": []}), '"dim" must be an integer'),
         (lambda: corpus("monkey_saddle").value([math.nan, 0.0]), "non-finite entries"),
         (lambda: corpus("monkey_saddle").bundle(np.zeros(2), 4), "order must be in 0..3"),
-    ], ids=["dim", "coefficient", "power", "json_dim", "point", "order"])
+        (lambda: Polynomial.variable(2, -1), "index must be a non-negative integer"),
+        (lambda: Polynomial.variable(2, True), "index must be a non-negative integer"),
+        (lambda: Polynomial.variable(2, 2), "index must be below the dimension 2"),
+        (lambda: Polynomial.variable(2, 1.0), "index must be a non-negative integer"),
+        (lambda: Polynomial.variable(2.0, 0), "dimension must be a positive integer"),
+    ], ids=["dim", "coefficient", "power", "json_dim", "point", "order",
+            "variable_negative", "variable_bool", "variable_past_dim", "variable_float",
+            "variable_float_dim"])
     def test_rejects_malformed_input(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -211,7 +218,7 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             corpus("monkey_saddle").bundle(np.zeros(3), 3)
 
-    def test_against_sympy_on_random_polynomials(self):
+    def test_against_exact_derivatives_on_random_polynomials(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             dim = int(rng.integers(1, 4))
@@ -224,7 +231,7 @@ class TestDerivatives:
             p = Polynomial(dim, [(c, e) for e, c in terms.items()])
             x = rng.standard_normal(dim)
             b = p.bundle(x, 3)
-            value, grad, hess, third = sympy_bundle(p, x)
+            value, grad, hess, third = exact_bundle(p, x)
             assert b.value == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert_allclose(b.grad, grad, rtol=1e-12, atol=1e-12)
             assert_allclose(b.hess, hess, rtol=1e-12, atol=1e-12)
@@ -294,6 +301,7 @@ class TestDerivatives:
             want = per_order_bundle(p, x, order)
             got = (np.float64(b.value), b.grad, b.hess, b.third.entries)
             for k, (g, w) in enumerate(zip(got, want)):
+                assert g.dtype == np.float64, (order, k)
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), (order, k)
         assert p.value(x) == per_order_bundle(p, x, 0)[0]
 
@@ -301,9 +309,9 @@ class TestDerivatives:
     @given(polynomials_and_points())
     @example((Polynomial.zero(3), np.array([0.5, -1.0, 0.25])))
     @example((Polynomial.constant(2, -1.5), np.array([0.3, 0.7])))
-    def test_every_order_matches_sympy(self, case):
+    def test_every_order_matches_exact_derivatives(self, case):
         p, x = case
-        value, grad, hess, third = sympy_bundle(p, x)
+        value, grad, hess, third = exact_bundle(p, x)
         assert p.value(x) == pytest.approx(value, rel=1e-12, abs=1e-12)
         for order in range(4):
             b = p.bundle(x, order)
@@ -334,6 +342,7 @@ class TestDerivatives:
     @given(point_stacks())
     @example((Polynomial.zero(3), np.array([[0.0, -1.0, 2.0], [0.0, -1.0, 2.0]])))
     @example((Polynomial.constant(2, -1.5), np.array([[0.0, 0.7]])))
+    @example((corpus("monkey_saddle"), np.zeros((0, 2))))
     def test_bundle_many_rows_equal_bundle_bit_for_bit(self, case):
         p, points = case
         n, count = p.dim, len(points)
@@ -341,6 +350,7 @@ class TestDerivatives:
             stacked = p.bundle_many(points, order)
             shapes = [(count,) + (n,) * k for k in range(4)]
             assert [a.shape for a in stacked] == shapes
+            assert all(a.dtype == np.float64 for a in stacked)
             assert all(a.flags.c_contiguous for a in stacked)
             for i, x in enumerate(points):
                 b = p.bundle(x, order)
@@ -583,7 +593,7 @@ class TestSmoothnessBounds:
     def test_match_termwise_oracle(self, p, radius):
         for order in (3, 4):
             got = _derivative_frobenius_bound(p, order, radius)
-            want = sympy_frobenius_bound(p, order, radius)
+            want = exact_frobenius_bound(p, order, radius)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     @pytest.mark.parametrize("coeff, exps", [(9.4e-268, (3,)), (1e200, (4,))],
@@ -595,7 +605,7 @@ class TestSmoothnessBounds:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _derivative_frobenius_bound(p, order, 1.0)
-            want = sympy_frobenius_bound(p, order, 1.0)
+            want = exact_frobenius_bound(p, order, 1.0)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -604,7 +614,7 @@ class TestSmoothnessBounds:
         scaled = Polynomial(p.dim, [(c * 10.0**exponent, e) for c, e in p.terms])
         for order in (3, 4):
             got = _derivative_frobenius_bound(scaled, order, radius)
-            want = sympy_frobenius_bound(scaled, order, radius)
+            want = exact_frobenius_bound(scaled, order, radius)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), order
 
     def test_radius_must_be_positive(self):
