@@ -25,9 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from .cubic import _point_model
 from .escape import SAMPLER_CONSTANT, _approx_factor, sample_direction
-from .polynomials import Objective, _all_finite, as_point, check_positive
-from .spectral import EigenDecomp, _norm, _zero_band, eig_sym, null_space
+from .polynomials import Objective, as_point, check_positive
+from .spectral import EigenDecomp, _zero_band, null_space
 
 CHECKER_NOTE = (
     "certifies the gradient, curvature, and null-space third-derivative "
@@ -77,7 +78,7 @@ class ConditionTolerances:
 
     ``grad`` and ``third`` are absolute; ``eig`` is relative to the
     spectral magnitude and doubles as the null-space band.  Each must be
-    finite and non-negative.
+    finite and non-negative, and is stored as a Python float.
     """
 
     grad: float = 1e-8
@@ -89,6 +90,7 @@ class ConditionTolerances:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} tolerance must be non-negative and finite, got {value}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class ConditionReport:
     third_residual: float
     verdict: Verdict
     tolerances: ConditionTolerances
-    # (objective, read-only point, bundle, EigenDecomp, kernel), for descent_witness
+    # (objective, read-only point, cubic._LocalModel, kernel), for descent_witness
     _model: tuple = field(compare=False, repr=False)
 
     @property
@@ -130,30 +132,29 @@ def check_third_order(
     All residual fields are populated regardless of which condition
     fails, so reports are comparable across points.  The third-derivative
     residual is ||T(V, V, V)||_F for the kernel's eigenvector columns V.
-    Raises ValueError if the value, gradient, Hessian or third derivative
-    at ``x`` has a non-finite entry, or if the gradient norm or the third
-    residual overflows: each condition is a comparison, which a NaN
-    residual would pass and an infinite one report as a number.
+    The point is read through ``minimize``'s ``cubic._point_model``, whose
+    checks refuse a non-finite gradient or Hessian and an overflowing
+    gradient norm; a non-finite third derivative or value, or a third
+    residual that overflows, raises ValueError here: each condition is a
+    comparison, which a NaN residual would pass and an infinite one report
+    as a number.
     """
     point = as_point(x, objective.dim).copy()
     point.flags.writeable = False
-    b = objective.bundle(point, 3)
-    if not (_all_finite(b.grad) and np.isfinite(b.hess).all()
-            and np.isfinite(b.third.entries).all()):
-        raise ValueError("gradient, hessian or third derivative has non-finite entries")
+    model = _point_model(objective, point, 3)
+    b, decomp, grad_norm = model.bundle, model.decomp, model.grad_norm
+    if not np.isfinite(b.third.entries).all():
+        raise ValueError("third derivative has non-finite entries")
     if not math.isfinite(b.value):
         raise ValueError(f"value {b.value} is not finite")
-    decomp = eig_sym(b.hess)
     min_eig = float(decomp.eigenvalues[-1])
     kernel = null_space(decomp, tols.eig)
-    # finite entries can still overflow a norm to inf, or to NaN where partial
-    # sums of both signs overflow, which no comparison should see
+    # finite entries can still overflow the norm to inf, or to NaN where
+    # partial sums of both signs overflow, which no comparison should see
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_norm = _norm(b.grad)
         third_residual = b.third.transform(kernel.basis).frobenius_norm()
-    for name, norm in (("gradient norm", grad_norm), ("third residual", third_residual)):
-        if not norm < math.inf:
-            raise ValueError(f"{name} overflows")
+    if not third_residual < math.inf:
+        raise ValueError("third residual overflows")
 
     if grad_norm > tols.grad:
         verdict = Verdict.FIRST_ORDER_FAIL
@@ -170,7 +171,7 @@ def check_third_order(
         third_residual=third_residual,
         verdict=verdict,
         tolerances=tols,
-        _model=(objective, point, b, decomp, kernel),
+        _model=(objective, point, model, kernel),
     )
 
 
@@ -221,7 +222,7 @@ def descent_witness(
     objective at the step; an ArithmeticError therefore means the supplied
     bounds are not valid.  Returns None when the report already holds.
     """
-    owner, point, b, decomp, kernel = report._model
+    owner, point, model, kernel = report._model
     if objective is not owner or not np.array_equal(x, point):
         raise ValueError("report was built for another objective or point")
     check_positive("third_lipschitz", third_lipschitz)
@@ -229,6 +230,7 @@ def descent_witness(
         return None
     n = objective.dim
     lip3 = third_lipschitz
+    b, decomp = model.bundle, model.decomp
 
     if report.verdict is Verdict.FIRST_ORDER_FAIL:
         g_norm = report.grad_norm

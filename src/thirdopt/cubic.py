@@ -44,8 +44,10 @@ from two more products, since ``minimize`` reads the step alone.
 ``stationarity`` is the progress measure that combines the gradient
 norm with the most negative Hessian eigenvalue; it vanishes exactly at
 second-order stationary points.  Both take the Hessian's EigenDecomp,
-and check their inputs once, into a ``_LocalModel``, which ``minimize``
-builds once per point for the step and the stationarity there.
+check ``reg``, then check their inputs into a ``_LocalModel``, the one
+checked point model: ``_point_model`` builds it from one bundle and one
+``eig_sym``, once per point for ``minimize`` and ``check_third_order``.
+``reg``, a constant of the run, is passed beside the model.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .polynomials import DerivativeBundle, _all_finite, check_positive
-from .spectral import EigenDecomp, _finite_decomp, _matmul, _norm
+from .polynomials import DerivativeBundle, Objective, _all_finite, check_positive
+from .spectral import EigenDecomp, _finite_decomp, _matmul, _norm, eig_sym
 
 # Bottom-eigenspace gradient components below this relative size are
 # treated as zero, which routes the solve through the hard-case branch.
@@ -225,33 +227,28 @@ def _secular_offset(g_sq: list, base: list, half_reg: float, r_floor: float):
 class _LocalModel(NamedTuple):
     """The checked inputs of the cubic model at one point.
 
-    ``grad`` is the gradient as a float array, ``grad_norm`` its norm,
-    ``decomp`` the Hessian's EigenDecomp and ``reg`` a Python float.
-    ``bundle`` is the point's derivatives when the model was built from
-    them, else None.
+    ``grad`` is the gradient as a float array, ``grad_norm`` its norm and
+    ``decomp`` the Hessian's EigenDecomp.  ``bundle`` is the point's
+    derivatives when the model was built from them, else None.
     """
 
     grad: np.ndarray
     grad_norm: float
     decomp: EigenDecomp
-    reg: float
     bundle: Optional[DerivativeBundle] = None
 
 
-def _model_inputs(grad, decomp: EigenDecomp, reg: float,
+def _model_inputs(grad, decomp: EigenDecomp,
                   bundle: Optional[DerivativeBundle] = None) -> _LocalModel:
-    """The local model of ``grad``, ``decomp`` and ``reg``, checked.
+    """The local model of ``grad`` and ``decomp``, checked.
 
-    Raises ValueError unless ``reg`` is positive and finite, the gradient
-    has the Hessian's dimension, the gradient, eigenvalues and
-    eigenvectors are finite (``eigh`` can return finite eigenvalues and
-    NaN vectors for a matrix with a NaN), and the gradient's norm is
-    finite too: past about 1.3e154 it overflows, and an infinite norm
-    would pass the solver's scale-relative certificate with a zero step.
-    A Python-float ``reg`` keeps the arithmetic after it in float64,
-    whatever scalar type the caller passed.
+    Raises ValueError unless the gradient has the Hessian's dimension,
+    the gradient, eigenvalues and eigenvectors are finite (``eigh`` can
+    return finite eigenvalues and NaN vectors for a matrix with a NaN),
+    and the gradient's norm is finite too: past about 1.3e154 it
+    overflows, and an infinite norm would pass the solver's
+    scale-relative certificate with a zero step.
     """
-    check_positive("reg", reg)
     g = np.asarray(grad, dtype=float)
     if g.shape != (decomp.dim,):
         raise ValueError(f"gradient of shape {g.shape} does not match hessian dim {decomp.dim}")
@@ -266,7 +263,13 @@ def _model_inputs(grad, decomp: EigenDecomp, reg: float,
         with np.errstate(over="ignore"):
             if _norm(g) == math.inf:
                 raise ValueError("gradient norm overflows")
-    return _LocalModel(g, _norm(g), decomp, float(reg), bundle)
+    return _LocalModel(g, _norm(g), decomp, bundle)
+
+
+def _point_model(objective: Objective, x: np.ndarray, order: int) -> _LocalModel:
+    """The checked local model at x: one bundle, one eig_sym, one input check and norm."""
+    b = objective.bundle(x, order)
+    return _model_inputs(b.grad, eig_sym(b.hess), b)
 
 
 def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
@@ -286,26 +289,24 @@ def solve_cubic_model(grad, decomp: EigenDecomp, reg: float) -> CubicSolution:
     ``reg``, and where the step's radius is too large for its cube to be
     a float.
     """
-    return _solve_model(_model_inputs(grad, decomp, reg))
-
-
-def _solve_model(model: _LocalModel) -> CubicSolution:
-    """:func:`solve_cubic_model` on a checked local model."""
-    step, radius, evals, hess_s = _solve_step(model)
+    check_positive("reg", reg)
+    reg = float(reg)
+    model = _model_inputs(grad, decomp)
+    step, radius, evals, hess_s = _solve_step(model, reg)
     model_value = float(_matmul(model.grad, step) + _matmul(0.5 * step, hess_s)
-                        + model.reg * radius**3 / 6.0)
+                        + reg * radius**3 / 6.0)
     return CubicSolution(step=step, model_value=model_value, radius=radius, secular_evals=evals)
 
 
-def _solve_step(model: _LocalModel) -> tuple:
-    """The step of :func:`_solve_model` without its model value.
+def _solve_step(model: _LocalModel, reg: float) -> tuple:
+    """The step of :func:`solve_cubic_model` without its model value.
 
     Returns ``(step, radius, secular_evals, hess_s)``, hess_s being H
-    times the step.  The certificate is checked here, and the radius's
-    cube, which the model value and the step's promised decrease take,
-    is checked to be a float.
+    times the step, for a positive Python-float ``reg``.  The certificate
+    is checked here, and the radius's cube, which the model value and the
+    step's promised decrease take, is checked to be a float.
     """
-    g, g_norm, decomp, reg, _ = model
+    g, g_norm, decomp, _ = model
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
     g_hat = _matmul(v.T, g)
@@ -388,11 +389,12 @@ def stationarity(grad, decomp: EigenDecomp, reg: float) -> float:
     -(2/(3 reg)) lambda_min clamped at zero; it is zero exactly when the
     gradient vanishes and the Hessian is psd.
     """
-    return _stationarity(_model_inputs(grad, decomp, reg))
+    check_positive("reg", reg)
+    return _stationarity(_model_inputs(grad, decomp), float(reg))
 
 
-def _stationarity(model: _LocalModel) -> float:
-    """:func:`stationarity` on a checked local model."""
-    grad_part = math.sqrt(model.grad_norm / model.reg)
-    eig_part = max(0.0, -2.0 * float(model.decomp.eigenvalues[-1]) / (3.0 * model.reg))
+def _stationarity(model: _LocalModel, reg: float) -> float:
+    """:func:`stationarity` on a checked local model and a positive Python-float ``reg``."""
+    grad_part = math.sqrt(model.grad_norm / reg)
+    eig_part = max(0.0, -2.0 * float(model.decomp.eigenvalues[-1]) / (3.0 * reg))
     return max(grad_part, eig_part)

@@ -53,9 +53,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cubic import _LocalModel, _model_inputs, _solve_step, _stationarity
+from .cubic import _point_model, _solve_step, _stationarity
 from .polynomials import Objective, _check_count, as_point, check_positive
-from .spectral import EigenDecomp, Subspace, _finite_decomp, _matmul, _norm, _vdot, eig_sym
+from .spectral import EigenDecomp, Subspace, _finite_decomp, _matmul, _norm, _vdot
 from .tensors import SymTensor3
 
 # Additive slack for the per-step decrease assertions recorded in flags.
@@ -83,7 +83,8 @@ class OptimizerConfig:
     traverses; the per-step decrease guarantees are only meaningful then.
     ``sampler_constant`` scales the acceptance threshold of the direction
     sampler; the resulting approximation factor is
-    ``sampler_constant * dim**1.5``.
+    ``sampler_constant * dim**1.5``.  The four constants are stored as
+    Python floats, so that the run's arithmetic stays in float64.
     """
 
     hess_lipschitz: float
@@ -96,6 +97,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("hess_lipschitz", "third_lipschitz", "sampler_constant", "tol_mu"):
             check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         _check_count("max_iters", self.max_iters, 1)
         _check_count("seed", self.seed, 0)
 
@@ -405,12 +407,6 @@ def _row(shared: dict, phase: str, value: float, step_norm: float, **flags) -> I
                            flags=_ReadOnlyFlags(_NO_FLAGS, **flags), **shared)
 
 
-def _point_model(objective: Objective, x: np.ndarray, order: int, reg: float) -> _LocalModel:
-    """The checked local model at x: one bundle, one eig_sym, one input check and norm."""
-    b = objective.bundle(x, order)
-    return _model_inputs(b.grad, eig_sym(b.hess), reg, b)
-
-
 def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     """Run the alternating cubic / third-order loop from ``x0``.
 
@@ -423,18 +419,18 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     trace.  Identical config and seed reproduce the trace bit for bit.
 
     Each distinct point (x0, every post-cubic z, every post-escape x)
-    gets one local model from ``_point_model``: its bundle, one
-    ``eig_sym``, and the checks of ``cubic._model_inputs`` with one
-    gradient norm.  The step from the point, its stationarity, its
-    escape subspace and its trace row all read that model, so a
-    non-finite gradient, spectrum or third derivative fails at the point
-    where it appears.  The step is ``cubic._solve_step``'s: its radius
-    and certificate, without the model value, which no row records.
-    The escape constants are checked once per run.  The sampler's
-    generator, ``np.random.default_rng(config.seed)``, is seeded when
-    the first escape step fires, so a run without one seeds none; nothing
-    draws from it before then, so its stream is the one a generator
-    seeded at the start would give.
+    gets one local model from ``cubic._point_model``, as in
+    ``check_third_order``: its bundle, one ``eig_sym``, and the checks of
+    ``cubic._model_inputs`` with one gradient norm.  The step from the
+    point, its stationarity, its escape subspace and its trace row all
+    read that model, so a non-finite gradient, spectrum or third
+    derivative fails at the point where it appears.  The step is
+    ``cubic._solve_step``'s, without the model value, which no row
+    records.  ``reg`` and the escape constants are checked once per run.
+    The sampler's generator, ``np.random.default_rng(config.seed)``, is
+    seeded when the first escape step fires, so a run without one seeds
+    none; nothing draws from it before then, so its stream is the one a
+    generator seeded at the start would give.
     """
     n = objective.dim
     x0 = x = as_point(x0, n)
@@ -445,7 +441,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
 
     # The model at x: an order-2 bundle at x0 and after each escape step,
     # else the post-cubic point's model, carried.
-    m_x = _point_model(objective, x, 2, reg)
+    m_x = _point_model(objective, x, 2)
     check_positive("third_lipschitz", lip3)
     check_positive("approx_factor", q)
     denom = _curvature_denom(lip3, q)
@@ -455,12 +451,12 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
     quiet = 0
 
     for it in range(config.max_iters):
-        step, radius, _, _ = _solve_step(m_x)
+        step, radius, _, _ = _solve_step(m_x, reg)
         z = x + step
-        m_z = _point_model(objective, z, 3, reg)
+        m_z = _point_model(objective, z, 3)
         b_z = m_z.bundle
         grad_norm = m_z.grad_norm
-        mu = _stationarity(m_z)
+        mu = _stationarity(m_z, reg)
         esc = _escape_search(m_z.decomp, b_z.third, denom)
 
         cubic_ok = bool(b_z.value <= m_x.bundle.value - reg * radius**3 / 12.0 + DECREASE_TOL)
@@ -478,7 +474,7 @@ def minimize(objective: Objective, x0, config: OptimizerConfig) -> Trace:
                 rng = np.random.default_rng(config.seed)
             sample = sample_direction(b_z.third, esc.subspace, esc.proj_norm / q, rng)
             x = z - esc.proj_norm / (lip3 * q) * sample.direction
-            m_x = _point_model(objective, x, 2, reg)
+            m_x = _point_model(objective, x, 2)
             promised = esc.proj_norm**4 / (24.0 * lip3**3 * q**4)
             third_ok = bool(m_x.bundle.value <= b_z.value - promised + DECREASE_TOL)
             records.append(_row(shared, "third", m_x.bundle.value, _norm(x - z),

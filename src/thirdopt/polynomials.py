@@ -296,8 +296,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers are supported")
+        _check_count("power", k, 0)
         out = Polynomial.constant(self._dim, 1.0)
         for _ in range(k):
             out = out * self

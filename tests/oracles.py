@@ -528,15 +528,15 @@ def _secular_offset_arrays(g_sq: np.ndarray, base: np.ndarray, half_reg: float, 
     return t * unit, evals
 
 
-def solve_model_arrays(model):
-    """The cubic step of a checked ``cubic._LocalModel``, assembled in numpy arrays.
+def solve_model_arrays(model, reg):
+    """The cubic step of a checked ``cubic._LocalModel`` and ``reg``, assembled in numpy arrays.
 
-    The same method as ``cubic._solve_model``: masks for the bottom
+    The same method as ``cubic.solve_cubic_model``: masks for the bottom
     eigenspace, ``np.where`` and ``np.errstate`` for the hard case's zero
     divisors, and ``_secular_offset_arrays`` for the radius.  numpy's
     warnings are silenced.
     """
-    g, g_norm, decomp, reg, _ = model
+    g, g_norm, decomp, _ = model
     lam = decomp.eigenvalues
     v = decomp.eigenvectors
     g_hat = v.T @ g

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import thirdopt.conditions
+import thirdopt.cubic
 from thirdopt import (
     ConditionTolerances,
     DerivativeBundle,
@@ -106,6 +107,14 @@ class TestCheckThirdOrder:
         assert set(d) == {"grad_norm", "min_eig", "null_dim", "third_residual",
                           "verdict", "tolerances", "note"}
 
+    def test_numpy_tolerances_give_a_json_report(self):
+        # the tolerances are stored as Python floats, so the report's dict
+        # holds no numpy scalar that json cannot serialize
+        tols = ConditionTolerances(grad=np.float32(1e-8), eig=np.float64(1e-8), third=np.int64(0))
+        report = check_third_order(corpus("wine_bottle"), [1.0, 0.0], tols)
+        assert json.loads(json.dumps(report.to_dict()))["tolerances"] == {
+            "grad": float(np.float32(1e-8)), "eig": 1e-8, "third": 0.0}
+
     @pytest.mark.parametrize("name", ["grad", "eig", "third"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8])
     def test_tolerances_must_be_finite_and_non_negative(self, name, bad):
@@ -127,17 +136,37 @@ class FixedBundle:
         return self._bundle
 
 
-@pytest.mark.parametrize("part", ["grad", "hess", "third"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_derivatives_are_refused(part, bad):
-    # Each condition is a comparison; a NaN residual would fail none of them
-    # and the verdict would fall through to HOLDS
+def _bundle_with(part, bad):
+    """A bundle of zero value, zero gradient, identity Hessian and zero third
+    derivative, with ``bad`` as the last entry of ``part``."""
     arrays = {"grad": np.zeros(2), "hess": np.eye(2), "third": np.zeros((2, 2, 2))}
     arrays[part].flat[-1] = bad
-    bundle = DerivativeBundle(0.0, arrays["grad"], arrays["hess"], SymTensor3(arrays["third"]))
-    with pytest.raises(ValueError,
-                       match="^gradient, hessian or third derivative has non-finite entries$"):
-        check_third_order(FixedBundle(bundle), np.zeros(2))
+    return DerivativeBundle(0.0, arrays["grad"], arrays["hess"], SymTensor3(arrays["third"]))
+
+
+@pytest.mark.parametrize("part, message", [
+    ("grad", "gradient or hessian has non-finite entries"),
+    ("hess", "gradient or hessian has non-finite entries"),
+    ("third", "third derivative has non-finite entries"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_derivatives_are_refused(part, message, bad):
+    # Each condition is a comparison; a NaN residual would fail none of them
+    # and the verdict would fall through to HOLDS
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_third_order(FixedBundle(_bundle_with(part, bad)), np.zeros(2))
+
+
+@pytest.mark.parametrize("part", ["grad", "hess"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_minimize_and_the_checker_refuse_alike(part, bad):
+    # both read the one checked point model, so they refuse the same
+    # gradient or Hessian with the same message
+    objective = FixedBundle(_bundle_with(part, bad))
+    for run in (lambda: minimize(objective, np.zeros(2), OptimizerConfig(1.0, 1.0)),
+                lambda: check_third_order(objective, np.zeros(2))):
+        with pytest.raises(ValueError, match="^gradient or hessian has non-finite entries$"):
+            run()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -250,16 +279,19 @@ class TestDescentWitness:
         (corpus("monkey_saddle"), np.zeros(2)),
     ], ids=["first_order", "second_order", "third_order"])
     def test_reuses_the_reports_derivatives(self, monkeypatch, poly, x):
-        eig_calls = []
-        eig_sym = thirdopt.conditions.eig_sym
-        monkeypatch.setattr(thirdopt.conditions, "eig_sym",
+        # the report's one checked point model serves the witness too
+        eig_calls, checks = [], []
+        eig_sym, model_inputs = thirdopt.cubic.eig_sym, thirdopt.cubic._model_inputs
+        monkeypatch.setattr(thirdopt.cubic, "eig_sym",
                             lambda m: eig_calls.append(1) or eig_sym(m))
+        monkeypatch.setattr(thirdopt.cubic, "_model_inputs",
+                            lambda *args: checks.append(1) or model_inputs(*args))
         objective = _CountingObjective(poly)
         report = check_third_order(objective, x)
-        assert (objective.bundles, len(eig_calls)) == (1, 1)
+        assert (objective.bundles, len(eig_calls), len(checks)) == (1, 1, 1)
         w = descent_witness(objective, x, report, third_lipschitz=24.0)
         assert w is not None
-        assert (objective.bundles, len(eig_calls)) == (1, 1)
+        assert (objective.bundles, len(eig_calls), len(checks)) == (1, 1, 1)
 
     def test_rejects_a_report_for_another_objective_or_point(self):
         monkey = corpus("monkey_saddle")

@@ -23,7 +23,7 @@ from thirdopt import (
 )
 from thirdopt.bench import confined_monkey_config, quartic_1d_config
 from thirdopt.cubic import (_SECULAR_RTOL, _LocalModel, _model_inputs, _secular_bracket,
-                            _secular_offset, _solve_model, _solve_step, _sum)
+                            _secular_offset, _solve_step, _sum)
 from thirdopt.polynomials import as_point
 
 from oracles import (
@@ -249,16 +249,16 @@ class TestSecularNewton:
     @given(cubic_models())
     def test_solution_is_the_step_and_its_model_value(self, model):
         decomp, g, reg = model
-        checked = _model_inputs(g, decomp, reg)
-        sol = _solve_model(checked)
-        step, radius, evals, hess_s = _solve_step(checked)
+        checked = _model_inputs(g, decomp)
+        sol = solve_cubic_model(g, decomp, reg)
+        step, radius, evals, hess_s = _solve_step(checked, float(reg))
         assert step.tobytes() == sol.step.tobytes()
         assert (radius, evals) == (sol.radius, sol.secular_evals)
         # hess_s is H s, formed in the eigenbasis
         h = (decomp.eigenvectors * decomp.eigenvalues) @ decomp.eigenvectors.T
         scale = decomp.spectral_scale() * max(1.0, radius)
         assert np.abs(hess_s - h @ step).max() <= 1e-12 * scale
-        value = float(checked.grad @ step + (0.5 * step) @ hess_s + checked.reg * radius**3 / 6.0)
+        value = float(checked.grad @ step + (0.5 * step) @ hess_s + float(reg) * radius**3 / 6.0)
         assert repr(value) == repr(sol.model_value)
 
     def test_mean_evaluations_on_bounded_corpus(self, monkeypatch):
@@ -474,12 +474,12 @@ def step_models(draw):
     return scale * (q_mat @ g_hat), EigenDecomp(scale * lam, q_mat), scale * float(reg), tags
 
 
-def step_outcome(solve, model):
+def step_outcome(solve, *args):
     """The step's bytes and the repr of every field, or the exception's type."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            sol = solve(model)
+            sol = solve(*args)
         except (ArithmeticError, RuntimeWarning) as exc:
             return type(exc).__name__
     return sol.step.tobytes(), repr((sol.step.tolist(), sol.model_value, sol.radius,
@@ -497,12 +497,12 @@ class TestStepAssembly:
         def check(case):
             g, decomp, reg, tags = case
             try:
-                model = _model_inputs(g, decomp, reg)
+                model = _model_inputs(g, decomp)
             except ValueError:  # a gradient norm past 1.3e154
                 seen.append("rejected")
                 return
-            expected = step_outcome(solve_model_arrays, model)
-            assert step_outcome(_solve_model, model) == expected
+            expected = step_outcome(solve_model_arrays, model, reg)
+            assert step_outcome(solve_cubic_model, g, decomp, reg) == expected
             seen.extend(tags)
             seen.append("raised" if isinstance(expected, str) else "solved")
 
@@ -649,9 +649,9 @@ class TestFiniteInputs:
         for entry in (solve_cubic_model, stationarity):
             with pytest.raises(ValueError, match="^gradient or hessian has non-finite entries$"):
                 entry(np.ones(2), decomp, 1.0)
-        unchecked = _LocalModel(np.ones(2), math.sqrt(2.0), decomp, 1.0)
+        unchecked = _LocalModel(np.ones(2), math.sqrt(2.0), decomp)
         with pytest.raises(ArithmeticError, match="certificate failed"):
-            _solve_model(unchecked)
+            _solve_step(unchecked, 1.0)
 
     def test_model_value_overflow_is_named(self):
         # the minimizer of this finite model has norm about 1.4e125, whose cube

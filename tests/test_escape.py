@@ -416,6 +416,20 @@ class TestMinimize:
             assert a == b
         assert np.array_equal(t1.final_point, t2.final_point)
 
+    def test_numpy_scalar_constants_run_in_float64(self):
+        # A float32 constant would put the escape step length, the promised
+        # decrease and both decrease tests in float32; the config stores
+        # Python floats, so the run is the one with the same values as floats
+        confined = corpus("monkey_saddle_confined")
+        b = smoothness_bounds(confined, 2.0)
+        r32, l32 = np.float32(b.hess_lipschitz), np.float32(b.third_lipschitz)
+        t32 = minimize(confined, np.zeros(2), OptimizerConfig(r32, l32, max_iters=60))
+        t64 = minimize(confined, np.zeros(2),
+                       OptimizerConfig(float(r32), float(l32), max_iters=60))
+        assert t32.third_records()
+        assert dump_records(t32.records) == dump_records(t64.records)
+        assert type(t32.approx_factor) is float
+
     def test_trace_points_are_read_only(self):
         x0 = np.zeros(2)
         trace = minimize(corpus("monkey_saddle_confined"), x0, confined_monkey_config())
@@ -520,7 +534,7 @@ class TestMinimize:
             eig_calls.append(1)
             return eig_sym(matrix)
 
-        monkeypatch.setattr(thirdopt.escape, "eig_sym", counting_eig_sym)
+        monkeypatch.setattr(thirdopt.cubic, "eig_sym", counting_eig_sym)
         runs = (
             (corpus("monkey_saddle_confined"), np.zeros(2), confined_monkey_config()),
             (corpus("quartic_1d"), np.zeros(1), quartic_1d_config()),
@@ -561,7 +575,7 @@ class TestMinimize:
         for module in (thirdopt.cubic, thirdopt.escape):
             monkeypatch.setattr(module, "_model_inputs", counting_inputs, raising=False)
             monkeypatch.setattr(module, "_norm", counting_norm)
-        monkeypatch.setattr(thirdopt.escape, "eig_sym", counting_eig_sym)
+        monkeypatch.setattr(thirdopt.cubic, "eig_sym", counting_eig_sym)
         sixth = smoothness_bounds(corpus("quartic_plus_sixth"), radius=2.0)
         runs = (
             (corpus("quartic_plus_sixth"), np.array([0.5, 0.25]),

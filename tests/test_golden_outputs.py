@@ -165,12 +165,12 @@ def test_runs_compute_only_what_the_trace_reads(tmp_path, capsys, monkeypatch):
     # generator at the first escape step.  With the solver's model-value
     # body refused in every module that holds it, each run still gives its
     # pinned bytes, and only a run with an escape step seeds a generator.
-    def refuse(model):
+    def refuse(grad, decomp, reg):
         raise AssertionError("minimize formed the cubic model's value")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("thirdopt") and hasattr(module, "_solve_model"):
-            monkeypatch.setattr(module, "_solve_model", refuse)
+        if name.startswith("thirdopt") and hasattr(module, "solve_cubic_model"):
+            monkeypatch.setattr(module, "solve_cubic_model", refuse)
     seeded = []
     default_rng = np.random.default_rng
 

@@ -160,7 +160,9 @@ class TestConstruction:
     @pytest.mark.parametrize("build, message", [
         (lambda: Polynomial(0, []), "positive integer"),
         (lambda: Polynomial(1, [(math.inf, (1,))]), "coefficients must be finite"),
-        (lambda: Polynomial.variable(1, 0) ** -1, "non-negative integer powers"),
+        (lambda: Polynomial.variable(1, 0) ** -1, "power must be a non-negative integer"),
+        (lambda: Polynomial.variable(1, 0) ** True, "power must be a non-negative integer"),
+        (lambda: Polynomial.variable(1, 0) ** 2.0, "power must be a non-negative integer"),
         (lambda: Polynomial.from_dict({"dim": 2.0, "terms": []}), '"dim" must be an integer'),
         (lambda: corpus("monkey_saddle").value([math.nan, 0.0]), "non-finite entries"),
         (lambda: corpus("monkey_saddle").bundle(np.zeros(2), 4), "order must be in 0..3"),
@@ -169,7 +171,7 @@ class TestConstruction:
         (lambda: Polynomial.variable(2, 2), "index must be below the dimension 2"),
         (lambda: Polynomial.variable(2, 1.0), "index must be a non-negative integer"),
         (lambda: Polynomial.variable(2.0, 0), "dimension must be a positive integer"),
-    ], ids=["dim", "coefficient", "power", "json_dim", "point", "order",
+    ], ids=["dim", "coefficient", "power", "power_bool", "power_float", "json_dim", "point", "order",
             "variable_negative", "variable_bool", "variable_past_dim", "variable_float",
             "variable_float_dim"])
     def test_rejects_malformed_input(self, build, message):
@@ -185,6 +187,11 @@ class TestConstruction:
         y = Polynomial.variable(2, 1)
         p = (x + y) * (x - y)
         assert p == x**2 - y**2
+
+    def test_power_takes_a_numpy_integer(self):
+        # the exponent is checked as every count is, numpy's integers included
+        x = Polynomial.variable(2, 0)
+        assert x ** np.int64(2) == x**2
 
 
 class TestDerivatives:
